@@ -66,6 +66,7 @@ from .solver import (
     InvarianceReport,
     IterationRecord,
     LineSearchParams,
+    LineSearchResult,
     Objective,
     SolverConfig,
     SolverTrace,

@@ -2,6 +2,7 @@
 affine-transformation tooling for invariance experiments."""
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,6 +24,7 @@ __all__ = [
     "SolverConfig",
     "IterationRecord",
     "SolverTrace",
+    "LineSearchResult",
     "InvarianceReport",
     "check_gradient",
     "wolfe_line_search",
@@ -137,6 +139,8 @@ class IterationRecord:
 class SolverTrace:
     records: list
     status: str  # Converged | MaxIter | LineSearchFail
+    nfev: int = 0  # objective value evaluations, line search included
+    ngev: int = 0  # gradient evaluations, line search included
 
     @property
     def final(self):
@@ -153,18 +157,32 @@ class SolverTrace:
         return np.array([r.f for r in self.records])
 
 
-def wolfe_line_search(obj, x, d, params):
+class LineSearchResult(NamedTuple):
+    """Accepted step length with f and its gradient at x + alpha*d."""
+
+    alpha: float
+    f: float
+    g: np.ndarray
+
+
+def wolfe_line_search(obj, x, d, params, f0=None, g0=None):
     """Step length satisfying the (weak) Wolfe conditions.
 
     Bisection with doubling: an Armijo failure caps the bracket from
     above, a curvature failure raises it from below.  Deterministic, so
     two runs related by a linear change of variables take identical
     branches until float noise separates them.
+    f0 and g0 are f and its gradient at x, evaluated here when omitted;
+    the returned f and g are the values the conditions were tested with
+    at the accepted point, so a caller can carry them to the next step.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
-    f0 = float(obj.value(x))
-    g0d = float(obj.gradient(x) @ d)
+    if f0 is None:
+        f0 = float(obj.value(x))
+    if g0 is None:
+        g0 = obj.gradient(x)
+    g0d = float(g0 @ d)
     if not np.isfinite(g0d) or g0d >= 0.0:
         raise LineSearchFail("search direction is not a descent direction")
 
@@ -176,24 +194,26 @@ def wolfe_line_search(obj, x, d, params):
             hi = t
             t = 0.5 * (lo + hi)
             continue
-        gtd = float(obj.gradient(x + t * d) @ d)
+        gt = np.asarray(obj.gradient(x + t * d), dtype=float)
+        gtd = float(gt @ d)
         if gtd < params.c2 * g0d:
             lo = t
             t = 2.0 * t if np.isinf(hi) else 0.5 * (lo + hi)
             continue
-        return t
+        return LineSearchResult(t, ft, gt)
     raise LineSearchFail(f"no Wolfe step within {params.max_trials} trials")
 
 
-def _exact_line_search(obj, x, d, params):
-    """Minimize f along x + alpha*d by solving dphi(alpha) = 0."""
+def _exact_line_search(obj, x, d, params, g0):
+    """Minimize f along x + alpha*d by solving dphi(alpha) = 0, where
+    dphi(0) = g0'd; f and g are evaluated once more at the root."""
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
 
     def dphi(a):
         return float(obj.gradient(x + a * d) @ d)
 
-    d0 = dphi(0.0)
+    d0 = float(g0 @ d)
     if not np.isfinite(d0) or d0 >= 0.0:
         raise LineSearchFail("search direction is not a descent direction")
     hi = float(params.alpha_init)
@@ -206,14 +226,36 @@ def _exact_line_search(obj, x, d, params):
         if trials >= params.max_trials or not np.isfinite(dhi):
             raise LineSearchFail("could not bracket a minimum along the ray")
     if dhi == 0.0:
-        return hi
-    return float(brentq(dphi, 0.0, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+        alpha = hi
+    else:
+        alpha = float(brentq(dphi, 0.0, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+    x_new = x + alpha * d
+    return LineSearchResult(
+        alpha, float(obj.value(x_new)), np.asarray(obj.gradient(x_new), dtype=float)
+    )
 
 
-def _take_step(obj, x, d, params):
+def _take_step(obj, x, d, params, f, g):
     if params.method == "exact":
-        return _exact_line_search(obj, x, d, params)
-    return wolfe_line_search(obj, x, d, params)
+        return _exact_line_search(obj, x, d, params, g)
+    return wolfe_line_search(obj, x, d, params, f, g)
+
+
+class _CountingObjective:
+    """Counts the value and gradient calls made through it."""
+
+    def __init__(self, obj):
+        self._obj = obj
+        self.nfev = 0
+        self.ngev = 0
+
+    def value(self, x):
+        self.nfev += 1
+        return self._obj.value(x)
+
+    def gradient(self, x):
+        self.ngev += 1
+        return self._obj.gradient(x)
 
 
 def _safe_exp_det(family, state):
@@ -246,13 +288,17 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
         sparse_cfg = (pattern, tree, pot, algorithm, T)
 
     state = family.initial_state(B0)
-    g = np.asarray(obj.gradient(x), dtype=float)
+    # f and g are evaluated once per accepted point: at x0 here, then by
+    # the line search, whose values are carried into the next step
+    counted = _CountingObjective(obj)
+    f = float(counted.value(x))
+    g = np.asarray(counted.gradient(x), dtype=float)
     gn = float(np.linalg.norm(g))
     records = [
         IterationRecord(
             k=0,
             x=x.copy(),
-            f=float(obj.value(x)),
+            f=f,
             grad_norm=gn,
             alpha=None,
             det_b=_safe_exp_det(family, state),
@@ -268,12 +314,11 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
             break
         d = family.direction(state, g)
         try:
-            alpha = _take_step(obj, x, d, config.line_search)
+            alpha, f, g_new = _take_step(counted, x, d, config.line_search, f, g)
         except LineSearchFail:
             status = "LineSearchFail"
             break
         x_new = x + alpha * d
-        g_new = np.asarray(obj.gradient(x_new), dtype=float)
         s = x_new - x
         y = g_new - g
         sty = float(s @ y)
@@ -299,7 +344,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
             IterationRecord(
                 k=k + 1,
                 x=x.copy(),
-                f=float(obj.value(x)),
+                f=f,
                 grad_norm=gn,
                 alpha=float(alpha),
                 det_b=_safe_exp_det(family, state),
@@ -310,7 +355,9 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
         )
     if status is None:
         status = "Converged" if gn <= config.grad_tol else "MaxIter"
-    return SolverTrace(records=records, status=status)
+    return SolverTrace(
+        records=records, status=status, nfev=counted.nfev, ngev=counted.ngev
+    )
 
 
 def transform_problem(obj, T):

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bregmanqn
 from bregmanqn import InvalidParameter
 from bregmanqn.cli import TRACE_COLUMNS, export_trace, run_command
 
@@ -197,6 +202,25 @@ def test_list_problems(capsys):
     text = capsys.readouterr().out
     assert "rosenbrock" in text
     assert "quadratic" in text
+
+
+def test_module_entry_point():
+    # python -m bregmanqn.cli runs the same command line as the script
+    env = dict(os.environ)
+    src = str(Path(bregmanqn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "bregmanqn.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    listed = run("list-problems")
+    assert listed.returncode == 0
+    assert "rosenbrock" in listed.stdout
+    assert "quadratic" in listed.stdout
+    missing = run()
+    assert missing.returncode == 1
+    assert "subcommand is required" in missing.stderr
 
 
 def test_export_trace_rejects_unknown_format(tmp_path):

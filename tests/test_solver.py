@@ -41,8 +41,8 @@ def quadratic_objective(A, name="quad"):
 
 def test_wolfe_accepts_unit_step_on_simple_quadratic():
     obj = quadratic_objective(np.eye(1))
-    alpha = wolfe_line_search(obj, np.array([1.0]), np.array([-1.0]),
-                              LineSearchParams())
+    alpha, _, _ = wolfe_line_search(obj, np.array([1.0]), np.array([-1.0]),
+                                    LineSearchParams())
     assert alpha == 1.0
 
 
@@ -52,7 +52,7 @@ def test_wolfe_conditions_hold_on_quartic():
     x = np.array([1.0])
     d = np.array([-1.0])
     p = LineSearchParams()
-    alpha = wolfe_line_search(obj, x, d, p)
+    alpha, _, _ = wolfe_line_search(obj, x, d, p)
     f0, g0d = obj.value(x), float(obj.gradient(x) @ d)
     xa = x + alpha * d
     assert obj.value(xa) <= f0 + p.c1 * alpha * g0d
@@ -64,6 +64,21 @@ def test_wolfe_rejects_ascent_direction():
     x = np.array([1.0, 0.0])
     with pytest.raises(LineSearchFail):
         wolfe_line_search(obj, x, obj.gradient(x), LineSearchParams())
+
+
+def test_wolfe_returns_f_and_g_at_accepted_point():
+    obj = Objective(1, lambda x: float(x[0] ** 4),
+                    lambda x: np.array([4.0 * x[0] ** 3]))
+    x = np.array([1.0])
+    d = np.array([-1.0])
+    p = LineSearchParams()
+    alpha, fa, ga = wolfe_line_search(obj, x, d, p)
+    assert fa == obj.value(x + alpha * d)
+    assert np.array_equal(ga, obj.gradient(x + alpha * d))
+    # the caller's f0 and g0 give the same step as evaluating them here
+    carried = wolfe_line_search(obj, x, d, p, obj.value(x), obj.gradient(x))
+    assert carried.alpha == alpha and carried.f == fa
+    assert np.array_equal(carried.g, ga)
 
 
 def test_line_search_params_validation():
@@ -156,6 +171,55 @@ def test_vbfgs_log_reproduces_bfgs_iterates():
     for ra, rb in zip(ta.records, tb.records):
         assert np.abs(ra.x - rb.x).max() <= 1e-12 * (1 + np.abs(ra.x).max())
         assert np.abs(ra.b - rb.b).max() <= 1e-12 * (1 + np.abs(ra.b).max())
+
+
+def counting_objective(obj):
+    counts = {"f": 0, "g": 0}
+
+    def value(x):
+        counts["f"] += 1
+        return obj.value(x)
+
+    def gradient(x):
+        counts["g"] += 1
+        return obj.gradient(x)
+
+    return Objective(obj.n, value, gradient, name=obj.name), counts
+
+
+@pytest.mark.parametrize("method", ["wolfe", "exact"])
+def test_trace_evaluation_counts_match_calls(method):
+    for name, fam in (("rosenbrock", "bfgs"), ("extended-powell:8", "vdfp:log"),
+                      ("broyden-tridiagonal:10", "vbfgs:bounded:c=0.5")):
+        spec = get_problem(name)
+        obj, counts = counting_objective(spec.objective)
+        cfg = SolverConfig(fam, line_search=LineSearchParams(method=method),
+                           grad_tol=1e-6)
+        trace = minimize(obj, spec.start, config=cfg)
+        assert trace.nfev == counts["f"] > 0, (name, fam)
+        assert trace.ngev == counts["g"] > 0, (name, fam)
+
+
+@pytest.mark.parametrize("method, iterations, nfev, ngev", [
+    ("wolfe", 35, 55, 36),
+    ("exact", 22, 23, 317),
+])
+def test_rosenbrock_evaluation_counts(method, iterations, nfev, ngev):
+    # f and g are evaluated once per accepted point; the Wolfe search makes
+    # one f per trial and one g per curvature test; the exact search makes
+    # one g per dphi evaluation and one f and g at the root
+    spec = get_problem("rosenbrock")
+    obj, counts = counting_objective(spec.objective)
+    cfg = SolverConfig("bfgs", line_search=LineSearchParams(method=method))
+    trace = minimize(obj, spec.start, config=cfg)
+    assert trace.status == "Converged"
+    assert trace.iterations == iterations
+    assert (counts["f"], counts["g"]) == (nfev, ngev)
+    assert (trace.nfev, trace.ngev) == (nfev, ngev)
+    # the carried values belong to the recorded iterates, bit for bit
+    for r in trace.records:
+        assert r.f == spec.objective.value(r.x)
+        assert r.grad_norm == float(np.linalg.norm(spec.objective.gradient(r.x)))
 
 
 def test_max_iter_status():
