@@ -5,7 +5,6 @@ from .errors import (
     CliqueBlockNotPD,
     CurvatureViolation,
     DomainError,
-    DowndateBreaksPD,
     InvalidParameter,
     LineSearchFail,
     MaxIterations,
@@ -19,7 +18,6 @@ from .errors import (
 from .pdlinalg import (
     CholeskyFactor,
     PDMatrix,
-    SymMatrix,
     cholesky_factorize,
     log_det,
     rank_one_update,

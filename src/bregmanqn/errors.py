@@ -9,10 +9,6 @@ class NotPositiveDefinite(BregmanQNError):
     """A matrix required to be positive definite failed factorization."""
 
 
-class DowndateBreaksPD(NotPositiveDefinite):
-    """A rank-one downdate would push the factor out of the PD cone."""
-
-
 class InvalidParameter(BregmanQNError, ValueError):
     """A potential or config parameter is outside its admissible range."""
 

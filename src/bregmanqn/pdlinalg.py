@@ -4,40 +4,28 @@ Everything downstream (divergences, updates, projections) manipulates PD
 matrices through a lower-triangular Cholesky factor.  The factor is the
 source of truth; full matrices are reconstructed on demand.  Storage is
 dense and real -- the intended scale is desk-sized (n up to a few hundred).
+
+A factor is modified in one way only: rank_one_update(factor, u, v) returns
+the Cholesky factor of (L + u v')(L + u v')'.  Transposed, L + u v' is a
+rank-one change of the upper-triangular L', so a QR update re-triangularizes
+it in O(n^2) (Gill, Golub, Murray & Saunders, Math. Comp. 28, 1974) and the
+orthogonal factor drops out of the product.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr_update, solve_triangular
 
-from .errors import DowndateBreaksPD, InvalidParameter, NotPositiveDefinite
+from .errors import InvalidParameter, NotPositiveDefinite
 
 # Relative pivot tolerance: a factorization pivot at or below this fraction
 # of the largest diagonal entry is treated as a PD failure.
 PIVOT_RTOL = 1e-13
 
 
-class SymMatrix:
-    """Real symmetric matrix; construction symmetrizes exactly."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        self.n = a.shape[0]
-        self.entries = 0.5 * (a + a.T)
-
-    def __repr__(self):
-        return f"SymMatrix(n={self.n})"
-
-
 def as_symmetric(a) -> np.ndarray:
     """Coerce to an exactly symmetric ndarray."""
-    if isinstance(a, SymMatrix):
-        return a.entries
     if isinstance(a, PDMatrix):
         return a.matrix
     a = np.asarray(a, dtype=float)
@@ -96,37 +84,28 @@ def cholesky_factorize(a) -> CholeskyFactor:
     return CholeskyFactor(L)
 
 
-def rank_one_update(factor: CholeskyFactor, v, sigma: int) -> CholeskyFactor:
-    """Factor of F F' + sigma * v v' for sigma in {+1, -1}.
+def rank_one_update(factor: CholeskyFactor, u, v) -> CholeskyFactor:
+    """Cholesky factor of (L + u v')(L + u v')' for L = factor.L.
 
-    Update uses Givens-style rotations, downdate hyperbolic rotations; both
-    run in O(n^2).  A downdate that would drive a pivot at or below the
-    tolerance raises DowndateBreaksPD.
+    Runs a QR update of L' + v u' from Q = I and flips the signs of R's rows
+    so that its diagonal is positive; O(n^2).  Raises NotPositiveDefinite
+    when a pivot falls at or below PIVOT_RTOL times the largest pivot, i.e.
+    when L + u v' is numerically singular.
     """
-    if sigma not in (+1, -1):
-        raise ValueError("sigma must be +1 or -1")
-    L = factor.L.copy()
-    x = np.asarray(v, dtype=float).copy()
-    if x.shape != (factor.n,):
-        raise ValueError(f"vector shape {x.shape} does not match n={factor.n}")
     n = factor.n
-    if sigma == -1:
-        scale = float(np.max(np.diag(L)) ** 2)
-    for k in range(n):
-        lkk = L[k, k]
-        r_sq = lkk * lkk + sigma * x[k] * x[k]
-        if sigma == -1 and r_sq <= PIVOT_RTOL * scale:
-            raise DowndateBreaksPD(
-                f"downdate pivot {r_sq:.3e} at column {k} breaks positive definiteness"
-            )
-        r = np.sqrt(r_sq)
-        c = r / lkk
-        s = x[k] / lkk
-        L[k, k] = r
-        if k + 1 < n:
-            L[k + 1 :, k] = (L[k + 1 :, k] + sigma * s * x[k + 1 :]) / c
-            x[k + 1 :] = c * x[k + 1 :] - s * L[k + 1 :, k]
-    return CholeskyFactor(L)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != (n,) or v.shape != (n,):
+        raise ValueError(f"vector shapes {u.shape}, {v.shape} do not match n={n}")
+    _, R = qr_update(np.eye(n), factor.L.T, v, u, check_finite=False)
+    d = np.diag(R)
+    pivots = d * d
+    # negated so that a NaN pivot fails too
+    if not np.min(pivots) > PIVOT_RTOL * np.max(pivots):
+        raise NotPositiveDefinite(
+            f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * np.max(pivots):.3e}"
+        )
+    return CholeskyFactor((np.sign(d)[:, None] * R).T)
 
 
 def log_det(factor: CholeskyFactor) -> float:

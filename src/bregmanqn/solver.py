@@ -206,12 +206,16 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None):
 
 def _exact_line_search(obj, x, d, params, g0):
     """Minimize f along x + alpha*d by solving dphi(alpha) = 0, where
-    dphi(0) = g0'd; f and g are evaluated once more at the root."""
+    dphi(0) = g0'd; f is evaluated once more at the root, and g too unless
+    dphi already evaluated it there."""
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
+    grads = {}
 
     def dphi(a):
-        return float(obj.gradient(x + a * d) @ d)
+        g = np.asarray(obj.gradient(x + a * d), dtype=float)
+        grads[a] = g
+        return float(g @ d)
 
     d0 = float(g0 @ d)
     if not np.isfinite(d0) or d0 >= 0.0:
@@ -230,9 +234,10 @@ def _exact_line_search(obj, x, d, params, g0):
     else:
         alpha = float(brentq(dphi, 0.0, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
     x_new = x + alpha * d
-    return LineSearchResult(
-        alpha, float(obj.value(x_new)), np.asarray(obj.gradient(x_new), dtype=float)
-    )
+    g = grads.get(alpha)
+    if g is None:
+        g = np.asarray(obj.gradient(x_new), dtype=float)
+    return LineSearchResult(alpha, float(obj.value(x_new)), g)
 
 
 def _take_step(obj, x, d, params, f, g):

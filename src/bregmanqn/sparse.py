@@ -83,7 +83,7 @@ class SparsityPattern:
         return sorted(self._adj[i])
 
     def contains(self, i, j):
-        return i == j or (min(i, j), max(i, j)) in set(self.edges)
+        return i == j or j in self._adj[i]
 
     @property
     def is_full(self):

@@ -15,10 +15,19 @@ whose left-over log-form zeta(z) = log z - (n-1) log nu(z) is strictly
 increasing for admissible potentials.  The dual rule (v_dfp) applies the
 same machinery to the inverse approximation with the secant roles swapped.
 
-All updates work on Cholesky factors: BFGS(B) is a rank-one update with
-y/sqrt(s'y) followed by a rank-one downdate with Bs/sqrt(s'Bs) (that order
-keeps every intermediate PD), and the weighted combination rescales the
-factor and applies one more rank-one correction.
+BFGS (r = 1), the weighted rule and self-scaling (r = theta) are all one
+rank-one modification of the Cholesky factor L of B.  With q = L's/|L's|,
+
+    J = sqrt(r) L + (y/sqrt(s'y) - sqrt(r) L q) q'
+
+maps q to y/sqrt(s'y) and has J J' = r * BFGS(B) + (1 - r) * y y'/(s'y)
+(Goldfarb, Math. Comp. 30, 1976); pdlinalg.rank_one_update re-triangularizes
+it.  The determinant needs no factor,
+
+    log det BFGS(B) = log det B + log s'y - log s'Bs,
+
+so r is known before the factor is touched.  DFP stays a dense sandwich
+plus a fresh factorization.
 """
 
 from __future__ import annotations
@@ -30,7 +39,9 @@ import numpy as np
 from ._roots import newton_bisect_log
 from .errors import CurvatureViolation, InvalidParameter, OracleNoConvergence
 from .geometry import SecantManifold, theta_coordinate, trace_inner, v_bregman_divergence
-from .pdlinalg import CholeskyFactor, PDMatrix, cholesky_factorize, rank_one_update
+# cholesky_factorize is unused here but stays bound: bench/ traces and
+# checks every module binding of it.
+from .pdlinalg import CholeskyFactor, PDMatrix, cholesky_factorize, rank_one_update  # noqa: F401
 from .potentials import Potential, from_string as potential_from_string
 
 CURVATURE_RTOL = 1e-12
@@ -65,33 +76,23 @@ class SecantPair:
         return f"SecantPair(n={self.n}, curvature={self.curvature:.6g})"
 
 
-def _bfgs_factor(B: PDMatrix, pair: SecantPair):
-    """Cholesky factor of BFGS(B) plus the reusable inner products."""
-    Bs = B.matvec(pair.s)
-    sBs = float(pair.s @ Bs)
-    up = rank_one_update(B.factor, pair.y / np.sqrt(pair.curvature), +1)
-    down = rank_one_update(up, Bs / np.sqrt(sBs), -1)
-    return down, Bs, sBs
+def _secant_mix(B: PDMatrix, pair: SecantPair, ratio) -> PDMatrix:
+    """r * BFGS(B) + (1 - r) * y y'/(s'y) in one rank-one factor step.
 
-
-def _combine_toward_secant(factor: CholeskyFactor, ratio: float, pair: SecantPair) -> CholeskyFactor:
-    """Factor of ratio * F F' + (1 - ratio) * y y'/(s'y), for ratio > 0.
-
-    The combination is PD for every positive ratio because F F' already
-    maps s to y, so the subtracted rank-one piece never exhausts the cone.
+    ratio maps log det BFGS(B) to the weight r > 0.
     """
-    if ratio == 1.0:
-        return factor
-    scaled = CholeskyFactor(np.sqrt(ratio) * factor.L)
-    coeff = 1.0 - ratio
-    v = pair.y * np.sqrt(abs(coeff) / pair.curvature)
-    return rank_one_update(scaled, v, +1 if coeff > 0.0 else -1)
+    L = B.factor.L
+    Ls = L.T @ pair.s
+    sBs = float(Ls @ Ls)
+    root_r = np.sqrt(ratio(B.logdet + np.log(pair.curvature) - np.log(sBs)))
+    q = Ls / np.sqrt(sBs)
+    u = pair.y / np.sqrt(pair.curvature) - root_r * (L @ q)
+    return PDMatrix(rank_one_update(CholeskyFactor(root_r * L), u, q))
 
 
 def bfgs_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     """BFGS: B - Bss'B/(s'Bs) + yy'/(s'y), computed on the factor."""
-    factor, _, _ = _bfgs_factor(B, pair)
-    return PDMatrix(factor)
+    return _secant_mix(B, pair, lambda ld_bfgs: 1.0)
 
 
 def dfp_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
@@ -106,20 +107,13 @@ def dfp_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     return PDMatrix.from_matrix(A)
 
 
-def solve_scaling_equation(
-    C: float,
-    pot: Potential,
-    n: int,
-    z_prev: float | None = None,
-    use_closed_form: bool | None = None,
-) -> float:
+def solve_scaling_equation(C: float, pot: Potential, n: int) -> float:
     """Unique positive root of z = C * nu(z)^(n-1).
 
-    Newton on log z with a bisection safeguard (initial bracket
-    [1e-12, 1e12], expanded if the root lies outside), stopping when
-    |C nu(z)^(n-1) - z| <= 1e-12 * max(z, 1).  Power potentials take the
-    closed form z = C^(1/(1-(n-1)*gamma)) unless use_closed_form=False.
-    z_prev (e.g. the previous determinant) seeds the Newton start.
+    Power potentials take the closed form z = C^(1/(1-(n-1)*gamma)).
+    Otherwise Newton on log z from log C with a bisection safeguard
+    (initial bracket [1e-12, 1e12], expanded if the root lies outside),
+    stopping when |C nu(z)^(n-1) - z| <= 1e-13 * max(z, 1).
     """
     C = float(C)
     if not C > 0.0 or not np.isfinite(C):
@@ -128,14 +122,15 @@ def solve_scaling_equation(
         raise InvalidParameter(f"dimension must be >= 1, got {n}")
     pot.require_admissible(n)
     log_c = np.log(C)
+    return float(np.exp(_solve_scaling_ld(log_c, pot, n, log_c)))
 
-    if use_closed_form is None:
-        use_closed_form = pot.closed_form_scaling
-    if use_closed_form:
-        if not pot.closed_form_scaling:
-            raise InvalidParameter(f"{pot.label()} has no closed-form scaling solution")
+
+def _solve_scaling_ld(log_c: float, pot: Potential, n: int, ld0: float) -> float:
+    """log z of solve_scaling_equation's root, from log C, with the
+    Newton start ld0 and no validation."""
+    if pot.closed_form_scaling:
         gamma = pot.params["gamma"]
-        return float(np.exp(log_c / (1.0 - (n - 1) * gamma)))
+        return log_c / (1.0 - (n - 1) * gamma)
 
     def g(ld):
         # zeta(z) - log C, strictly increasing in ld.
@@ -147,35 +142,8 @@ def solve_scaling_equation(
     def converged(ld):
         z = np.exp(ld)
         rhs = np.exp(log_c + (n - 1) * pot.log_nu_ld(ld))
-        return abs(rhs - z) <= 1e-12 * max(z, 1.0)
-
-    if z_prev is not None and z_prev > 0.0:
-        ld0 = log_c + (n - 1) * pot.log_nu_ld(np.log(z_prev))
-    else:
-        ld0 = log_c
-    lo, hi = np.log(1e-12), np.log(1e12)
-    ld_star = newton_bisect_log(g, dg, ld0, lo, hi, increasing=True, converged=converged)
-    return float(np.exp(ld_star))
-
-
-def _solve_scaling_ld(log_c: float, pot: Potential, n: int, ld_prev: float) -> float:
-    """log-space twin of solve_scaling_equation used inside the updates."""
-    if pot.closed_form_scaling:
-        gamma = pot.params["gamma"]
-        return log_c / (1.0 - (n - 1) * gamma)
-
-    def g(ld):
-        return ld - (n - 1) * pot.log_nu_ld(ld) - log_c
-
-    def dg(ld):
-        return 1.0 - (n - 1) * pot.beta_ld(ld)
-
-    def converged(ld):
-        z = np.exp(ld)
-        rhs = np.exp(log_c + (n - 1) * pot.log_nu_ld(ld))
         return abs(rhs - z) <= 1e-13 * max(z, 1.0)
 
-    ld0 = log_c + (n - 1) * pot.log_nu_ld(ld_prev)
     lo, hi = np.log(1e-12), np.log(1e12)
     return newton_bisect_log(g, dg, ld0, lo, hi, increasing=True, converged=converged)
 
@@ -190,12 +158,14 @@ def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
     """
     n = pair.n
     pot.require_admissible(n)
-    factor, _, _ = _bfgs_factor(B, pair)
     log_nu_b = pot.log_nu_ld(B.logdet)
-    log_c = factor.log_det() - (n - 1) * log_nu_b
-    ld_star = _solve_scaling_ld(log_c, pot, n, B.logdet)
-    ratio = float(np.exp(pot.log_nu_ld(ld_star) - log_nu_b))
-    return PDMatrix(_combine_toward_secant(factor, ratio, pair))
+
+    def ratio(ld_bfgs):
+        log_c = ld_bfgs - (n - 1) * log_nu_b
+        ld_star = _solve_scaling_ld(log_c, pot, n, log_c + (n - 1) * log_nu_b)
+        return float(np.exp(pot.log_nu_ld(ld_star) - log_nu_b))
+
+    return _secant_mix(B, pair, ratio)
 
 
 def v_dfp_update(H: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
@@ -224,8 +194,7 @@ def self_scaling_update(B: PDMatrix, pair: SecantPair, theta: float) -> PDMatrix
     theta = float(theta)
     if not theta > 0.0 or not np.isfinite(theta):
         raise InvalidParameter(f"theta must be a positive real, got {theta!r}")
-    factor, _, _ = _bfgs_factor(B, pair)
-    return PDMatrix(_combine_toward_secant(factor, theta, pair))
+    return _secant_mix(B, pair, lambda ld_bfgs: theta)
 
 
 def minimize_divergence_affine(

@@ -202,12 +202,12 @@ def test_trace_evaluation_counts_match_calls(method):
 
 @pytest.mark.parametrize("method, iterations, nfev, ngev", [
     ("wolfe", 35, 55, 36),
-    ("exact", 22, 23, 317),
+    ("exact", 22, 23, 306),
 ])
 def test_rosenbrock_evaluation_counts(method, iterations, nfev, ngev):
     # f and g are evaluated once per accepted point; the Wolfe search makes
     # one f per trial and one g per curvature test; the exact search makes
-    # one g per dphi evaluation and one f and g at the root
+    # one g per dphi evaluation and one f at the root, reusing dphi's g there
     spec = get_problem("rosenbrock")
     obj, counts = counting_objective(spec.objective)
     cfg = SolverConfig("bfgs", line_search=LineSearchParams(method=method))
