@@ -19,9 +19,7 @@ from .pdlinalg import (
     CholeskyFactor,
     PDMatrix,
     cholesky_factorize,
-    log_det,
     rank_one_update,
-    solve,
 )
 from .potentials import (
     Potential,

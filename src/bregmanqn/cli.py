@@ -72,24 +72,13 @@ def _fmt(v):
     return str(v)
 
 
-def export_trace(trace, path, fmt):
-    """Write a solver trace or a divergence sequence to csv or json.
+def _write_table(path, columns, rows, fmt, single=False):
+    """Write rows under columns as csv, or as json records.
 
-    Solver traces carry the iter/f/grad_norm/alpha/det_B/sTy/skipped
-    columns, iterate 0 included with empty alpha and sTy; a bare
-    sequence is written as (iter, divergence) rows.
+    single writes the one row as a json object rather than a list of one.
     """
     if fmt not in ("csv", "json"):
         raise InvalidParameter(f"format must be csv or json, got {fmt!r}")
-    if hasattr(trace, "records"):
-        columns = TRACE_COLUMNS
-        rows = [
-            (r.k, r.f, r.grad_norm, r.alpha, r.det_b, r.sty, r.skipped)
-            for r in trace.records
-        ]
-    else:
-        columns = ("iter", "divergence")
-        rows = [(k, float(v)) for k, v in enumerate(trace)]
     try:
         if fmt == "csv":
             buf = io.StringIO()
@@ -99,14 +88,31 @@ def export_trace(trace, path, fmt):
                 writer.writerow([_fmt(v) for v in row])
             data = buf.getvalue()
         else:
-            data = (
-                json.dumps([dict(zip(columns, row)) for row in rows], indent=2)
-                + "\n"
-            )
+            records = [dict(zip(columns, row)) for row in rows]
+            data = json.dumps(records[0] if single else records, indent=2) + "\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
     except OSError as exc:
-        raise BregmanQNError(f"cannot write trace to {path}: {exc}")
+        raise BregmanQNError(f"cannot write {path}: {exc}")
+
+
+def export_trace(trace, path, fmt):
+    """Write a solver trace or a divergence sequence to csv or json.
+
+    Solver traces carry the iter/f/grad_norm/alpha/det_B/sTy/skipped
+    columns, iterate 0 included with empty alpha and sTy; a bare
+    sequence is written as (iter, divergence) rows.
+    """
+    if hasattr(trace, "records"):
+        columns = TRACE_COLUMNS
+        rows = [
+            (r.k, r.f, r.grad_norm, r.alpha, r.det_b, r.sty, r.skipped)
+            for r in trace.records
+        ]
+    else:
+        columns = ("iter", "divergence")
+        rows = [(k, float(v)) for k, v in enumerate(trace)]
+    _write_table(path, columns, rows, fmt)
 
 
 class _UsageError(Exception):
@@ -310,20 +316,7 @@ def _cmd_compare(args):
                 record.seed,
             )
         )
-    try:
-        if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(columns)
-            for row in table:
-                writer.writerow([_fmt(v) for v in row])
-            data = buf.getvalue()
-        else:
-            data = json.dumps([dict(zip(columns, row)) for row in table], indent=2) + "\n"
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise BregmanQNError(f"cannot write summary to {out}: {exc}")
+    _write_table(out, columns, table, args.format)
     for row in table:
         print(
             f"{row[0]} {row[1]}: {row[2]} iters={row[3]} f={row[4]:.6e} "
@@ -373,19 +366,9 @@ def _cmd_invariance(args):
             "invariant": report.invariant,
             "seed": seed,
         }
-        try:
-            if args.format == "json":
-                data = json.dumps(payload, indent=2) + "\n"
-            else:
-                buf = io.StringIO()
-                writer = csv.writer(buf, lineterminator="\n")
-                writer.writerow(list(payload))
-                writer.writerow([_fmt(v) for v in payload.values()])
-                data = buf.getvalue()
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise BregmanQNError(f"cannot write report to {args.out}: {exc}")
+        _write_table(
+            args.out, list(payload), [list(payload.values())], args.format, single=True
+        )
     return 0 if report.invariant else 2
 
 

@@ -21,14 +21,15 @@ from scipy.linalg import solve_triangular
 
 from ._roots import newton_bisect_log
 from .errors import CurvatureViolation, NotPositiveDefinite
-from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize, solve
+# cholesky_factorize is unused here but stays bound: bench/ traces and
+# checks every module binding of it.
+from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize  # noqa: F401
 from .potentials import Potential
 
 
 def _as_pd(P) -> PDMatrix:
-    if isinstance(P, PDMatrix):
-        return P
-    return PDMatrix.from_matrix(P)
+    """P itself if it is a PDMatrix, else its factorization."""
+    return P if isinstance(P, PDMatrix) else PDMatrix.from_matrix(P)
 
 
 def trace_inner(a, b) -> float:
@@ -89,28 +90,37 @@ class SecantManifold:
 
 
 class ThetaPoint:
-    """Dual coordinate: a negative definite matrix tied to its potential."""
+    """Dual coordinate: a negative definite matrix tied to its potential.
 
-    __slots__ = ("matrix", "potential", "_neg_factor")
+    -T is factored on first use (log_det_neg, invert_theta), so a
+    coordinate that is only read as a matrix costs no factorization.
+    """
+
+    __slots__ = ("matrix", "potential", "_neg")
 
     def __init__(self, matrix, potential: Potential):
-        m = as_symmetric(matrix)
-        try:
-            self._neg_factor = cholesky_factorize(-m)
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(
-                "theta coordinate must be negative definite"
-            ) from exc
-        self.matrix = m
+        self.matrix = as_symmetric(matrix)
         self.potential = potential
+        self._neg = None
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    def _neg_pd(self) -> PDMatrix:
+        """-T as a PDMatrix; raises NotPositiveDefinite unless T < 0."""
+        if self._neg is None:
+            try:
+                self._neg = PDMatrix.from_matrix(-self.matrix)
+            except NotPositiveDefinite as exc:
+                raise NotPositiveDefinite(
+                    "theta coordinate must be negative definite"
+                ) from exc
+        return self._neg
+
     def log_det_neg(self) -> float:
         """log det(-T)."""
-        return self._neg_factor.log_det()
+        return self._neg_pd().logdet
 
     def __repr__(self):
         return f"ThetaPoint(n={self.n}, potential={self.potential.label()})"
@@ -193,9 +203,7 @@ def invert_theta(tp: ThetaPoint) -> PDMatrix:
     pot = tp.potential
     n = tp.n
     ld_star = solve_neg_theta_det(tp.log_det_neg(), n, pot)
-    nu_star = pot.nu_ld(ld_star)
-    neg_t_inv = solve(tp._neg_factor, np.eye(n))
-    return PDMatrix.from_matrix(nu_star * neg_t_inv)
+    return PDMatrix.from_matrix(pot.nu_ld(ld_star) * tp._neg_pd().inv())
 
 
 def pythagorean_residual(P, Pstar, Q, pot: Potential) -> float:

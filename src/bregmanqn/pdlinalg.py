@@ -108,15 +108,10 @@ def rank_one_update(factor: CholeskyFactor, u, v) -> CholeskyFactor:
     return CholeskyFactor((np.sign(d)[:, None] * R).T)
 
 
-def log_det(factor: CholeskyFactor) -> float:
-    return factor.log_det()
-
-
-def solve(factor: CholeskyFactor, b) -> np.ndarray:
-    """Solve (L L') x = b for one right-hand side or a block of them."""
-    b = np.asarray(b, dtype=float)
-    y = solve_triangular(factor.L, b, lower=True)
-    return solve_triangular(factor.L, y, lower=True, trans="T")
+def _cho_solve(L, b) -> np.ndarray:
+    # (L L') x = b by two triangular solves, for a vector or a block.
+    y = solve_triangular(L, np.asarray(b, dtype=float), lower=True)
+    return solve_triangular(L, y, lower=True, trans="T")
 
 
 class PDMatrix:
@@ -152,10 +147,11 @@ class PDMatrix:
         return float(np.exp(self.logdet))
 
     def solve(self, b) -> np.ndarray:
-        return solve(self.factor, b)
+        """Solve A x = b for one right-hand side or a block of them."""
+        return _cho_solve(self.factor.L, b)
 
     def inv(self) -> np.ndarray:
-        return solve(self.factor, np.eye(self.n))
+        return _cho_solve(self.factor.L, np.eye(self.n))
 
     def matvec(self, x) -> np.ndarray:
         L = self.factor.L

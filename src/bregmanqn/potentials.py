@@ -7,12 +7,15 @@ PD cone.  Two derived quantities drive everything downstream:
     nu(z)   = -z * V'(z)            (positive weight)
     beta(z) = z * nu'(z) / nu(z)    (log-derivative of nu)
 
-Admissibility for dimension n requires beta(z) < 1/n everywhere and
-z / nu(z)^(n-1) -> 0 as z -> 0+.  Both are checked on fixed grids by
-``validate`` and the per-dimension verdict is cached on the potential.
+A potential is defined by its log-space triple: V, log nu and beta as
+functions of ld = log z, so large determinants never overflow.  The
+linear-space V, V', V'', nu and beta are derived from the triple.
 
-Builtins evaluate V, nu and beta from the log-determinant directly, so
-large determinants never overflow.
+Admissibility for dimension n requires nu > 0, beta(z) < 1/n everywhere
+and z / nu(z)^(n-1) -> 0 as z -> 0+.  They are checked on fixed grids by
+``validate`` and the per-dimension verdict is cached on the potential.
+Together they make V decreasing (nu > 0) and strictly convex
+(V'' = nu (1 - beta) / z^2 > 0).
 """
 
 from __future__ import annotations
@@ -29,63 +32,63 @@ LIMIT_GRID = np.logspace(-12.0, 0.0, 256)
 
 @dataclass
 class PotentialReport:
-    """Outcome of the admissibility grid checks for one dimension."""
+    """Outcome of the admissibility grid checks for one dimension.
+
+    beta_bound_ok says that log nu is finite (nu > 0) and beta < 1/n on
+    the grid; limit_ok that z / nu(z)^(n-1) vanishes as z -> 0+.
+    """
 
     dimension: int
     beta_bound_ok: bool
     limit_ok: bool
-    decreasing_ok: bool
-    convex_ok: bool
     beta_max: float
     grid: np.ndarray = field(repr=False)
 
     @property
     def admissible(self) -> bool:
-        return (
-            self.beta_bound_ok
-            and self.limit_ok
-            and self.decreasing_ok
-            and self.convex_ok
-        )
+        return self.beta_bound_ok and self.limit_ok
 
 
 class Potential:
-    """Potential V with derivatives and log-determinant evaluators.
+    """Potential V given by its log-space triple.
 
-    ``kind`` is one of "log", "power", "bounded", "custom".  The log-space
-    methods take ld = log z.  ``closed_form_scaling`` marks potentials whose
-    scaling equation has a closed-form solution (the power family).
+    ``kind`` is one of "log", "power", "bounded", "custom".  value_ld,
+    log_nu_ld and beta_ld take ld = log z and return V(z), log nu(z) and
+    beta(z).
     """
 
-    def __init__(
-        self,
-        kind: str,
-        params: dict,
-        value,
-        derivative,
-        second_derivative,
-        nu,
-        beta,
-        value_ld,
-        log_nu_ld,
-        beta_ld,
-        closed_form_scaling: bool = False,
-    ):
+    def __init__(self, kind: str, params: dict, value_ld, log_nu_ld, beta_ld):
         self.kind = kind
         self.params = dict(params)
-        self.value = value
-        self.derivative = derivative
-        self.second_derivative = second_derivative
-        self.nu = nu
-        self.beta = beta
         self.value_ld = value_ld
         self.log_nu_ld = log_nu_ld
         self.beta_ld = beta_ld
-        self.closed_form_scaling = closed_form_scaling
         self._reports: dict[int, PotentialReport] = {}
+
+    @property
+    def closed_form_scaling(self) -> bool:
+        """The scaling equation has a closed-form root (the power family)."""
+        return self.kind == "power"
 
     def nu_ld(self, ld: float) -> float:
         return float(np.exp(self.log_nu_ld(ld)))
+
+    def value(self, z: float) -> float:
+        return float(self.value_ld(np.log(z)))
+
+    def nu(self, z: float) -> float:
+        return self.nu_ld(np.log(z))
+
+    def beta(self, z: float) -> float:
+        return float(self.beta_ld(np.log(z)))
+
+    def derivative(self, z: float) -> float:
+        """V'(z) = -nu(z) / z."""
+        return -self.nu(z) / z
+
+    def second_derivative(self, z: float) -> float:
+        """V''(z) = nu(z) (1 - beta(z)) / z^2."""
+        return self.nu(z) * (1.0 - self.beta(z)) / (z * z)
 
     def label(self) -> str:
         if self.kind == "power":
@@ -108,8 +111,7 @@ class Potential:
         if not report.admissible:
             raise PotentialNotAdmissible(
                 f"potential {self.label()} is not admissible for n={n}: "
-                f"beta_bound_ok={report.beta_bound_ok}, limit_ok={report.limit_ok}, "
-                f"decreasing_ok={report.decreasing_ok}, convex_ok={report.convex_ok}"
+                f"beta_bound_ok={report.beta_bound_ok}, limit_ok={report.limit_ok}"
             )
 
 
@@ -125,11 +127,6 @@ def log_potential() -> Potential:
     return Potential(
         kind="log",
         params={},
-        value=lambda z: -np.log(z),
-        derivative=lambda z: -1.0 / z,
-        second_derivative=lambda z: 1.0 / z**2,
-        nu=lambda z: 1.0,
-        beta=lambda z: 0.0,
         value_ld=lambda ld: -ld,
         log_nu_ld=lambda ld: 0.0,
         beta_ld=lambda ld: 0.0,
@@ -150,43 +147,22 @@ def power_potential(gamma: float) -> Potential:
     return Potential(
         kind="power",
         params={"gamma": gamma},
-        value=lambda z: (1.0 - z**gamma) / gamma,
-        derivative=lambda z: -(z ** (gamma - 1.0)),
-        second_derivative=lambda z: (1.0 - gamma) * z ** (gamma - 2.0),
-        nu=lambda z: z**gamma,
-        beta=lambda z: gamma,
         value_ld=lambda ld: (1.0 - np.exp(gamma * ld)) / gamma,
         log_nu_ld=lambda ld: gamma * ld,
         beta_ld=lambda ld: gamma,
-        closed_form_scaling=True,
     )
 
 
 def bounded_potential(c: float) -> Potential:
     """V(z) = c log(cz + 1) - log z for 0 <= c < 1.
 
-    nu(z) = 1 - c + c/(cz + 1) stays inside [1 - c, 1], and beta <= 0, so
-    the potential is admissible in every dimension.  c = 0 coincides with
-    the log potential.
+    nu(z) = 1 - c + c/(cz + 1) stays inside [1 - c, 1], and
+    beta(z) = -c^2 z / ((cz + 1)(c(1 - c)z + 1)) <= 0, so the potential is
+    admissible in every dimension.  c = 0 coincides with the log potential.
     """
     c = float(c)
     if not (0.0 <= c < 1.0) or not np.isfinite(c):
         raise InvalidParameter(f"bounded potential needs 0 <= c < 1, got {c}")
-
-    def value(z):
-        return c * np.log(c * z + 1.0) - np.log(z)
-
-    def derivative(z):
-        return c * c / (c * z + 1.0) - 1.0 / z
-
-    def second_derivative(z):
-        return 1.0 / z**2 - c**3 / (c * z + 1.0) ** 2
-
-    def nu(z):
-        return 1.0 - c + c / (c * z + 1.0)
-
-    def beta(z):
-        return -(c * c * z) / ((c * z + 1.0) * (c * (1.0 - c) * z + 1.0))
 
     if c == 0.0:
         value_ld = lambda ld: -ld
@@ -212,11 +188,6 @@ def bounded_potential(c: float) -> Potential:
     return Potential(
         kind="bounded",
         params={"c": c},
-        value=value,
-        derivative=derivative,
-        second_derivative=second_derivative,
-        nu=nu,
-        beta=beta,
         value_ld=value_ld,
         log_nu_ld=log_nu_ld,
         beta_ld=beta_ld,
@@ -224,30 +195,29 @@ def bounded_potential(c: float) -> Potential:
 
 
 def custom_potential(value, derivative, second_derivative, name: str = "custom") -> Potential:
-    """Wrap user callables V, V', V''.
+    """Build the log-space triple from user callables V, V', V''.
 
-    nu and beta are derived:  nu = -z V'(z),  beta = 1 + z V''(z) / V'(z).
-    Log-space evaluators exponentiate, so extremely large determinants can
+    log nu = log(-z V'(z)) and beta = 1 + z V''(z) / V'(z), evaluated at
+    z = exp(ld).  They exponentiate, so extremely large determinants can
     overflow for custom potentials; the builtins do not have this caveat.
+    Where V increases, nu <= 0 and log nu is not finite, which validate
+    rejects.
     """
 
-    def nu(z):
-        return -z * derivative(z)
+    def log_nu_ld(ld):
+        z = np.exp(ld)
+        return float(np.log(-z * derivative(z)))
 
-    def beta(z):
-        return 1.0 + z * second_derivative(z) / derivative(z)
+    def beta_ld(ld):
+        z = np.exp(ld)
+        return float(1.0 + z * second_derivative(z) / derivative(z))
 
     return Potential(
         kind="custom",
         params={"name": name},
-        value=value,
-        derivative=derivative,
-        second_derivative=second_derivative,
-        nu=nu,
-        beta=beta,
         value_ld=lambda ld: value(np.exp(ld)),
-        log_nu_ld=lambda ld: float(np.log(nu(np.exp(ld)))),
-        beta_ld=lambda ld: beta(np.exp(ld)),
+        log_nu_ld=log_nu_ld,
+        beta_ld=beta_ld,
     )
 
 
@@ -292,19 +262,20 @@ def evaluate(pot: Potential, z: float) -> dict:
     """Pointwise {V, Vprime, nu, beta} at z > 0."""
     z = _check_z(z)
     return {
-        "V": float(pot.value(z)),
-        "Vprime": float(pot.derivative(z)),
-        "nu": float(pot.nu(z)),
-        "beta": float(pot.beta(z)),
+        "V": pot.value(z),
+        "Vprime": pot.derivative(z),
+        "nu": pot.nu(z),
+        "beta": pot.beta(z),
     }
 
 
 def validate(pot: Potential, n: int) -> PotentialReport:
     """Grid admissibility checks for dimension n; result cached on pot.
 
-    beta < 1/n is probed on BETA_GRID; the vanishing of z / nu(z)^(n-1)
-    near zero is probed on LIMIT_GRID via monotone growth plus the bound
-    w(z_min) <= w(1) * z_min^(1/n) that admissibility implies.
+    nu > 0 (a finite log nu) and beta < 1/n are probed on BETA_GRID; the
+    vanishing of z / nu(z)^(n-1) near zero is probed on LIMIT_GRID via
+    monotone growth plus the bound w(z_min) <= w(1) * z_min^(1/n) that
+    admissibility implies.
     """
     if n < 1:
         raise InvalidParameter(f"dimension must be >= 1, got {n}")
@@ -312,14 +283,13 @@ def validate(pot: Potential, n: int) -> PotentialReport:
     if cached is not None:
         return cached
 
-    beta_vals = np.array([pot.beta(z) for z in BETA_GRID], dtype=float)
-    vprime = np.array([pot.derivative(z) for z in BETA_GRID], dtype=float)
-    vsecond = np.array([pot.second_derivative(z) for z in BETA_GRID], dtype=float)
+    lds = np.log(BETA_GRID)
+    beta_vals = np.array([pot.beta_ld(ld) for ld in lds], dtype=float)
+    log_nu = np.array([pot.log_nu_ld(ld) for ld in lds], dtype=float)
 
     beta_max = float(np.max(beta_vals))
-    beta_bound_ok = bool(np.all(beta_vals < 1.0 / n))
-    decreasing_ok = bool(np.all(vprime < 0.0))
-    convex_ok = bool(np.all(vsecond > 0.0))
+    # beta is the log-derivative of nu, so its bound presumes nu > 0.
+    beta_bound_ok = bool(np.all(np.isfinite(log_nu)) and np.all(beta_vals < 1.0 / n))
 
     lds = np.log(LIMIT_GRID)
     lw = np.array([ld - (n - 1) * pot.log_nu_ld(ld) for ld in lds], dtype=float)
@@ -332,8 +302,6 @@ def validate(pot: Potential, n: int) -> PotentialReport:
         dimension=n,
         beta_bound_ok=beta_bound_ok,
         limit_ok=limit_ok,
-        decreasing_ok=decreasing_ok,
-        convex_ok=convex_ok,
         beta_max=beta_max,
         grid=BETA_GRID.copy(),
     )

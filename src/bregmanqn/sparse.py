@@ -21,6 +21,7 @@ from .errors import (
 from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize
 from .potentials import Potential
 from .geometry import (
+    _as_pd,
     solve_neg_theta_det,
     theta_coordinate,
     trace_inner,
@@ -254,9 +255,7 @@ class CliqueTree:
     """Clique forest of a chordal pattern in running-intersection order.
 
     cliques[r] intersected with the union of all earlier cliques equals
-    separators[r], which is contained in cliques[parent[r]].  residuals[r]
-    partition the vertices; vertex_order lists them residual by residual,
-    which makes every factor in the clique factorization lower triangular.
+    separators[r], which is contained in cliques[parent[r]].
     """
 
     pattern: SparsityPattern
@@ -264,12 +263,10 @@ class CliqueTree:
     cliques: list
     parent: list
     separators: list = field(init=False)
-    residuals: list = field(init=False)
-    vertex_order: list = field(init=False)
 
     def __post_init__(self):
         covered = set()
-        seps, resids, order = [], [], []
+        seps = []
         for r, c in enumerate(self.cliques):
             cset = set(c)
             sep = tuple(sorted(cset & covered))
@@ -278,14 +275,9 @@ class CliqueTree:
                     raise RuntimeError("clique forest root has a nonempty separator")
             elif set(sep) - set(self.cliques[self.parent[r]]):
                 raise RuntimeError("clique tree lost the running intersection property")
-            res = tuple(sorted(cset - covered))
             seps.append(sep)
-            resids.append(res)
-            order.extend(res)
             covered |= cset
         self.separators = seps
-        self.residuals = resids
-        self.vertex_order = order
 
     @property
     def n(self):
@@ -393,19 +385,15 @@ def is_chordal(pattern):
 
 @dataclass(repr=False)
 class CliqueFactorization:
-    """Factored inverse of the maximum-determinant completion.
+    """Clique and separator blocks of the maximum-determinant completion X.
 
-    In the permuted vertex order (perm), the inverse K of the completion
-    satisfies K = L_1' ... L_{l-1}' D L_{l-1} ... L_1 with unit lower
-    triangular L_j and a PD block diagonal D whose blocks sit on the
-    residual index ranges.  lower_factors returns the L_j densely; the
-    sum form over clique and separator inverses is used for assembly.
+    X^{-1} is the sum over cliques of the inverse clique blocks minus the
+    sum over separators of the inverse separator blocks, and log det X is
+    the matching sum of block log-determinants (Vandenberghe & Andersen,
+    Chordal Graphs and Semidefinite Optimization, 2015).
     """
 
     tree: CliqueTree
-    perm: np.ndarray
-    _gammas: list
-    _dblocks: list
     _ld_cliques: list
     _ld_separators: list
     _clique_entries: list
@@ -414,37 +402,6 @@ class CliqueFactorization:
     @property
     def n(self):
         return self.tree.n
-
-    @property
-    def lower_factors(self):
-        ppos = {v: k for k, v in enumerate(self.perm)}
-        out = []
-        # L_j corresponds to clique l+1-j, so leaves come first.
-        for r in range(self.tree.ell - 1, 0, -1):
-            L = np.eye(self.n)
-            rows = [ppos[v] for v in self.tree.residuals[r]]
-            cols = [ppos[v] for v in self.tree.separators[r]]
-            if rows and cols:
-                L[np.ix_(rows, cols)] = -self._gammas[r]
-            out.append(L)
-        return out
-
-    @property
-    def block_diagonal(self):
-        ppos = {v: k for k, v in enumerate(self.perm)}
-        D = np.zeros((self.n, self.n))
-        for r in range(self.tree.ell):
-            rows = [ppos[v] for v in self.tree.residuals[r]]
-            D[np.ix_(rows, rows)] = self._dblocks[r]
-        return D
-
-    def product(self):
-        """Assemble L_1' ... L_{l-1}' D L_{l-1} ... L_1 explicitly."""
-        K = self.block_diagonal
-        # fold from the innermost factor L_{l-1} outward to L_1
-        for L in reversed(self.lower_factors):
-            K = L.T @ K @ L
-        return K
 
     def inverse_completion(self):
         """K = X^{-1} in the original vertex order; K is zero off-pattern."""
@@ -479,8 +436,6 @@ def clique_factorize(entries, tree):
     if A.shape != (n, n):
         raise InvalidParameter(f"entries shape {A.shape} does not match pattern n={n}")
 
-    ppos = {v: k for k, v in enumerate(tree.vertex_order)}
-    gammas, dblocks = [], []
     ld_cl, ld_sep = [], []
     clique_entries, sep_entries = [], []
     for r in range(tree.ell):
@@ -493,28 +448,13 @@ def clique_factorize(entries, tree):
                 f"clique {tuple(cl)} principal block is not positive definite"
             )
         clique_entries.append(Acc)
-        res = list(tree.residuals[r])
         sep = list(tree.separators[r])
-        Arr = A[np.ix_(res, res)]
-        Ars = A[np.ix_(res, sep)]
         Ass = A[np.ix_(sep, sep)]
         sep_entries.append(Ass)
-        if sep:
-            ld_sep.append(cholesky_factorize(Ass).log_det())
-            gamma = np.linalg.solve(Ass, Ars.T).T
-            schur = Arr - gamma @ Ars.T
-        else:
-            ld_sep.append(0.0)
-            gamma = np.zeros((len(res), 0))
-            schur = Arr
-        gammas.append(gamma)
-        dblocks.append(np.linalg.inv(0.5 * (schur + schur.T)))
+        ld_sep.append(cholesky_factorize(Ass).log_det() if sep else 0.0)
 
     return CliqueFactorization(
         tree=tree,
-        perm=np.array(tree.vertex_order, dtype=int),
-        _gammas=gammas,
-        _dblocks=dblocks,
         _ld_cliques=ld_cl,
         _ld_separators=ld_sep,
         _clique_entries=clique_entries,
@@ -524,10 +464,6 @@ def clique_factorize(entries, tree):
 
 # ---------------------------------------------------------------------------
 # projection onto the sparse submanifold
-
-
-def _as_pd(P):
-    return P if isinstance(P, PDMatrix) else PDMatrix.from_matrix(P)
 
 
 def theta_v_project_sparse(Bbar, pattern, tree, pot):

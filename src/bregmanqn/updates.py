@@ -153,11 +153,13 @@ def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
 
     Solves min D_V(X, B) over {X : Xs = y}; the minimizer mixes BFGS(B)
     with the rank-one secant point, weighted by the nu-ratio at the new and
-    old determinants.  With the log potential the ratio is exactly one and
-    the result coincides with bfgs_update bit-for-bit.
+    old determinants.  With the log potential the ratio is exactly one, so
+    the update is bfgs_update itself and needs no scalar solve.
     """
     n = pair.n
     pot.require_admissible(n)
+    if pot.kind == "log":
+        return bfgs_update(B, pair)
     log_nu_b = pot.log_nu_ld(B.logdet)
 
     def ratio(ld_bfgs):

@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from bregmanqn import (
+    NotPositiveDefinite,
     PDMatrix,
     SecantManifold,
+    ThetaPoint,
     bounded_potential,
     generic_bregman,
     invert_theta,
@@ -17,6 +21,7 @@ from bregmanqn import (
     trace_inner,
     v_bregman_divergence,
 )
+from bregmanqn import pdlinalg
 
 POTENTIALS = (log_potential(), power_potential(0.12), power_potential(-0.5),
               bounded_potential(0.5))
@@ -95,6 +100,30 @@ def test_theta_coordinate_form():
         assert np.abs(tp.matrix - expect).max() < 1e-10 * np.abs(expect).max()
         # theta is symmetric negative definite
         assert np.all(np.linalg.eigvalsh(tp.matrix) < 0)
+
+
+def test_theta_coordinate_factors_only_on_use():
+    p = random_pd(np.random.default_rng(9), 5)
+    with mock.patch.object(
+        pdlinalg, "cholesky_factorize", wraps=pdlinalg.cholesky_factorize
+    ) as spy:
+        tp = theta_coordinate(p, bounded_potential(0.5))
+        assert spy.call_count == 0
+        ld = tp.log_det_neg()
+        tp.log_det_neg()
+        invert_theta(tp)
+    # one factor of -T, shared by both log_det_neg calls and invert_theta,
+    # plus the factor of the returned matrix
+    assert spy.call_count == 2
+    assert ld == pytest.approx(np.linalg.slogdet(-tp.matrix)[1], rel=1e-12)
+
+
+def test_theta_point_rejects_non_negative_definite_on_use():
+    tp = ThetaPoint(np.diag([-1.0, 2.0]), log_potential())
+    with pytest.raises(NotPositiveDefinite):
+        tp.log_det_neg()
+    with pytest.raises(NotPositiveDefinite):
+        invert_theta(tp)
 
 
 def test_invert_theta_round_trip():

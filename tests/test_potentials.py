@@ -128,7 +128,55 @@ def test_custom_potential_matches_builtin():
     for z in (0.4, 1.0, 6.0):
         assert pot.nu(z) == pytest.approx(ref.nu(z))
         assert pot.beta(z) == pytest.approx(g, abs=1e-10)
+        assert pot.derivative(z) == pytest.approx(-z ** (g - 1))
     pot.require_admissible(4)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
+def test_require_admissible_rejects_increasing_custom():
+    # V = log z increases everywhere (nu = -1 although beta = 0); V = |log z|
+    # increases beyond z = 1 only, where beta == 0 and the z -> 0+ limit
+    # hold, so only nu > 0 (a finite log nu) rejects it
+    increasing = custom_potential(np.log, lambda z: 1.0 / z, lambda z: -1.0 / z ** 2)
+    kinked = custom_potential(lambda z: abs(np.log(z)),
+                              lambda z: -1.0 / z if z <= 1.0 else 1.0 / z,
+                              lambda z: 1.0 / z ** 2 if z <= 1.0 else -1.0 / z ** 2)
+    assert validate(kinked, 4).limit_ok and validate(kinked, 4).beta_max < 1e-12
+    for pot in (increasing, kinked):
+        for n in (1, 4):
+            assert not validate(pot, n).beta_bound_ok
+            with pytest.raises(PotentialNotAdmissible):
+                pot.require_admissible(n)
+
+
+DIMS = (1, 2, 3, 5, 10, 50)
+VERDICTS = {
+    "log": (True,) * 6,
+    "power:gamma=-2.0": (True,) * 6,
+    "power:gamma=-0.25": (True,) * 6,
+    "power:gamma=0.099": (True, True, True, True, True, False),
+    "power:gamma=0.2": (True, True, True, False, False, False),
+    "power:gamma=0.5": (True, False, False, False, False, False),
+    "bounded:c=0.0": (True,) * 6,
+    "bounded:c=0.5": (True,) * 6,
+    "bounded:c=0.99": (True,) * 6,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(VERDICTS))
+def test_admissibility_verdicts(spec):
+    got = tuple(validate(potential_from_string(spec), n).admissible for n in DIMS)
+    assert got == VERDICTS[spec]
+
+
+def test_derived_derivatives_match_finite_differences():
+    for pot in (log_potential(), power_potential(0.15), bounded_potential(0.6)):
+        for z in (0.05, 1.0, 30.0):
+            h = 1e-6 * z
+            vprime = (pot.value(z + h) - pot.value(z - h)) / (2 * h)
+            assert pot.derivative(z) == pytest.approx(vprime, rel=1e-6)
+            vsecond = (pot.derivative(z + h) - pot.derivative(z - h)) / (2 * h)
+            assert pot.second_derivative(z) == pytest.approx(vsecond, rel=1e-5)
 
 
 def test_parameter_validation():

@@ -219,22 +219,6 @@ def test_completion_beats_grid_search():
                 assert cand <= best * (1 + 1e-8)
 
 
-def test_factor_identity():
-    rng = np.random.default_rng(4)
-    for n in (3, 5, 8):
-        entries = tridiag_entries(rng, n)
-        tree = is_chordal(banded_pattern(n, 1))
-        fac = clique_factorize(entries, tree)
-        k_direct = fac.inverse_completion()
-        k_factored = fac.product()
-        perm = fac.perm
-        assert np.abs(k_factored - k_direct[np.ix_(perm, perm)]).max() < 1e-11
-        # unit lower triangular factors
-        for L in fac.lower_factors:
-            assert np.abs(np.diag(L) - 1.0).max() == 0.0
-            assert np.abs(np.triu(L, 1)).max() == 0.0
-
-
 def test_factorize_rejects_non_pd_clique():
     entries = np.array([[1.0, 5.0, 0.0], [5.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     tree = is_chordal(banded_pattern(3, 1))

@@ -112,3 +112,12 @@ def test_update_is_one_rank_one_step_matching_dense(
 @pytest.mark.parametrize("fam_str", FAMILIES)
 def test_update_matches_dense_at_n_300(fam_str):
     check_update(fam_str, *make_case(300, 300, -0.75, 1.5, -0.5))
+
+
+# Families that solve no bracketed scalar equation hold at log det B near
+# 860; vbfgs:bounded still stops at |log det| = 700 (ROADMAP open item 2).
+@pytest.mark.parametrize("fam_str", ("bfgs", "selfscale", "vbfgs:log", "vbfgs:power:gamma=-0.25"))
+def test_update_matches_dense_at_n_300_log_det_860(fam_str):
+    B, pair = make_case(300, 300, 0.5, 1.5, -0.5)
+    assert 800.0 < B.logdet < 920.0
+    check_update(fam_str, B, pair)

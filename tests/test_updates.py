@@ -141,6 +141,25 @@ def test_v_dfp_log_collapse():
         ).max()
 
 
+def test_log_collapse_beyond_exp_range():
+    # log det B = 400 log 10 > 700: the log potential needs no scalar
+    # solve, so the update cannot run out of bracket and stays bit-exact
+    n = 400
+    rng = np.random.default_rng(11)
+    b = PDMatrix.from_matrix(10.0 * np.eye(n))
+    assert b.logdet > 900.0
+    s = rng.standard_normal(n)
+    pair = SecantPair(s, 10.0 * s + 0.1 * rng.standard_normal(n))
+    pot = log_potential()
+    assert np.array_equal(
+        v_bfgs_update(b, pair, pot).factor.L, bfgs_update(b, pair).factor.L
+    )
+    assert np.array_equal(
+        v_dfp_update(b, pair, pot).factor.L,
+        bfgs_update(b, pair.swapped()).factor.L,
+    )
+
+
 def test_v_dfp_secant_all_potentials():
     rng = np.random.default_rng(7)
     for pot in POTS:
