@@ -70,6 +70,12 @@ class Potential:
         """The scaling equation has a closed-form root (the power family)."""
         return self.kind == "power"
 
+    @property
+    def constant_nu(self) -> bool:
+        """nu is constant (log, and bounded with c = 0), so the weight ratio
+        of every weighted update is exactly one."""
+        return self.kind == "log" or (self.kind == "bounded" and self.params["c"] == 0.0)
+
     def nu_ld(self, ld: float) -> float:
         return float(np.exp(self.log_nu_ld(ld)))
 

@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     CurvatureViolation,
@@ -232,6 +231,9 @@ def _exact_line_search(obj, x, d, params, g0):
     if dhi == 0.0:
         alpha = hi
     else:
+        # Imported here so that only the exact search loads scipy.optimize.
+        from scipy.optimize import brentq
+
         alpha = float(brentq(dphi, 0.0, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
     x_new = x + alpha * d
     g = grads.get(alpha)

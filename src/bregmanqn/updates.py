@@ -153,12 +153,13 @@ def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
 
     Solves min D_V(X, B) over {X : Xs = y}; the minimizer mixes BFGS(B)
     with the rank-one secant point, weighted by the nu-ratio at the new and
-    old determinants.  With the log potential the ratio is exactly one, so
-    the update is bfgs_update itself and needs no scalar solve.
+    old determinants.  When nu is constant (the log potential, and bounded
+    with c = 0) the ratio is exactly one, so the update is bfgs_update
+    itself and needs no scalar solve.
     """
     n = pair.n
     pot.require_admissible(n)
-    if pot.kind == "log":
+    if pot.constant_nu:
         return bfgs_update(B, pair)
     log_nu_b = pot.log_nu_ld(B.logdet)
 
@@ -184,15 +185,18 @@ def v_dfp_update(H: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
     return v_bfgs_update(H, pair.swapped(), pot)
 
 
-def self_scaling_update(B: PDMatrix, pair: SecantPair, theta: float) -> PDMatrix:
-    """theta * BFGS(B) + (1 - theta) * y y'/(s'y) for a user-chosen theta > 0.
+def self_scaling_update(B: PDMatrix, pair: SecantPair, theta: float | None = None) -> PDMatrix:
+    """theta * BFGS(B) + (1 - theta) * y y'/(s'y) for theta > 0.
 
-    theta = 1 reproduces bfgs_update exactly.  The popular adaptive choice
-    theta = s'y / s'Bs sits at the boundary of the family: no strictly
-    convex potential generates it, and it is known to over-scale on
-    well-conditioned problems, so treat it as a baseline rather than a
-    default.
+    theta = 1 reproduces bfgs_update exactly.  theta = None takes the
+    popular adaptive choice theta = s'y / s'Bs = det BFGS(B) / det B, read
+    off the log determinants the factor step computes anyway.  It sits at
+    the boundary of the family: no strictly convex potential generates it,
+    and it is known to over-scale on well-conditioned problems, so treat it
+    as a baseline rather than a default.
     """
+    if theta is None:
+        return _secant_mix(B, pair, lambda ld_bfgs: float(np.exp(ld_bfgs - B.logdet)))
     theta = float(theta)
     if not theta > 0.0 or not np.isfinite(theta):
         raise InvalidParameter(f"theta must be a positive real, got {theta!r}")
@@ -391,9 +395,7 @@ class UpdateFamily:
             return v_bfgs_update(state, pair, self.potential)
         if self.kind == "vdfp":
             return v_dfp_update(state, pair, self.potential)
-        Bs = state.matvec(pair.s)
-        theta = pair.curvature / float(pair.s @ Bs)
-        return self_scaling_update(state, pair, theta)
+        return self_scaling_update(state, pair)
 
     def det_b(self, state: PDMatrix) -> float:
         if self.kind == "vdfp":

@@ -204,11 +204,17 @@ def test_list_problems(capsys):
     assert "quadratic" in text
 
 
-def test_module_entry_point():
-    # python -m bregmanqn.cli runs the same command line as the script
+def src_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(bregmanqn.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
+    # python -m bregmanqn.cli runs the same command line as the script
+    env = src_env()
 
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "bregmanqn.cli", *argv],
@@ -221,6 +227,28 @@ def test_module_entry_point():
     missing = run()
     assert missing.returncode == 1
     assert "subcommand is required" in missing.stderr
+
+
+IMPORT_FOOTPRINT = """
+import sys
+import bregmanqn
+from bregmanqn import LineSearchParams, SolverConfig, get_problem, minimize
+
+spec = get_problem("rosenbrock")
+wolfe = minimize(spec.objective, spec.start, config=SolverConfig("bfgs"))
+print(wolfe.status, "scipy.optimize" in sys.modules)
+exact = minimize(spec.objective, spec.start,
+                 config=SolverConfig("bfgs", line_search=LineSearchParams(method="exact")))
+print(exact.status, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_wolfe_solve_leaves_scipy_optimize_unloaded():
+    # only the exact line search needs scipy.optimize, and imports it on use
+    done = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["Converged False", "Converged True"]
 
 
 def test_export_trace_rejects_unknown_format(tmp_path):

@@ -20,6 +20,7 @@ from bregmanqn import (
     bfgs_update,
     cholesky_factorize,
     log_potential,
+    self_scaling_update,
     v_bfgs_update,
 )
 from bregmanqn import updates
@@ -121,3 +122,20 @@ def test_update_matches_dense_at_n_300_log_det_860(fam_str):
     B, pair = make_case(300, 300, 0.5, 1.5, -0.5)
     assert 800.0 < B.logdet < 920.0
     check_update(fam_str, B, pair)
+
+
+@pytest.mark.parametrize("n, log_scale", [(5, 0.0), (60, -1.0), (300, 0.5)])
+def test_adaptive_self_scaling_takes_theta_from_the_factor_step(n, log_scale):
+    # theta = s'y/s'Bs comes from log det BFGS(B) - log det B, so apply
+    # makes no product with B; the n = 300 case has log det B near 860
+    B, pair = make_case(n, n, log_scale, 1.5, -0.5)
+    theta = pair.curvature / float(pair.s @ B.matrix @ pair.s)
+    ref = self_scaling_update(B, pair, theta).matrix
+    with mock.patch.object(
+        updates, "rank_one_update", wraps=updates.rank_one_update
+    ) as spy, mock.patch.object(PDMatrix, "matvec") as matvec:
+        out = UpdateFamily("selfscale").apply(B, pair)
+    assert spy.call_count == 1
+    assert matvec.call_count == 0
+    err = np.linalg.norm(out.matrix - ref, "fro") / np.linalg.norm(ref, "fro")
+    assert err <= 1e-12, (n, err)

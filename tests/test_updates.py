@@ -141,16 +141,16 @@ def test_v_dfp_log_collapse():
         ).max()
 
 
-def test_log_collapse_beyond_exp_range():
-    # log det B = 400 log 10 > 700: the log potential needs no scalar
-    # solve, so the update cannot run out of bracket and stays bit-exact
+def assert_collapse_beyond_exp_range(pot):
+    # log det B = 400 log 10 > 700: a potential with constant nu needs no
+    # scalar solve, so the update cannot run out of bracket and is BFGS
+    # bit for bit
     n = 400
     rng = np.random.default_rng(11)
     b = PDMatrix.from_matrix(10.0 * np.eye(n))
     assert b.logdet > 900.0
     s = rng.standard_normal(n)
     pair = SecantPair(s, 10.0 * s + 0.1 * rng.standard_normal(n))
-    pot = log_potential()
     assert np.array_equal(
         v_bfgs_update(b, pair, pot).factor.L, bfgs_update(b, pair).factor.L
     )
@@ -158,6 +158,15 @@ def test_log_collapse_beyond_exp_range():
         v_dfp_update(b, pair, pot).factor.L,
         bfgs_update(b, pair.swapped()).factor.L,
     )
+
+
+def test_log_collapse_beyond_exp_range():
+    assert_collapse_beyond_exp_range(log_potential())
+
+
+def test_bounded_c0_collapse_beyond_exp_range():
+    # bounded with c = 0 has nu == 1 like the log potential
+    assert_collapse_beyond_exp_range(bounded_potential(0.0))
 
 
 def test_v_dfp_secant_all_potentials():
