@@ -1,8 +1,14 @@
-"""Safeguarded Newton in log-space for strictly monotone scalar equations.
+"""Safeguarded Newton in log-space for the determinant equations.
 
 Both determinant-side scalar solves (the scaling equation of the weighted
-updates and the dual-coordinate inversion) are strictly monotone in log z,
-so one bracketed Newton with bisection fallback serves both.
+updates and the dual-coordinate inversion) have the form
+
+    g(ld) = ld - k * log nu(ld) - t = 0,        ld = log z,
+
+with g' = 1 - k * beta(ld) > 0 for admissible potentials (beta < 1/n,
+k <= n), so one bracketed Newton with bisection fallback serves both.  The
+bracket grows outward until g changes sign, so the root is found at any
+log det a float64 factor can represent.
 """
 
 from __future__ import annotations
@@ -11,60 +17,45 @@ import numpy as np
 
 from .errors import MaxIterations, RootNotBracketed
 
-# exp() overflows just above 709; stay inside.
-LD_CAP = 700.0
+MAX_ITER = 200
 
 
-def newton_bisect_log(g, dg, ld_init, lo, hi, increasing, converged, max_iter=200):
-    """Root of g(ld) = 0 with g monotone in ld.
+def newton_bisect_log(g, dg, ld0, tol):
+    """Root of an increasing g(ld); stops when |g(ld)| <= tol.
 
-    g, dg:      function and derivative of ld = log z
-    ld_init:    Newton start, clipped into the bracket
-    lo, hi:     initial bracket in ld; expanded (up to +-LD_CAP) if the sign
-                change lies outside
-    increasing: direction of monotonicity of g
-    converged:  callable ld -> bool, the caller's stopping criterion
+    g, dg: function and derivative of ld = log z
+    ld0:   Newton start, clipped into the bracket
+
+    The bracket starts at [log 1e-12, log 1e12] and doubles outward until
+    g changes sign; RootNotBracketed means g became non-finite first.
     """
-    sign = 1.0 if increasing else -1.0
 
-    glo = sign * g(lo)
-    step = 0.5 * (hi - lo)
-    while glo > 0.0:
-        if lo <= -LD_CAP:
-            raise RootNotBracketed(
-                f"no sign change down to log z = {lo:.1f}; target outside range"
-            )
-        lo = max(lo - step, -LD_CAP)
-        step *= 2.0
-        glo = sign * g(lo)
-
-    ghi = sign * g(hi)
-    step = 0.5 * (hi - lo)
-    while ghi < 0.0:
-        if hi >= LD_CAP:
-            raise RootNotBracketed(
-                f"no sign change up to log z = {hi:.1f}; target outside range"
-            )
-        hi = min(hi + step, LD_CAP)
-        step *= 2.0
-        ghi = sign * g(hi)
-
-    ld = float(np.clip(ld_init, lo, hi))
-    for _ in range(max_iter):
-        if converged(ld):
-            return ld
+    def value(ld):
         gval = g(ld)
-        if sign * gval > 0.0:
+        if not np.isfinite(gval):
+            raise RootNotBracketed(f"residual is {gval} at log z = {ld:.6g}")
+        return gval
+
+    lo, hi = np.log(1e-12), np.log(1e12)
+    step = 0.5 * (hi - lo)
+    while value(lo) > 0.0:
+        lo -= step
+        step *= 2.0
+    step = 0.5 * (hi - lo)
+    while value(hi) < 0.0:
+        hi += step
+        step *= 2.0
+
+    ld = float(np.clip(ld0, lo, hi))
+    for _ in range(MAX_ITER):
+        gval = value(ld)
+        if abs(gval) <= tol:
+            return ld
+        if gval > 0.0:
             hi = ld
         else:
             lo = ld
         dval = dg(ld)
-        use_bisect = True
-        if np.isfinite(gval) and np.isfinite(dval) and dval != 0.0:
-            cand = ld - gval / dval
-            if lo < cand < hi:
-                ld = cand
-                use_bisect = False
-        if use_bisect:
-            ld = 0.5 * (lo + hi)
-    raise MaxIterations(f"scalar solve did not converge within {max_iter} iterations")
+        cand = ld - gval / dval if np.isfinite(dval) and dval != 0.0 else np.nan
+        ld = cand if lo < cand < hi else 0.5 * (lo + hi)
+    raise MaxIterations(f"scalar solve did not converge within {MAX_ITER} iterations")

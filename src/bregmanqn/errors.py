@@ -22,7 +22,7 @@ class PotentialNotAdmissible(BregmanQNError):
 
 
 class RootNotBracketed(BregmanQNError):
-    """A scalar root could not be bracketed within the search range."""
+    """A scalar solve's residual became non-finite before the root was bracketed."""
 
 
 class MaxIterations(BregmanQNError):

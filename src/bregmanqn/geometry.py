@@ -174,24 +174,24 @@ def theta_coordinate(P, pot: Potential) -> ThetaPoint:
 def solve_neg_theta_det(ld_target: float, n: int, pot: Potential) -> float:
     """Solve nu(z)^n / z = exp(ld_target) for log z.
 
-    The left side is strictly decreasing in z (its log-derivative is
-    n*beta(z) - 1 < 0 for admissible potentials), so the solution is
-    unique; ld_target is log det(-T) for a theta coordinate T.
+    In log form this is ld - n log nu(ld) = -ld_target, whose left side is
+    strictly increasing (its derivative is 1 - n*beta > 0 for admissible
+    potentials), so the solution is unique; ld_target is log det(-T) for
+    a theta coordinate T.  Newton with a bisection safeguard
+    (_roots.newton_bisect_log) stops when the log-space residual is at
+    most 1e-13 * (1 + |ld_target|).
     """
     pot.require_admissible(n)
+    t = -ld_target
 
     def g(ld):
-        return n * pot.log_nu_ld(ld) - ld - ld_target
+        return ld - n * pot.log_nu_ld(ld) - t
 
     def dg(ld):
-        return n * pot.beta_ld(ld) - 1.0
+        return 1.0 - n * pot.beta_ld(ld)
 
-    def converged(ld):
-        return abs(g(ld)) <= 1e-13 * (1.0 + abs(ld_target))
-
-    ld0 = -ld_target  # exact for the log potential (nu == 1)
-    lo, hi = np.log(1e-12), np.log(1e12)
-    return newton_bisect_log(g, dg, ld0, lo, hi, increasing=False, converged=converged)
+    # the start is exact for the log potential (nu == 1)
+    return newton_bisect_log(g, dg, t, 1e-13 * (1.0 + abs(t)))
 
 
 def invert_theta(tp: ThetaPoint) -> PDMatrix:

@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    BregmanQNError,
     CurvatureViolation,
     InvalidParameter,
     LineSearchFail,
@@ -137,7 +138,7 @@ class IterationRecord:
 @dataclass
 class SolverTrace:
     records: list
-    status: str  # Converged | MaxIter | LineSearchFail
+    status: str  # Converged | MaxIter | LineSearchFail | UpdateFail
     nfev: int = 0  # objective value evaluations, line search included
     ngev: int = 0  # gradient evaluations, line search included
 
@@ -274,7 +275,9 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     """Quasi-Newton iteration x_{k+1} = x_k - alpha_k B_k^{-1} grad f(x_k).
 
     Stops when the gradient norm reaches config.grad_tol or the budget
-    runs out; a failed line search ends the run with its partial trace.
+    runs out; a failed line search or a library error inside the update
+    ends the run with its partial trace, which stops at the last point
+    whose B was formed.
     record_b stores each B_k densely (n^2 per iterate) for invariance
     comparisons.
     """
@@ -339,13 +342,17 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
             skipped = True
         else:
             pair = SecantPair(s, y)
-            if sparse_cfg is not None:
-                pattern, tree, pot, algorithm, T = sparse_cfg
-                state = sparse_update(
-                    state, pair, pattern, tree, pot, algorithm, T
-                ).b_out
-            else:
-                state = family.apply(state, pair)
+            try:
+                if sparse_cfg is not None:
+                    pattern, tree, pot, algorithm, T = sparse_cfg
+                    state = sparse_update(
+                        state, pair, pattern, tree, pot, algorithm, T
+                    ).b_out
+                else:
+                    state = family.apply(state, pair)
+            except BregmanQNError:
+                status = "UpdateFail"
+                break
         x, g, gn = x_new, g_new, float(np.linalg.norm(g_new))
         records.append(
             IterationRecord(

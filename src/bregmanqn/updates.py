@@ -112,8 +112,8 @@ def solve_scaling_equation(C: float, pot: Potential, n: int) -> float:
 
     Power potentials take the closed form z = C^(1/(1-(n-1)*gamma)).
     Otherwise Newton on log z from log C with a bisection safeguard
-    (initial bracket [1e-12, 1e12], expanded if the root lies outside),
-    stopping when |C nu(z)^(n-1) - z| <= 1e-13 * max(z, 1).
+    (_roots.newton_bisect_log) on zeta(z) - log C, stopping when that
+    log-space residual is at most 1e-13 * (1 + |log C|).
     """
     C = float(C)
     if not C > 0.0 or not np.isfinite(C):
@@ -139,13 +139,7 @@ def _solve_scaling_ld(log_c: float, pot: Potential, n: int, ld0: float) -> float
     def dg(ld):
         return 1.0 - (n - 1) * pot.beta_ld(ld)
 
-    def converged(ld):
-        z = np.exp(ld)
-        rhs = np.exp(log_c + (n - 1) * pot.log_nu_ld(ld))
-        return abs(rhs - z) <= 1e-13 * max(z, 1.0)
-
-    lo, hi = np.log(1e-12), np.log(1e12)
-    return newton_bisect_log(g, dg, ld0, lo, hi, increasing=True, converged=converged)
+    return newton_bisect_log(g, dg, ld0, 1e-13 * (1.0 + abs(log_c)))
 
 
 def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:

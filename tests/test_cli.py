@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import bregmanqn
-from bregmanqn import InvalidParameter
+from bregmanqn import InvalidParameter, RootNotBracketed, UpdateFamily
 from bregmanqn.cli import TRACE_COLUMNS, export_trace, run_command
 
 
@@ -54,6 +55,28 @@ def test_solve_exit_codes(tmp_path):
     assert run_command(["solve", "--max-iter", "2", "--out", str(out)]) == 2
     assert run_command(["solve", "--problem", "nope", "--out", str(out)]) == 1
     assert run_command(["solve", "--family", "what", "--out", str(out)]) == 1
+
+
+def test_solve_past_the_old_determinant_cap(tmp_path, capsys):
+    # log det B passes 700 near iteration 200; the scaling solve's bracket
+    # grows past it, so the run ends on its budget and writes every row
+    out = tmp_path / "t.csv"
+    rc = run_command(["solve", "--problem", "broyden-tridiagonal:200",
+                      "--family", "vbfgs:bounded:c=0.5", "--out", str(out)])
+    assert rc == 2
+    assert "MaxIter iters=200" in capsys.readouterr().out
+    rows = read_csv(out)
+    assert len(rows) == 202
+    assert float(rows[-1][4]) > np.exp(700.0)
+
+
+def test_update_failure_exits_2_with_trace(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    with mock.patch.object(UpdateFamily, "apply", side_effect=RootNotBracketed("injected")):
+        rc = run_command(["solve", "--out", str(out)])
+    assert rc == 2
+    assert "UpdateFail iters=0" in capsys.readouterr().out
+    assert len(read_csv(out)) == 2
 
 
 def test_parser_error_paths():

@@ -147,7 +147,7 @@ def test_solve_neg_theta_det_log_closed_form():
 def test_solve_neg_theta_det_residual():
     for pot in POTENTIALS:
         for n in (2, 3, 6):
-            for ld_target in np.linspace(-12, 12, 9):
+            for ld_target in (*np.linspace(-12, 12, 9), -2000.0, 2000.0):
                 ld = solve_neg_theta_det(float(ld_target), n, pot)
                 resid = n * pot.log_nu_ld(ld) - ld - ld_target
                 assert abs(resid) < 1e-11 * (1 + abs(ld_target))

@@ -1,8 +1,11 @@
 """Driver loop: line searches, convergence, invariance, skip policy."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import bregmanqn.solver
 from bregmanqn import (
     CurvatureViolation,
     InvalidParameter,
@@ -10,6 +13,7 @@ from bregmanqn import (
     LineSearchParams,
     Objective,
     PDMatrix,
+    RootNotBracketed,
     SingularTransform,
     SolverConfig,
     UpdateFamily,
@@ -252,6 +256,44 @@ def test_record_b_toggle():
     assert plain.records[0].b is None
     assert heavy.records[0].b is not None
     assert heavy.records[0].b.shape == (2, 2)
+
+
+def fail_on_call(real, k):
+    """real, except that its k-th call raises RootNotBracketed."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise RootNotBracketed("injected failure")
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("problem, family, sparse", [
+    ("rosenbrock", "vbfgs:bounded:c=0.5", False),
+    ("broyden-tridiagonal:6", "vbfgs:log", True),
+])
+def test_update_failure_ends_run_with_partial_trace(problem, family, sparse):
+    spec = get_problem(problem)
+    cfg = SolverConfig(family, sparsity=(spec.pattern, 2, 3) if sparse else None)
+    full = minimize(spec.objective, spec.start, config=cfg)
+    k = 4
+    assert full.iterations > k
+    assert not any(r.skipped for r in full.records[:k + 1])
+    owner, name = (bregmanqn.solver, "sparse_update") if sparse else (UpdateFamily, "apply")
+    obj, counts = counting_objective(spec.objective)
+    with mock.patch.object(owner, name, fail_on_call(getattr(owner, name), k)):
+        trace = minimize(obj, spec.start, config=cfg)
+    assert trace.status == "UpdateFail"
+    # the trace ends at the last point whose B was formed, and the counts
+    # include the evaluations of the step whose update failed
+    assert trace.iterations == k - 1
+    for r, ref in zip(trace.records, full.records):
+        assert np.array_equal(r.x, ref.x) and r.f == ref.f
+    assert (trace.nfev, trace.ngev) == (counts["f"], counts["g"])
+    assert trace.ngev > len(trace.records)
 
 
 # -------------------------------------------------------------- skip policy

@@ -16,6 +16,7 @@ from bregmanqn import (
     clique_factorize,
     diagonal_pattern,
     full_pattern,
+    invert_theta,
     is_chordal,
     load_pattern,
     log_potential,
@@ -321,6 +322,30 @@ def test_projection_pythagoras():
                 bstar, b, pot
             )
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("log_det", [936.0, -906.0])
+def test_theta_maps_beyond_exp_range(log_det):
+    # det(-theta) = nu(z)^n / z has its root at |log z| > 700, far outside
+    # exp's range; inversion and projection still hold
+    n = 400
+    rng = np.random.default_rng(17)
+    pot = bounded_potential(0.5)
+    a = rng.standard_normal((n, n))
+    m = np.eye(n) + 0.3 * (a @ a.T) / n
+    m *= np.exp((log_det - np.linalg.slogdet(m)[1]) / n)
+    b = PDMatrix.from_matrix(m)
+    assert b.logdet == pytest.approx(log_det, abs=1e-6)
+
+    back = invert_theta(theta_coordinate(b, pot))
+    assert np.abs(back.matrix - m).max() < 1e-9 * np.abs(m).max()
+
+    pattern = banded_pattern(n, 2)
+    out = theta_v_project_sparse(b, pattern, is_chordal(pattern), pot)
+    assert pattern.off_pattern_magnitude(out.matrix) < 1e-10 * np.abs(out.matrix).max()
+    tb = pattern.restrict(theta_coordinate(b, pot).matrix)
+    to = pattern.restrict(theta_coordinate(out, pot).matrix)
+    assert np.abs(to - tb).max() < 1e-9 * np.abs(tb).max()
 
 
 # ------------------------------------------------------------ update chains

@@ -42,6 +42,13 @@ def make_case(n, seed, log_scale, log_cond, log_shift):
     return B, SecantPair(s, qh @ (h * (qh.T @ s)))
 
 
+def make_case_at(n, seed, log_det, log_cond, log_shift):
+    """make_case with log det B near log_det, as far as a smallest
+    eigenvalue within 10^[-40, 40] allows."""
+    log_scale = np.clip(log_det / (n * np.log(10.0)) - 0.5 * log_cond, -40.0, 40.0)
+    return make_case(n, seed, float(log_scale), log_cond, log_shift)
+
+
 def reference_ratio(family, B, pair, ld_bfgs):
     """r from the family's definition; the scaling equation
     ld - (n-1) log nu(ld) = ld_bfgs - (n-1) log nu(ld_B) is solved by brentq."""
@@ -93,21 +100,19 @@ def check_update(fam_str, B, pair):
     assert np.array_equal(collapsed.factor.L, bfgs_update(B, pair).factor.L)
 
 
-# |log det B| stays below about 560: brackets beyond |log det| = 700 are
-# a separate open defect of the scalar solve (ROADMAP open item 2).
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    n=st.integers(1, 60),
+    n=st.integers(1, 400),
     seed=st.integers(0, 2**32 - 1),
-    log_scale=st.floats(-2.0, 2.0),
+    log_det=st.integers(-2000, 2000),
     log_cond=st.floats(0.0, 2.0),
     log_shift=st.floats(-1.0, 1.0),
     fam_str=st.sampled_from(FAMILIES),
 )
 def test_update_is_one_rank_one_step_matching_dense(
-    n, seed, log_scale, log_cond, log_shift, fam_str
+    n, seed, log_det, log_cond, log_shift, fam_str
 ):
-    check_update(fam_str, *make_case(n, seed, log_scale, log_cond, log_shift))
+    check_update(fam_str, *make_case_at(n, seed, log_det, log_cond, log_shift))
 
 
 @pytest.mark.parametrize("fam_str", FAMILIES)
@@ -115,12 +120,18 @@ def test_update_matches_dense_at_n_300(fam_str):
     check_update(fam_str, *make_case(300, 300, -0.75, 1.5, -0.5))
 
 
-# Families that solve no bracketed scalar equation hold at log det B near
-# 860; vbfgs:bounded still stops at |log det| = 700 (ROADMAP open item 2).
-@pytest.mark.parametrize("fam_str", ("bfgs", "selfscale", "vbfgs:log", "vbfgs:power:gamma=-0.25"))
+@pytest.mark.parametrize("fam_str", FAMILIES + ("vbfgs:log",))
 def test_update_matches_dense_at_n_300_log_det_860(fam_str):
     B, pair = make_case(300, 300, 0.5, 1.5, -0.5)
     assert 800.0 < B.logdet < 920.0
+    check_update(fam_str, B, pair)
+
+
+@pytest.mark.parametrize("n, log_det", [(400, 2000.0), (400, -2000.0), (150, 2000.0), (150, -2000.0)])
+@pytest.mark.parametrize("fam_str", FAMILIES)
+def test_update_matches_dense_at_log_det_2000(fam_str, n, log_det):
+    B, pair = make_case_at(n, n, log_det, 1.5, -0.5)
+    assert abs(B.logdet - log_det) < 50.0
     check_update(fam_str, B, pair)
 
 

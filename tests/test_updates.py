@@ -6,6 +6,7 @@ import pytest
 from bregmanqn import (
     CurvatureViolation,
     InvalidParameter,
+    RootNotBracketed,
     PDMatrix,
     SecantPair,
     UpdateFamily,
@@ -22,6 +23,7 @@ from bregmanqn import (
     v_dfp_update,
     variational_oracle,
 )
+from bregmanqn._roots import newton_bisect_log
 
 POTS = (log_potential(), power_potential(0.1), power_potential(-0.8),
         bounded_potential(0.4))
@@ -167,6 +169,35 @@ def test_log_collapse_beyond_exp_range():
 def test_bounded_c0_collapse_beyond_exp_range():
     # bounded with c = 0 has nu == 1 like the log potential
     assert_collapse_beyond_exp_range(bounded_potential(0.0))
+
+
+def test_bounded_update_beyond_exp_range():
+    # log det B = 400 log 10 > 700: the scaling equation's root lies far
+    # outside exp's range, and the bracket grows until it holds it
+    n = 400
+    rng = np.random.default_rng(11)
+    b = PDMatrix.from_matrix(10.0 * np.eye(n))
+    s = rng.standard_normal(n)
+    pair = SecantPair(s, 10.0 * s + 0.1 * rng.standard_normal(n))
+    pot = bounded_potential(0.5)
+    bp = v_bfgs_update(b, pair, pot)
+    assert np.abs(bp.matrix @ pair.s - pair.y).max() <= 1e-10 * np.abs(pair.y).max()
+    cholesky_factorize(bp.matrix)
+    hp = v_dfp_update(b, pair, pot)
+    assert np.abs(hp.matrix @ pair.y - pair.s).max() <= 1e-10 * np.abs(pair.s).max()
+    cholesky_factorize(hp.matrix)
+
+
+def test_scalar_solve_has_no_bracket_cap():
+    def dg(ld):
+        return 1.0
+
+    for root in (-5000.0, 5000.0):
+        ld = newton_bisect_log(lambda ld: ld - root, dg, 0.0, 1e-9)
+        assert abs(ld - root) <= 1e-9
+    # the only way to run out of bracket is a non-finite residual
+    with pytest.raises(RootNotBracketed):
+        newton_bisect_log(lambda ld: ld - 5000.0 if ld < 900.0 else np.nan, dg, 0.0, 1e-9)
 
 
 def test_v_dfp_secant_all_potentials():
