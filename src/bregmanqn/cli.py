@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -72,10 +73,18 @@ def _fmt(v):
     return str(v)
 
 
+def _json_value(v):
+    # JSON has no Infinity or NaN, so a non-finite float is written as null
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
+
+
 def _write_table(path, columns, rows, fmt, single=False):
     """Write rows under columns as csv, or as json records.
 
-    single writes the one row as a json object rather than a list of one.
+    single writes the one row as a json object rather than a list of one;
+    non-finite floats go to json as null.
     """
     if fmt not in ("csv", "json"):
         raise InvalidParameter(f"format must be csv or json, got {fmt!r}")
@@ -88,8 +97,11 @@ def _write_table(path, columns, rows, fmt, single=False):
                 writer.writerow([_fmt(v) for v in row])
             data = buf.getvalue()
         else:
-            records = [dict(zip(columns, row)) for row in rows]
-            data = json.dumps(records[0] if single else records, indent=2) + "\n"
+            records = [
+                {c: _json_value(v) for c, v in zip(columns, row)} for row in rows
+            ]
+            data = json.dumps(records[0] if single else records, indent=2,
+                              allow_nan=False) + "\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
     except OSError as exc:

@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 CURVATURE_SKIP_RTOL = 1e-12
+# After an Armijo failure the next trial lies within these fractions of
+# the way from the bracket's low end to the failed step.
+BACKTRACK_MIN_FRAC = 0.2
+BACKTRACK_MAX_FRAC = 0.5
 
 
 @dataclass
@@ -133,6 +137,10 @@ class IterationRecord:
     sty: float | None
     skipped: bool
     b: np.ndarray | None = None
+    # cumulative f and g evaluations up to this record: the difference
+    # between two records is the step's line-search cost
+    nfev: int = 0
+    ngev: int = 0
 
 
 @dataclass
@@ -165,13 +173,33 @@ class LineSearchResult(NamedTuple):
     g: np.ndarray
 
 
+def _backtrack(lo, f_lo, dphi_lo, t, ft):
+    """Trial after an Armijo failure at t, with dphi_lo < 0 the slope at lo.
+
+    The minimizer of the quadratic through (lo, f_lo) with slope dphi_lo
+    and through (t, ft), clipped to [BACKTRACK_MIN_FRAC, BACKTRACK_MAX_FRAC]
+    of the way from lo to t; the midpoint when ft is not finite or the
+    quadratic is not convex.
+    """
+    w = t - lo
+    curv = ft - f_lo - dphi_lo * w
+    if not (np.isfinite(ft) and curv > 0.0):
+        return 0.5 * (lo + t)
+    step = -0.5 * dphi_lo * w * w / curv
+    return lo + min(max(step, BACKTRACK_MIN_FRAC * w), BACKTRACK_MAX_FRAC * w)
+
+
 def wolfe_line_search(obj, x, d, params, f0=None, g0=None):
     """Step length satisfying the (weak) Wolfe conditions.
 
-    Bisection with doubling: an Armijo failure caps the bracket from
-    above, a curvature failure raises it from below.  Deterministic, so
-    two runs related by a linear change of variables take identical
-    branches until float noise separates them.
+    The bracket [lo, hi] starts at [0, inf).  An Armijo failure at t sets
+    hi = t and backtracks by safeguarded quadratic interpolation from lo
+    (Dennis & Schnabel 1983, section 6.3); a curvature failure sets lo = t
+    and doubles t while hi is infinite, else takes the midpoint.  The
+    search fails once the next trial coincides with an end of the bracket
+    or params.max_trials trials are spent.  Deterministic, so two runs
+    related by a linear change of variables take identical branches until
+    float noise separates them.
     f0 and g0 are f and its gradient at x, evaluated here when omitted;
     the returned f and g are the values the conditions were tested with
     at the accepted point, so a caller can carry them to the next step.
@@ -187,20 +215,22 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None):
         raise LineSearchFail("search direction is not a descent direction")
 
     lo, hi = 0.0, np.inf
+    f_lo, dphi_lo = f0, g0d
     t = float(params.alpha_init)
     for _ in range(params.max_trials):
         ft = float(obj.value(x + t * d))
         if not np.isfinite(ft) or ft > f0 + params.c1 * t * g0d:
             hi = t
-            t = 0.5 * (lo + hi)
-            continue
-        gt = np.asarray(obj.gradient(x + t * d), dtype=float)
-        gtd = float(gt @ d)
-        if gtd < params.c2 * g0d:
-            lo = t
+            t = _backtrack(lo, f_lo, dphi_lo, t, ft)
+        else:
+            gt = np.asarray(obj.gradient(x + t * d), dtype=float)
+            gtd = float(gt @ d)
+            if gtd >= params.c2 * g0d:
+                return LineSearchResult(t, ft, gt)
+            lo, f_lo, dphi_lo = t, ft, gtd
             t = 2.0 * t if np.isinf(hi) else 0.5 * (lo + hi)
-            continue
-        return LineSearchResult(t, ft, gt)
+        if t == lo or t == hi:
+            raise LineSearchFail(f"Wolfe bracket collapsed at step {t!r}")
     raise LineSearchFail(f"no Wolfe step within {params.max_trials} trials")
 
 
@@ -315,6 +345,8 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
             sty=None,
             skipped=False,
             b=family.b_matrix(state).copy() if record_b else None,
+            nfev=counted.nfev,
+            ngev=counted.ngev,
         )
     ]
     status = None
@@ -365,6 +397,8 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
                 sty=sty,
                 skipped=skipped,
                 b=family.b_matrix(state).copy() if record_b else None,
+                nfev=counted.nfev,
+                ngev=counted.ngev,
             )
         )
     if status is None:

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import bregmanqn
-from bregmanqn import InvalidParameter, RootNotBracketed, UpdateFamily
+from bregmanqn import (
+    InvalidParameter,
+    RootNotBracketed,
+    SolverConfig,
+    UpdateFamily,
+    get_problem,
+    minimize,
+)
 from bregmanqn.cli import TRACE_COLUMNS, export_trace, run_command
 
 
@@ -48,6 +55,26 @@ def test_solve_json_schema(tmp_path):
     assert data[0]["alpha"] is None and data[0]["sTy"] is None
     assert data[0]["skipped"] is False
     assert data[1]["alpha"] is not None
+
+
+def test_json_trace_writes_non_finite_values_as_null(tmp_path):
+    # det B overflows to inf once log det B > 709; JSON has no Infinity
+    trace = minimize(get_problem("rosenbrock").objective, np.array([-1.2, 1.0]),
+                     config=SolverConfig("bfgs", max_iter=2))
+    trace.records[1].det_b = float("inf")
+    trace.records[2].det_b = float("nan")
+    out = tmp_path / "t.json"
+    export_trace(trace, out, "json")
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads(out.read_text(), parse_constant=reject)
+    assert [r["det_B"] for r in data[1:]] == [None, None]
+    assert data[0]["det_B"] == trace.records[0].det_b
+    csv_out = tmp_path / "t.csv"
+    export_trace(trace, csv_out, "csv")
+    assert [r[4] for r in read_csv(csv_out)[2:]] == ["inf", "nan"]
 
 
 def test_solve_exit_codes(tmp_path):

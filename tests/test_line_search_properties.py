@@ -1,0 +1,111 @@
+"""Property tests for the Wolfe line search over random objectives and rays.
+
+Each search starts at x = 0 along a d whose |d[0]| is a power of two, so
+the first coordinate of an evaluated point t*d divided by d[0] is t
+exactly and a spy on the objective recovers every trial step bit for bit.  The test replays the
+bracket from the spied values alone and checks where each trial lands.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from bregmanqn import LineSearchParams, Objective, wolfe_line_search
+
+
+def convex_quadratic(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (q * 10.0 ** rng.uniform(-2.0, 2.0, size=n)) @ q.T
+    return (lambda u: 0.5 * float(u @ (A @ u))), (lambda u: A @ u), A
+
+
+def quartic(rng, n):
+    a = 10.0 ** rng.uniform(-1.0, 1.0, size=n)
+    return (lambda u: float(a @ u ** 4)), (lambda u: 4.0 * a * u ** 3)
+
+
+def spied_objective(value, gradient, shift, n):
+    """f(x) = value(shift + x), recording each trial step and its f."""
+    trials = []
+
+    def f(x):
+        fx = value(shift + x)
+        trials.append([x, fx, False])
+        return fx
+
+    def g(x):
+        # the search tests curvature only at its latest trial
+        assert trials and np.array_equal(trials[-1][0], x)
+        trials[-1][2] = True
+        return gradient(shift + x)
+
+    return Objective(n, f, g), trials
+
+
+def make_case(kind, n, seed, d_log2_scale):
+    rng = np.random.default_rng(seed)
+    u0 = rng.standard_normal(n)
+    if kind == "quadratic":
+        value, gradient, _ = convex_quadratic(rng, n)
+    elif kind == "quartic":
+        value, gradient = quartic(rng, n)
+    else:
+        # a convex quadratic, +inf outside a ball just containing the
+        # sublevel set of the start, so that long trials land on +inf
+        qv, gradient, A = convex_quadratic(rng, n)
+        radius = np.sqrt(2.0 * qv(u0) / np.linalg.eigvalsh(A)[0]) * 1.001
+
+        def value(u):
+            return qv(u) if float(u @ u) <= radius * radius else np.inf
+
+    d = rng.standard_normal(n)
+    d[0] = max(abs(d[0]), 1e-3)
+    if float(gradient(u0) @ d) > 0.0:
+        d = -d
+    # |d[0]| = 2**d_log2_scale, and a power-of-two scaling is exact
+    return value, gradient, u0, d / abs(d[0]) * 2.0 ** d_log2_scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "quartic", "ball"]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    d_log2_scale=st.integers(-12, 8),
+    # with c1 near 0 the quadratic's minimizer stays below half the bracket,
+    # so larger c1 are drawn too to reach the upper clip
+    c1=st.sampled_from([1e-4, 0.1, 0.3, 0.45]),
+    c2=st.sampled_from([0.5, 0.9]),
+)
+def test_wolfe_search_properties(kind, n, seed, d_log2_scale, c1, c2):
+    value, gradient, u0, d = make_case(kind, n, seed, d_log2_scale)
+    obj, trials = spied_objective(value, gradient, u0, n)
+    x = np.zeros(n)
+    f0, g0 = value(u0), gradient(u0)
+    g0d = float(g0 @ d)
+    assume(g0d < 0.0)
+    p = LineSearchParams(c1=c1, c2=c2)
+    alpha, fa, ga = wolfe_line_search(obj, x, d, p, f0, g0)
+
+    # the accepted step meets both (weak) Wolfe conditions ...
+    assert fa <= f0 + p.c1 * alpha * g0d
+    assert float(ga @ d) >= p.c2 * g0d
+    # ... with f and g bit-equal to the objective there
+    assert fa == value(u0 + alpha * d)
+    assert np.array_equal(ga, gradient(u0 + alpha * d))
+
+    steps = [float(xt[0] / d[0]) for xt, _, _ in trials]
+    assert steps[-1] == alpha and trials[-1][2]
+    lo = 0.0
+    for (_, ft, curvature_tested), t, t_next in zip(trials, steps, steps[1:]):
+        armijo = np.isfinite(ft) and ft <= f0 + p.c1 * t * g0d
+        assert curvature_tested == armijo
+        if armijo:
+            # a curvature failure raises the bracket's low end
+            lo = t
+            continue
+        w = t - lo
+        if np.isfinite(ft):
+            assert lo + 0.2 * w <= t_next <= lo + 0.5 * w, (lo, t, t_next)
+        else:
+            assert t_next == 0.5 * (lo + t)

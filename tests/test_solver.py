@@ -85,6 +85,24 @@ def test_wolfe_returns_f_and_g_at_accepted_point():
     assert np.array_equal(carried.g, ga)
 
 
+def test_wolfe_stops_when_the_bracket_collapses():
+    # phi(t) = -t below t = 1 and +inf from there: every finite trial fails
+    # the curvature test, so the bracket closes on t = 1 and the search
+    # must fail there instead of re-evaluating one point to max_trials
+    calls = []
+
+    def value(x):
+        calls.append(float(x[0]))
+        return -float(x[0]) if x[0] < 1.0 else np.inf
+
+    obj = Objective(1, value, lambda x: np.array([-1.0]))
+    with pytest.raises(LineSearchFail, match="collapsed"):
+        wolfe_line_search(obj, np.zeros(1), np.ones(1),
+                          LineSearchParams(max_trials=1000))
+    assert len(calls) < 70
+    assert len(set(calls)) == len(calls)
+
+
 def test_line_search_params_validation():
     for kwargs in (
         dict(c1=0.5, c2=0.1),
@@ -205,7 +223,7 @@ def test_trace_evaluation_counts_match_calls(method):
 
 
 @pytest.mark.parametrize("method, iterations, nfev, ngev", [
-    ("wolfe", 35, 55, 36),
+    ("wolfe", 36, 49, 37),
     ("exact", 22, 23, 306),
 ])
 def test_rosenbrock_evaluation_counts(method, iterations, nfev, ngev):
@@ -224,6 +242,39 @@ def test_rosenbrock_evaluation_counts(method, iterations, nfev, ngev):
     for r in trace.records:
         assert r.f == spec.objective.value(r.x)
         assert r.grad_norm == float(np.linalg.norm(spec.objective.gradient(r.x)))
+
+
+def test_records_carry_cumulative_evaluation_counts():
+    spec = get_problem("extended-powell:8")
+    trace = minimize(spec.objective, spec.start,
+                     config=SolverConfig("vbfgs:log", grad_tol=1e-6))
+    assert trace.status == "Converged"
+    assert (trace.records[0].nfev, trace.records[0].ngev) == (1, 1)
+    assert (trace.final.nfev, trace.final.ngev) == (trace.nfev, trace.ngev)
+    # every step evaluates f and g at least once
+    steps = np.diff([(r.nfev, r.ngev) for r in trace.records], axis=0)
+    assert np.all(steps >= 1)
+
+
+@pytest.mark.parametrize("family, least", [
+    ("bfgs", 40),
+    ("vbfgs:log", 40),
+    ("vbfgs:power:gamma=0.1", 40),
+    ("vbfgs:bounded:c=0.3", 40),
+    ("dfp", 20),
+])
+def test_rosenbrock_converges_from_perturbed_starts(family, least):
+    # the catalog start and 39 starts perturbed by a relative 1e-6; DFP
+    # lacks BFGS's self-correction under a loose (c2 = 0.9) search, so it
+    # is held to a lower count
+    spec = get_problem("rosenbrock")
+    rng = np.random.default_rng(0)
+    starts = [spec.start] + [spec.start * (1.0 + 1e-6 * rng.standard_normal(2))
+                             for _ in range(39)]
+    cfg = SolverConfig(family, grad_tol=1e-6, max_iter=200)
+    converged = sum(minimize(spec.objective, x0, config=cfg).status == "Converged"
+                    for x0 in starts)
+    assert converged >= least
 
 
 def test_max_iter_status():
