@@ -38,7 +38,7 @@ TRACE_COLUMNS = ("iter", "f", "grad_norm", "alpha", "det_B", "sTy", "skipped")
 
 @dataclass
 class RunRecord:
-    """One solve outcome; wall_time stays out of serialized form."""
+    """One solve outcome; wall_time goes to stderr, never into a written file."""
 
     problem: str
     family: str
@@ -49,18 +49,6 @@ class RunRecord:
     wall_time: float
     status: str
     seed: int
-
-    def to_dict(self):
-        return {
-            "problem": self.problem,
-            "family": self.family,
-            "potential_params": self.potential_params,
-            "iterations": self.iterations,
-            "final_grad_norm": self.final_grad_norm,
-            "final_f": self.final_f,
-            "status": self.status,
-            "seed": self.seed,
-        }
 
 
 def _fmt(v):
@@ -84,10 +72,12 @@ def _write_table(path, columns, rows, fmt, single=False):
     """Write rows under columns as csv, or as json records.
 
     single writes the one row as a json object rather than a list of one;
-    non-finite floats go to json as null.
+    non-finite floats go to json as null, and numpy scalars are written as
+    the Python scalars they hold.
     """
     if fmt not in ("csv", "json"):
         raise InvalidParameter(f"format must be csv or json, got {fmt!r}")
+    rows = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
     try:
         if fmt == "csv":
             buf = io.StringIO()

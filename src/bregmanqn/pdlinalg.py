@@ -51,9 +51,6 @@ class CholeskyFactor:
     def matrix(self) -> np.ndarray:
         return self.L @ self.L.T
 
-    def copy(self) -> "CholeskyFactor":
-        return CholeskyFactor(self.L.copy())
-
     def __repr__(self):
         return f"CholeskyFactor(n={self.n})"
 
@@ -128,10 +125,6 @@ class PDMatrix:
     @classmethod
     def from_matrix(cls, a) -> "PDMatrix":
         return cls(cholesky_factorize(a))
-
-    @classmethod
-    def from_factor(cls, L) -> "PDMatrix":
-        return cls(CholeskyFactor(np.asarray(L, dtype=float)))
 
     @classmethod
     def identity(cls, n: int) -> "PDMatrix":

@@ -26,8 +26,9 @@ it.  The determinant needs no factor,
 
     log det BFGS(B) = log det B + log s'y - log s'Bs,
 
-so r is known before the factor is touched.  DFP stays a dense sandwich
-plus a fresh factorization.
+so r is known before the factor is touched.  DFP is the same step on the
+inverse, dfp_update(B; s, y)^{-1} = bfgs_update(B^{-1}; y, s), so the
+solver carries H = B^{-1} for dfp as it does for vdfp.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ def dfp_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     """DFP: (I - ys'/(s'y)) B (I - sy'/(s'y)) + yy'/(s'y).
 
     Dense sandwich plus one fresh factorization; inverse-dual to BFGS, i.e.
-    dfp_update(B; s, y)^{-1} = bfgs_update(B^{-1}; y, s).
+    dfp_update(B; s, y)^{-1} = bfgs_update(B^{-1}; y, s).  Not on the dense
+    solver path, which carries the inverse and takes that BFGS step (see
+    UpdateFamily); sparse algorithm 1 and the tests need B itself.
     """
     s, y, sty = pair.s, pair.y, pair.curvature
     M = np.eye(pair.n) - np.outer(y, s) / sty
@@ -327,9 +330,10 @@ class UpdateFamily:
     """Named update rule, optionally carrying a potential.
 
     kind is one of "bfgs", "dfp", "vbfgs", "vdfp", "selfscale".  The
-    selfscale rule recomputes theta = s'y / s'Bs at every step.  vdfp
-    maintains the inverse approximation internally; the solver-facing
-    methods hide which side is stored.
+    selfscale rule recomputes theta = s'y / s'Bs at every step.  dfp and
+    vdfp carry the inverse approximation H = B^{-1} and update it as BFGS
+    and V-BFGS with s and y swapped; the solver-facing methods hide which
+    side is stored.
     """
 
     kind: str
@@ -364,39 +368,42 @@ class UpdateFamily:
             return f"{self.kind}:{self.potential.label()}"
         return self.kind
 
+    @property
+    def inverse(self) -> bool:
+        """True when the carried state is H = B^{-1} (dfp and vdfp)."""
+        return self.kind in ("dfp", "vdfp")
+
     # --- solver-facing state protocol ------------------------------------
-    # State is a PDMatrix: the approximation B itself, except for vdfp
-    # where the inverse H = B^{-1} is carried.
+    # State is a PDMatrix: the approximation B itself, or its inverse H
+    # when self.inverse.
 
     def initial_state(self, B0: PDMatrix) -> PDMatrix:
         if self.potential is not None:
             self.potential.require_admissible(B0.n)
-        if self.kind == "vdfp":
+        if self.inverse:
             return PDMatrix.from_matrix(B0.inv())
         return B0
 
     def direction(self, state: PDMatrix, gradient) -> np.ndarray:
-        if self.kind == "vdfp":
+        if self.inverse:
             return -state.matvec(gradient)
         return -state.solve(gradient)
 
     def apply(self, state: PDMatrix, pair: SecantPair) -> PDMatrix:
-        if self.kind == "bfgs":
+        if self.inverse:
+            pair = pair.swapped()
+        if self.kind == "selfscale":
+            return self_scaling_update(state, pair)
+        if self.potential is None:
             return bfgs_update(state, pair)
-        if self.kind == "dfp":
-            return dfp_update(state, pair)
-        if self.kind == "vbfgs":
-            return v_bfgs_update(state, pair, self.potential)
-        if self.kind == "vdfp":
-            return v_dfp_update(state, pair, self.potential)
-        return self_scaling_update(state, pair)
+        return v_bfgs_update(state, pair, self.potential)
 
     def det_b(self, state: PDMatrix) -> float:
-        if self.kind == "vdfp":
+        if self.inverse:
             return float(np.exp(-state.logdet))
         return state.det()
 
     def b_matrix(self, state: PDMatrix) -> np.ndarray:
-        if self.kind == "vdfp":
+        if self.inverse:
             return state.inv()
         return state.matrix

@@ -14,8 +14,10 @@ import pytest
 import bregmanqn
 from bregmanqn import (
     InvalidParameter,
+    IterationRecord,
     RootNotBracketed,
     SolverConfig,
+    SolverTrace,
     UpdateFamily,
     get_problem,
     minimize,
@@ -75,6 +77,23 @@ def test_json_trace_writes_non_finite_values_as_null(tmp_path):
     csv_out = tmp_path / "t.csv"
     export_trace(trace, csv_out, "csv")
     assert [r[4] for r in read_csv(csv_out)[2:]] == ["inf", "nan"]
+
+
+def test_export_trace_writes_numpy_scalars_as_python_scalars(tmp_path):
+    rows = [(0, 1.5, 2.0, None, 3.0, None, False),
+            (1, 0.25, 1e-3, 0.5, float("nan"), 2.0, True)]
+
+    def trace(cast):
+        records = [IterationRecord(cast(k), np.zeros(2), *map(cast, rest))
+                   for k, *rest in rows]
+        return SolverTrace(records=records, status="MaxIter")
+
+    for fmt in ("csv", "json"):
+        plain, numpy = tmp_path / f"plain.{fmt}", tmp_path / f"numpy.{fmt}"
+        export_trace(trace(lambda v: v), plain, fmt)
+        # np.array(v)[()] is the numpy scalar of v (None stays None)
+        export_trace(trace(lambda v: np.array(v)[()]), numpy, fmt)
+        assert numpy.read_bytes() == plain.read_bytes(), fmt
 
 
 def test_solve_exit_codes(tmp_path):

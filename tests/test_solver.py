@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bregmanqn.solver
+import bregmanqn.updates
 from bregmanqn import (
     CurvatureViolation,
     InvalidParameter,
@@ -193,6 +194,36 @@ def test_vbfgs_log_reproduces_bfgs_iterates():
     for ra, rb in zip(ta.records, tb.records):
         assert np.abs(ra.x - rb.x).max() <= 1e-12 * (1 + np.abs(ra.x).max())
         assert np.abs(ra.b - rb.b).max() <= 1e-12 * (1 + np.abs(ra.b).max())
+
+
+@pytest.mark.parametrize("name", ["rosenbrock", "quadratic:100:30"])
+def test_dfp_reproduces_vdfp_log_bit_for_bit(name):
+    # both carry H = B^{-1} and take bfgs_update(H; y, s)
+    spec = get_problem(name, seed=3)
+    ta = minimize(spec.objective, spec.start, config=SolverConfig("dfp"), record_b=True)
+    tb = minimize(spec.objective, spec.start, config=SolverConfig("vdfp:log"),
+                  record_b=True)
+    assert ta.status == tb.status == "Converged"
+    assert (ta.nfev, ta.ngev) == (tb.nfev, tb.ngev)
+    assert len(ta.records) == len(tb.records)
+    for ra, rb in zip(ta.records, tb.records):
+        assert np.array_equal(ra.x, rb.x) and ra.f == rb.f
+        assert np.array_equal(ra.b, rb.b)
+        assert (ra.nfev, ra.ngev) == (rb.nfev, rb.ngev)
+
+
+def test_dense_dfp_takes_one_rank_one_step_per_update():
+    spec = get_problem("quadratic:100:30", seed=3)
+    with mock.patch.object(bregmanqn.updates, "dfp_update",
+                           wraps=bregmanqn.updates.dfp_update) as dfp, \
+            mock.patch.object(bregmanqn.updates, "rank_one_update",
+                              wraps=bregmanqn.updates.rank_one_update) as r1:
+        trace = minimize(spec.objective, spec.start, config=SolverConfig("dfp"))
+    assert trace.status == "Converged"
+    steps = sum(not r.skipped for r in trace.records[1:])
+    assert steps > 0
+    assert dfp.call_count == 0
+    assert r1.call_count == steps
 
 
 def counting_objective(obj):
