@@ -42,7 +42,6 @@ class RunRecord:
 
     problem: str
     family: str
-    potential_params: dict
     iterations: int
     final_grad_norm: float
     final_f: float
@@ -237,11 +236,9 @@ def _solve_once(problem_name, family_str, tol, max_iter, seed):
     t0 = time.perf_counter()
     trace = minimize(spec.objective, spec.start, PDMatrix.identity(spec.n), config)
     wall = time.perf_counter() - t0
-    pot = family.potential
     record = RunRecord(
         problem=spec.name,
         family=family.label(),
-        potential_params=dict(pot.params) if pot is not None else {},
         iterations=trace.iterations,
         final_grad_norm=trace.final.grad_norm,
         final_f=trace.final.f,
@@ -261,8 +258,9 @@ def _cmd_solve(args):
     export_trace(trace, out, args.format)
     print(
         f"{record.problem} {record.family}: {record.status} "
-        f"iters={record.iterations} f={record.final_f:.6e} "
-        f"|grad|={record.final_grad_norm:.3e} seed={record.seed} -> {out}"
+        f"iters={record.iterations} nfev={trace.nfev} ngev={trace.ngev} "
+        f"f={record.final_f:.6e} |grad|={record.final_grad_norm:.3e} "
+        f"seed={record.seed} -> {out}"
     )
     print(f"wall time {record.wall_time:.3f}s", file=sys.stderr)
     return 0 if record.status == "Converged" else 2

@@ -149,6 +149,7 @@ class SolverTrace:
     status: str  # Converged | MaxIter | LineSearchFail | UpdateFail
     nfev: int = 0  # objective value evaluations, line search included
     ngev: int = 0  # gradient evaluations, line search included
+    reason: str = ""  # the error that ended a failed run; empty otherwise
 
     @property
     def final(self):
@@ -189,13 +190,19 @@ def _backtrack(lo, f_lo, dphi_lo, t, ft):
     return lo + min(max(step, BACKTRACK_MIN_FRAC * w), BACKTRACK_MAX_FRAC * w)
 
 
-def wolfe_line_search(obj, x, d, params, f0=None, g0=None):
+def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
     """Step length satisfying the (weak) Wolfe conditions.
 
-    The bracket [lo, hi] starts at [0, inf).  An Armijo failure at t sets
-    hi = t and backtracks by safeguarded quadratic interpolation from lo
-    (Dennis & Schnabel 1983, section 6.3); a curvature failure sets lo = t
-    and doubles t while hi is infinite, else takes the midpoint.  The
+    The first trial is params.alpha_init or, when f_prev (f at the
+    previous iterate) is given, min(alpha_init, 1.01 * 2 (f_prev - f0) /
+    -g0'd): the minimizer of the quadratic with slope g0'd whose minimum
+    lies 1.01 times the last decrease below f0 (Nocedal & Wright 2006,
+    eq. 3.60), ignored unless finite and positive.  The bracket [lo, hi]
+    starts at [0, inf).  An Armijo failure at t sets hi = t and backtracks
+    by safeguarded quadratic interpolation from lo (Dennis & Schnabel 1983,
+    section 6.3); a curvature failure sets lo = t and, while hi is
+    infinite, extrapolates to max(2t, alpha_init), so a cautious first
+    trial goes straight to the unit step, else takes the midpoint.  The
     search fails once the next trial coincides with an end of the bracket
     or params.max_trials trials are spent.  Deterministic, so two runs
     related by a linear change of variables take identical branches until
@@ -214,9 +221,16 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None):
     if not np.isfinite(g0d) or g0d >= 0.0:
         raise LineSearchFail("search direction is not a descent direction")
 
+    alpha_init = float(params.alpha_init)
+    t = alpha_init
+    if f_prev is not None:
+        # in Python floats, so an overflow or inf - inf gives inf or nan
+        # without a RuntimeWarning
+        t_interp = 1.01 * 2.0 * (float(f_prev) - float(f0)) / -g0d
+        if np.isfinite(t_interp) and t_interp > 0.0:
+            t = min(t, t_interp)
     lo, hi = 0.0, np.inf
     f_lo, dphi_lo = f0, g0d
-    t = float(params.alpha_init)
     for _ in range(params.max_trials):
         ft = float(obj.value(x + t * d))
         if not np.isfinite(ft) or ft > f0 + params.c1 * t * g0d:
@@ -228,7 +242,7 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None):
             if gtd >= params.c2 * g0d:
                 return LineSearchResult(t, ft, gt)
             lo, f_lo, dphi_lo = t, ft, gtd
-            t = 2.0 * t if np.isinf(hi) else 0.5 * (lo + hi)
+            t = max(2.0 * t, alpha_init) if np.isinf(hi) else 0.5 * (lo + hi)
         if t == lo or t == hi:
             raise LineSearchFail(f"Wolfe bracket collapsed at step {t!r}")
     raise LineSearchFail(f"no Wolfe step within {params.max_trials} trials")
@@ -273,10 +287,10 @@ def _exact_line_search(obj, x, d, params, g0):
     return LineSearchResult(alpha, float(obj.value(x_new)), g)
 
 
-def _take_step(obj, x, d, params, f, g):
+def _take_step(obj, x, d, params, f, g, f_prev):
     if params.method == "exact":
         return _exact_line_search(obj, x, d, params, g)
-    return wolfe_line_search(obj, x, d, params, f, g)
+    return wolfe_line_search(obj, x, d, params, f, g, f_prev)
 
 
 class _CountingObjective:
@@ -307,7 +321,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     Stops when the gradient norm reaches config.grad_tol or the budget
     runs out; a failed line search or a library error inside the update
     ends the run with its partial trace, which stops at the last point
-    whose B was formed.
+    whose B was formed, and the error's message as trace.reason.
     record_b stores each B_k densely (n^2 per iterate) for invariance
     comparisons.
     """
@@ -349,16 +363,25 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
             ngev=counted.ngev,
         )
     ]
-    status = None
+    # The Wolfe search's first trial is interpolated from the last decrease
+    # for the BFGS-side families only: DFP-type updates lack BFGS's
+    # self-correction under the shorter inexact steps this gives (Powell
+    # 1986; Byrd, Nocedal & Yuan 1987), so they start every search at
+    # alpha_init.
+    carry_f_prev = not family.inverse
+    f_prev = None
+    status, reason = None, ""
     for k in range(config.max_iter):
         if gn <= config.grad_tol:
             status = "Converged"
             break
         d = family.direction(state, g)
         try:
-            alpha, f, g_new = _take_step(counted, x, d, config.line_search, f, g)
-        except LineSearchFail:
-            status = "LineSearchFail"
+            alpha, f_new, g_new = _take_step(
+                counted, x, d, config.line_search, f, g, f_prev
+            )
+        except LineSearchFail as exc:
+            status, reason = "LineSearchFail", str(exc)
             break
         x_new = x + alpha * d
         s = x_new - x
@@ -382,10 +405,12 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
                     ).b_out
                 else:
                     state = family.apply(state, pair)
-            except BregmanQNError:
-                status = "UpdateFail"
+            except BregmanQNError as exc:
+                status, reason = "UpdateFail", str(exc)
                 break
-        x, g, gn = x_new, g_new, float(np.linalg.norm(g_new))
+        if carry_f_prev:
+            f_prev = f
+        x, f, g, gn = x_new, f_new, g_new, float(np.linalg.norm(g_new))
         records.append(
             IterationRecord(
                 k=k + 1,
@@ -404,7 +429,11 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     if status is None:
         status = "Converged" if gn <= config.grad_tol else "MaxIter"
     return SolverTrace(
-        records=records, status=status, nfev=counted.nfev, ngev=counted.ngev
+        records=records,
+        status=status,
+        nfev=counted.nfev,
+        ngev=counted.ngev,
+        reason=reason,
     )
 
 

@@ -38,6 +38,12 @@ def test_solve_writes_csv_trace(tmp_path, capsys):
     assert "Converged" in captured.out
     assert "seed=0" in captured.out
     assert "wall time" in captured.err
+    # the summary line carries the run's evaluation counts after iters=
+    spec = get_problem("rosenbrock")
+    trace = minimize(spec.objective, spec.start,
+                     config=SolverConfig("bfgs", grad_tol=1e-6))
+    assert (f"iters={trace.iterations} nfev={trace.nfev} ngev={trace.ngev} "
+            in captured.out)
     rows = read_csv(out)
     assert tuple(rows[0]) == TRACE_COLUMNS
     # iterate 0 has no step length and no curvature product

@@ -76,16 +76,20 @@ def make_case(kind, n, seed, d_log2_scale):
     # so larger c1 are drawn too to reach the upper clip
     c1=st.sampled_from([1e-4, 0.1, 0.3, 0.45]),
     c2=st.sampled_from([0.5, 0.9]),
+    # the previous iterate's f is absent or above f0 by 2**k |g0'd|, so that
+    # interpolated first trials fall on both sides of 1
+    decrease_log2=st.one_of(st.none(), st.integers(-30, 3)),
 )
-def test_wolfe_search_properties(kind, n, seed, d_log2_scale, c1, c2):
+def test_wolfe_search_properties(kind, n, seed, d_log2_scale, c1, c2, decrease_log2):
     value, gradient, u0, d = make_case(kind, n, seed, d_log2_scale)
     obj, trials = spied_objective(value, gradient, u0, n)
     x = np.zeros(n)
     f0, g0 = value(u0), gradient(u0)
     g0d = float(g0 @ d)
     assume(g0d < 0.0)
+    f_prev = None if decrease_log2 is None else f0 + 2.0 ** decrease_log2 * -g0d
     p = LineSearchParams(c1=c1, c2=c2)
-    alpha, fa, ga = wolfe_line_search(obj, x, d, p, f0, g0)
+    alpha, fa, ga = wolfe_line_search(obj, x, d, p, f0, g0, f_prev)
 
     # the accepted step meets both (weak) Wolfe conditions ...
     assert fa <= f0 + p.c1 * alpha * g0d
@@ -96,14 +100,26 @@ def test_wolfe_search_properties(kind, n, seed, d_log2_scale, c1, c2):
 
     steps = [float(xt[0] / d[0]) for xt, _, _ in trials]
     assert steps[-1] == alpha and trials[-1][2]
-    lo = 0.0
+    # the first trial is alpha_init, or the interpolated step when smaller,
+    # finite and positive (f0 + a tiny decrease can round back to f0)
+    first = p.alpha_init
+    if f_prev is not None:
+        t_interp = 1.01 * 2.0 * (f_prev - f0) / -g0d
+        if np.isfinite(t_interp) and t_interp > 0.0:
+            first = min(first, t_interp)
+    assert steps[0] == first
+    lo, hi = 0.0, np.inf
     for (_, ft, curvature_tested), t, t_next in zip(trials, steps, steps[1:]):
         armijo = np.isfinite(ft) and ft <= f0 + p.c1 * t * g0d
         assert curvature_tested == armijo
         if armijo:
-            # a curvature failure raises the bracket's low end
+            # a curvature failure raises the bracket's low end and, before
+            # any Armijo failure, extrapolates to at least alpha_init
             lo = t
+            if np.isinf(hi):
+                assert t_next == max(2.0 * t, p.alpha_init), (t, t_next)
             continue
+        hi = t
         w = t - lo
         if np.isfinite(ft):
             assert lo + 0.2 * w <= t_next <= lo + 0.5 * w, (lo, t, t_next)

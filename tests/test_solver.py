@@ -254,7 +254,7 @@ def test_trace_evaluation_counts_match_calls(method):
 
 
 @pytest.mark.parametrize("method, iterations, nfev, ngev", [
-    ("wolfe", 36, 49, 37),
+    ("wolfe", 39, 53, 41),
     ("exact", 22, 23, 306),
 ])
 def test_rosenbrock_evaluation_counts(method, iterations, nfev, ngev):
@@ -265,7 +265,7 @@ def test_rosenbrock_evaluation_counts(method, iterations, nfev, ngev):
     obj, counts = counting_objective(spec.objective)
     cfg = SolverConfig("bfgs", line_search=LineSearchParams(method=method))
     trace = minimize(obj, spec.start, config=cfg)
-    assert trace.status == "Converged"
+    assert trace.status == "Converged" and trace.reason == ""
     assert trace.iterations == iterations
     assert (counts["f"], counts["g"]) == (nfev, ngev)
     assert (trace.nfev, trace.ngev) == (nfev, ngev)
@@ -312,7 +312,7 @@ def test_max_iter_status():
     spec = get_problem("rosenbrock")
     cfg = SolverConfig(UpdateFamily("bfgs"), max_iter=3)
     trace = minimize(spec.objective, spec.start, config=cfg)
-    assert trace.status == "MaxIter"
+    assert trace.status == "MaxIter" and trace.reason == ""
     assert len(trace.records) == 4
 
 
@@ -369,6 +369,7 @@ def test_update_failure_ends_run_with_partial_trace(problem, family, sparse):
     with mock.patch.object(owner, name, fail_on_call(getattr(owner, name), k)):
         trace = minimize(obj, spec.start, config=cfg)
     assert trace.status == "UpdateFail"
+    assert "injected failure" in trace.reason
     # the trace ends at the last point whose B was formed, and the counts
     # include the evaluations of the step whose update failed
     assert trace.iterations == k - 1
@@ -376,6 +377,55 @@ def test_update_failure_ends_run_with_partial_trace(problem, family, sparse):
         assert np.array_equal(r.x, ref.x) and r.f == ref.f
     assert (trace.nfev, trace.ngev) == (counts["f"], counts["g"])
     assert trace.ngev > len(trace.records)
+
+
+def test_collapsed_bracket_ends_run_with_reason():
+    # f = -x below x = 1 and +inf from there, slope -1 everywhere: the first
+    # search's bracket closes on x = 1 and the run ends at its start
+    obj = Objective(1, lambda x: -float(x[0]) if x[0] < 1.0 else np.inf,
+                    lambda x: np.array([-1.0]))
+    cfg = SolverConfig("bfgs", line_search=LineSearchParams(max_trials=1000))
+    trace = minimize(obj, np.zeros(1), config=cfg)
+    assert trace.status == "LineSearchFail"
+    assert "collapsed" in trace.reason
+    assert trace.iterations == 0
+
+
+@pytest.mark.parametrize("family", ["bfgs", "dfp", "vdfp:log"])
+def test_first_wolfe_trial_is_interpolated_for_bfgs_side_families(family):
+    # the BFGS-side families pass the previous iterate's f, from which the
+    # search interpolates its first trial; the DFP-type families pass None
+    # and start every search at alpha_init
+    real = bregmanqn.solver.wolfe_line_search
+    calls = []
+
+    def spy(obj, x, d, params, f0=None, g0=None, f_prev=None):
+        calls.append((f0, f_prev))
+        return real(obj, x, d, params, f0, g0, f_prev)
+
+    spec = get_problem("rosenbrock")
+    with mock.patch.object(bregmanqn.solver, "wolfe_line_search", spy):
+        trace = minimize(spec.objective, spec.start,
+                         config=SolverConfig(family, grad_tol=1e-6))
+    assert trace.status == "Converged"
+    assert len(calls) == trace.iterations
+    assert [f0 for f0, _ in calls] == [r.f for r in trace.records[:-1]]
+    if family == "bfgs":
+        assert [f_prev for _, f_prev in calls] == [None] + [
+            r.f for r in trace.records[:-2]]
+    else:
+        assert all(f_prev is None for _, f_prev in calls)
+
+
+def test_sparse_vbfgs_rarely_retries_the_first_trial():
+    # B0 = I underestimates curvature the sparse updates have not reached
+    # yet, so a unit first trial fails Armijo at most steps here; the
+    # interpolated first trial keeps the search near one f per step
+    spec = get_problem("broyden-tridiagonal:40")
+    cfg = SolverConfig("vbfgs:log", grad_tol=1e-6, sparsity=(spec.pattern, 2, 1))
+    trace = minimize(spec.objective, spec.start, config=cfg)
+    assert trace.status == "Converged"
+    assert trace.nfev <= 2 * trace.iterations
 
 
 # -------------------------------------------------------------- skip policy
