@@ -22,7 +22,7 @@ n = 6
 pattern = banded_pattern(n, 1)
 tree = is_chordal(pattern)
 print(f"tridiagonal pattern, n={n}")
-print(f"  cliques:    {tree.maximal_cliques}")
+print(f"  cliques:    {tree.cliques}")
 print(f"  separators: {tree.separators}")
 print()
 

@@ -16,7 +16,7 @@ from .errors import (
 from .pdlinalg import PDMatrix
 from .potentials import log_potential
 from .updates import SecantPair, UpdateFamily
-from .sparse import is_chordal, sparse_update
+from .sparse import _require_on_pattern, is_chordal, sparse_update
 
 __all__ = [
     "Objective",
@@ -321,7 +321,9 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     Stops when the gradient norm reaches config.grad_tol or the budget
     runs out; a failed line search or a library error inside the update
     ends the run with its partial trace, which stops at the last point
-    whose B was formed, and the error's message as trace.reason.
+    whose B was formed, and the error's message as trace.reason.  A
+    config.sparsity pattern of the wrong dimension, or a B0 with entries
+    off it, raises InvalidParameter before the first evaluation.
     record_b stores each B_k densely (n^2 per iterate) for invariance
     comparisons.
     """
@@ -337,6 +339,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     sparse_cfg = None
     if config.sparsity is not None:
         pattern, algorithm, T = config.sparsity
+        _require_on_pattern(B0, pattern)
         tree = is_chordal(pattern)
         pot = family.potential if family.potential is not None else log_potential()
         sparse_cfg = (pattern, tree, pot, algorithm, T)

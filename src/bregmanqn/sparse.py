@@ -1,9 +1,10 @@
 """Sparse quasi-Newton updates on chordal sparsity patterns.
 
-Chordality testing with witness extraction, clique-tree construction,
-maximum-determinant completion through clique factorization, projection
-of a dense update onto the sparse submanifold, and the two alternating
-projection schemes built from these pieces.
+A chordality test that builds the clique tree in one maximum
+cardinality search or returns a chordless-cycle witness, the
+maximum-determinant completion assembled block by block over that tree,
+projection of a dense update onto the sparse submanifold, and the two
+alternating projection schemes built from these pieces.
 """
 
 from collections import deque
@@ -54,8 +55,8 @@ class SparsityPattern:
     """Symmetric index set F on an n x n matrix; the diagonal is always in."""
 
     def __init__(self, n, edges=()):
-        if n < 1:
-            raise InvalidParameter("pattern dimension must be at least 1")
+        if n % 1 != 0 or n < 1:
+            raise InvalidParameter(f"pattern dimension must be an integer >= 1, got {n!r}")
         self.n = int(n)
         cleaned = set()
         for i, j in edges:
@@ -191,27 +192,8 @@ def load_pattern(path):
 # chordality and clique trees
 
 
-def _mcs_visit_order(pattern):
-    # Maximum cardinality search; ties break toward the lowest index.
-    n = pattern.n
-    weights = [0] * n
-    seen = [False] * n
-    order = []
-    for _ in range(n):
-        v = max(
-            (i for i in range(n) if not seen[i]),
-            key=lambda i: (weights[i], -i),
-        )
-        order.append(v)
-        seen[v] = True
-        for u in pattern._adj[v]:
-            if not seen[u]:
-                weights[u] += 1
-    return order
-
-
 def _witness_cycle(pattern, v, u, w):
-    """Chordless cycle through v given non-adjacent later neighbors u, w."""
+    """Chordless cycle through v given non-adjacent neighbors u, w visited before it."""
 
     def bfs_avoiding(a, b, banned):
         prev = {a: None}
@@ -254,12 +236,12 @@ def _witness_cycle(pattern, v, u, w):
 class CliqueTree:
     """Clique forest of a chordal pattern in running-intersection order.
 
-    cliques[r] intersected with the union of all earlier cliques equals
-    separators[r], which is contained in cliques[parent[r]].
+    cliques[r] is a sorted tuple of vertices; intersected with the union
+    of all earlier cliques it equals separators[r], which is contained in
+    cliques[parent[r]].
     """
 
     pattern: SparsityPattern
-    elimination_order: list
     cliques: list
     parent: list
     separators: list = field(init=False)
@@ -287,96 +269,51 @@ class CliqueTree:
     def ell(self):
         return len(self.cliques)
 
-    @property
-    def maximal_cliques(self):
-        return [tuple(c) for c in self.cliques]
-
 
 def is_chordal(pattern):
     """Return the clique tree of a chordal pattern.
 
-    Runs maximum cardinality search and verifies the reversed visit order
-    is a perfect elimination ordering; raises NotChordal with a chordless
-    cycle witness otherwise.
+    One maximum cardinality search, ties broken toward the lowest index,
+    builds the tree as it visits (Blair & Peyton, An introduction to
+    chordal graphs and clique trees, 1993).  The reversed visit order is
+    a perfect elimination ordering exactly when every visited neighbor of
+    each vertex is adjacent to its latest-visited one; raises NotChordal
+    with a chordless cycle witness otherwise.  A vertex whose count of
+    visited neighbors did not grow opens a new clique, whose parent is
+    the clique of that latest neighbor; any other vertex joins the newest
+    clique.  The cliques come out in running-intersection order.
     """
     n = pattern.n
-    visit = _mcs_visit_order(pattern)
-    elim = visit[::-1]
-    pos = {v: k for k, v in enumerate(elim)}
-
-    for v in elim:
-        later = [u for u in pattern.neighbors(v) if pos[u] > pos[v]]
-        if not later:
-            continue
-        u = min(later, key=lambda x: pos[x])
-        for w in later:
-            if w != u and not pattern.contains(u, w):
-                cycle = _witness_cycle(pattern, v, u, w)
-                raise NotChordal(
-                    f"pattern graph is not chordal; chordless cycle {cycle}",
-                    cycle=cycle,
-                )
-
-    # Maximal cliques from the elimination ordering.
-    cands = []
-    for v in elim:
-        cand = frozenset([v] + [u for u in pattern.neighbors(v) if pos[u] > pos[v]])
-        cands.append(cand)
-    cands = sorted(set(cands), key=lambda c: (-len(c), tuple(sorted(c))))
-    cliques = []
-    for c in cands:
-        if not any(c <= kept for kept in cliques):
-            cliques.append(c)
-    cliques = sorted(cliques, key=lambda c: tuple(sorted(c)))
-
-    # Maximum-weight spanning forest of the clique intersection graph
-    # gives a valid clique tree (junction tree theorem).
-    ell = len(cliques)
-    cedges = []
-    for a in range(ell):
-        for b in range(a + 1, ell):
-            wgt = len(cliques[a] & cliques[b])
-            if wgt > 0:
-                cedges.append((-wgt, a, b))
-    cedges.sort()
-    root_of = list(range(ell))
-
-    def find(x):
-        while root_of[x] != x:
-            root_of[x] = root_of[root_of[x]]
-            x = root_of[x]
-        return x
-
-    adj = [set() for _ in range(ell)]
-    for negw, a, b in cedges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            root_of[ra] = rb
-            adj[a].add(b)
-            adj[b].add(a)
-
-    # Preorder over each component produces a running-intersection order.
-    order, parent_of = [], {}
-    visited = [False] * ell
-    for r0 in range(ell):
-        if visited[r0]:
-            continue
-        stack = [(r0, None)]
-        while stack:
-            c, par = stack.pop()
-            if visited[c]:
-                continue
-            visited[c] = True
-            order.append(c)
-            parent_of[c] = par
-            for nxt in sorted(adj[c], reverse=True):
-                if not visited[nxt]:
-                    stack.append((nxt, c))
-
-    newpos = {c: k for k, c in enumerate(order)}
-    ordered = [tuple(sorted(cliques[c])) for c in order]
-    parents = [None if parent_of[c] is None else newpos[parent_of[c]] for c in order]
-    return CliqueTree(pattern, elim, ordered, parents)
+    weights = [0] * n  # visited neighbors of each vertex
+    visit_step = [None] * n
+    clique_of = [None] * n
+    cliques, parents = [], []
+    last_weight = 0
+    for step in range(n):
+        v = max(
+            (i for i in range(n) if visit_step[i] is None),
+            key=lambda i: (weights[i], -i),
+        )
+        earlier = [u for u in pattern.neighbors(v) if visit_step[u] is not None]
+        if earlier:
+            u = max(earlier, key=lambda x: visit_step[x])
+            for w in earlier:
+                if w != u and not pattern.contains(u, w):
+                    cycle = _witness_cycle(pattern, v, u, w)
+                    raise NotChordal(
+                        f"pattern graph is not chordal; chordless cycle {cycle}",
+                        cycle=cycle,
+                    )
+        if weights[v] <= last_weight:
+            cliques.append(set(earlier))
+            parents.append(clique_of[u] if earlier else None)
+        cliques[-1].add(v)
+        clique_of[v] = len(cliques) - 1
+        last_weight = weights[v]
+        visit_step[v] = step
+        for x in pattern._adj[v]:
+            weights[x] += 1
+    return CliqueTree(pattern, [tuple(sorted(c)) for c in cliques], parents)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +322,7 @@ def is_chordal(pattern):
 
 @dataclass(repr=False)
 class CliqueFactorization:
-    """Clique and separator blocks of the maximum-determinant completion X.
+    """The maximum-determinant completion X through its clique tree.
 
     X^{-1} is the sum over cliques of the inverse clique blocks minus the
     sum over separators of the inverse separator blocks, and log det X is
@@ -394,10 +331,8 @@ class CliqueFactorization:
     """
 
     tree: CliqueTree
-    _ld_cliques: list
-    _ld_separators: list
-    _clique_entries: list
-    _sep_entries: list
+    _log_det: float
+    _inverse: np.ndarray
 
     @property
     def n(self):
@@ -405,23 +340,14 @@ class CliqueFactorization:
 
     def inverse_completion(self):
         """K = X^{-1} in the original vertex order; K is zero off-pattern."""
-        tr = self.tree
-        K = np.zeros((self.n, self.n))
-        for r in range(tr.ell):
-            cl = list(tr.cliques[r])
-            block = np.linalg.inv(self._clique_entries[r])
-            K[np.ix_(cl, cl)] += block
-            sep = list(tr.separators[r])
-            if sep:
-                K[np.ix_(sep, sep)] -= np.linalg.inv(self._sep_entries[r])
-        return 0.5 * (K + K.T)
+        return self._inverse
 
     def completion(self):
         """The maximum-determinant completion X itself, original order."""
-        return PDMatrix.from_matrix(self.inverse_completion()).inv()
+        return PDMatrix.from_matrix(self._inverse).inv()
 
     def log_det_completion(self):
-        return float(sum(self._ld_cliques) - sum(self._ld_separators))
+        return self._log_det
 
 
 def clique_factorize(entries, tree):
@@ -429,36 +355,32 @@ def clique_factorize(entries, tree):
 
     entries is a dense symmetric array read only at pattern positions;
     every clique principal block must be PD, which is exactly the
-    condition for a PD completion to exist on a chordal pattern.
+    condition for a PD completion to exist on a chordal pattern.  Each
+    clique and separator block is factored for its log det and inverted
+    into X^{-1} in one pass over the tree.
     """
     A = as_symmetric(entries)
     n = tree.n
     if A.shape != (n, n):
         raise InvalidParameter(f"entries shape {A.shape} does not match pattern n={n}")
 
-    ld_cl, ld_sep = [], []
-    clique_entries, sep_entries = [], []
-    for r in range(tree.ell):
-        cl = list(tree.cliques[r])
+    ld_cliques = ld_separators = 0
+    K = np.zeros((n, n))
+    for cl, sep in zip(tree.cliques, tree.separators):
         Acc = A[np.ix_(cl, cl)]
         try:
-            ld_cl.append(cholesky_factorize(Acc).log_det())
+            ld_cliques += cholesky_factorize(Acc).log_det()
         except NotPositiveDefinite:
-            raise CliqueBlockNotPD(
-                f"clique {tuple(cl)} principal block is not positive definite"
-            )
-        clique_entries.append(Acc)
-        sep = list(tree.separators[r])
-        Ass = A[np.ix_(sep, sep)]
-        sep_entries.append(Ass)
-        ld_sep.append(cholesky_factorize(Ass).log_det() if sep else 0.0)
-
+            raise CliqueBlockNotPD(f"clique {cl} principal block is not positive definite")
+        K[np.ix_(cl, cl)] += np.linalg.inv(Acc)
+        if sep:
+            Ass = A[np.ix_(sep, sep)]
+            ld_separators += cholesky_factorize(Ass).log_det()
+            K[np.ix_(sep, sep)] -= np.linalg.inv(Ass)
+    K = 0.5 * (K + K.T)
+    K.setflags(write=False)  # inverse_completion hands out this array itself
     return CliqueFactorization(
-        tree=tree,
-        _ld_cliques=ld_cl,
-        _ld_separators=ld_sep,
-        _clique_entries=clique_entries,
-        _sep_entries=sep_entries,
+        tree=tree, _log_det=float(ld_cliques - ld_separators), _inverse=K
     )
 
 
@@ -631,6 +553,15 @@ class SparseUpdateResult:
     bstar: PDMatrix | None = None
 
 
+def _require_on_pattern(B, pattern):
+    """Raise InvalidParameter unless the PDMatrix B is supported on pattern."""
+    if pattern.n != B.n:
+        raise InvalidParameter("pattern dimension does not match the matrix")
+    scale = float(np.abs(B.matrix).max())
+    if pattern.off_pattern_magnitude(B.matrix) > 1e-8 * (1.0 + scale):
+        raise InvalidParameter("B has entries outside the sparsity pattern")
+
+
 def sparse_update(B, pair, pattern, tree, pot, algorithm, T=1):
     """Alternate a secant-manifold update with the sparse projection.
 
@@ -645,12 +576,8 @@ def sparse_update(B, pair, pattern, tree, pot, algorithm, T=1):
         raise InvalidParameter("T must be at least 1")
     B = _as_pd(B)
     n = B.n
-    if pattern.n != n:
-        raise InvalidParameter("pattern dimension does not match the matrix")
+    _require_on_pattern(B, pattern)
     pot.require_admissible(n)
-    scale = float(np.abs(B.matrix).max())
-    if pattern.off_pattern_magnitude(B.matrix) > 1e-8 * (1.0 + scale):
-        raise InvalidParameter("B has entries outside the sparsity pattern")
 
     bstar = None
     if algorithm == 2 and n <= 4:

@@ -481,6 +481,25 @@ def test_sparse_solver_path_stays_on_pattern():
         assert pattern.off_pattern_magnitude(rec.b) <= 1e-12
 
 
+def test_sparse_solver_rejects_a_mismatched_start_before_evaluating():
+    spec = get_problem("broyden-tridiagonal:6")
+    calls = []
+    obj = Objective(
+        6,
+        lambda x: calls.append("f") or spec.objective.value(x),
+        lambda x: calls.append("g") or spec.objective.gradient(x),
+    )
+    off_pattern = PDMatrix.from_matrix(np.full((6, 6), 0.5) + np.eye(6))
+    for pattern, B0 in (
+        (banded_pattern(5, 1), None),  # wrong dimension
+        (spec.pattern, off_pattern),  # B0 with entries off the pattern
+    ):
+        cfg = SolverConfig("vbfgs:log", sparsity=(pattern, 2, 1))
+        with pytest.raises(InvalidParameter):
+            minimize(obj, spec.start, B0, config=cfg)
+    assert calls == []
+
+
 # -------------------------------------------------------------- invariance
 
 

@@ -1,5 +1,7 @@
 """Chordal patterns, max-determinant completion, and sparse update chains."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,10 @@ def test_pattern_rejects_bad_edges():
         SparsityPattern(3, [(0, 3)])
     with pytest.raises(InvalidParameter):
         SparsityPattern(0, [])
+    for n in (2.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter):
+            SparsityPattern(n, [(0, 2)])
+    assert SparsityPattern(np.int64(3), [(0, 2)]).n == 3
     # self loops fold into the implied diagonal
     assert SparsityPattern(3, [(1, 1)]).edges == ()
 
@@ -106,7 +112,7 @@ def test_pattern_text_format():
 
 def test_tridiagonal_is_chordal():
     tree = is_chordal(banded_pattern(5, 1))
-    assert tree.maximal_cliques == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert tree.cliques == [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert tree.parent == [None, 0, 1, 2]
     # running intersection: separators are single shared vertices
     assert tree.separators[1:] == [(1,), (2,), (3,)]
@@ -114,9 +120,9 @@ def test_tridiagonal_is_chordal():
 
 def test_full_and_diagonal_are_chordal():
     t = is_chordal(full_pattern(4))
-    assert t.maximal_cliques == [(0, 1, 2, 3)]
+    assert t.cliques == [(0, 1, 2, 3)]
     t = is_chordal(diagonal_pattern(3))
-    assert t.maximal_cliques == [(0,), (1,), (2,)]
+    assert t.cliques == [(0,), (1,), (2,)]
 
 
 def test_arrow_and_band2_are_chordal():
@@ -124,14 +130,10 @@ def test_arrow_and_band2_are_chordal():
     is_chordal(banded_pattern(8, 2))
 
 
-def test_four_cycle_is_not_chordal():
-    p = SparsityPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    with pytest.raises(NotChordal) as ex:
-        is_chordal(p)
-    cyc = ex.value.cycle
-    assert len(cyc) >= 4
+def assert_chordless_cycle(p, cyc):
     # the witness is a cycle in the pattern with no chord
     k = len(cyc)
+    assert k >= 4 and len(set(cyc)) == k
     for i in range(k):
         assert p.contains(cyc[i], cyc[(i + 1) % k])
     for i in range(k):
@@ -140,17 +142,48 @@ def test_four_cycle_is_not_chordal():
                 assert not p.contains(cyc[i], cyc[j])
 
 
+def test_four_cycle_is_not_chordal():
+    p = SparsityPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(NotChordal) as ex:
+        is_chordal(p)
+    assert_chordless_cycle(p, ex.value.cycle)
+
+
 def test_larger_hole_witness():
     # 6-cycle plus pendant edges; MCS must surface a chordless cycle
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 6), (3, 7)]
     p = SparsityPattern(8, edges)
     with pytest.raises(NotChordal) as ex:
         is_chordal(p)
-    cyc = ex.value.cycle
-    k = len(cyc)
-    assert k >= 4
-    for i in range(k):
-        assert p.contains(cyc[i], cyc[(i + 1) % k])
+    assert_chordless_cycle(p, ex.value.cycle)
+
+
+def brute_force_maximal_cliques(p):
+    cliques = [
+        c
+        for c in itertools.chain.from_iterable(
+            itertools.combinations(range(p.n), k) for k in range(1, p.n + 1)
+        )
+        if all(p.contains(i, j) for i, j in itertools.combinations(c, 2))
+    ]
+    return sorted(c for c in cliques if not any(set(c) < set(d) for d in cliques))
+
+
+def assert_clique_tree(p, tree):
+    assert sorted(tree.cliques) == brute_force_maximal_cliques(p)
+    covered = set()
+    for r, clique in enumerate(tree.cliques):
+        assert list(clique) == sorted(clique)
+        sep = set(tree.separators[r])
+        # running intersection: the separator is all the clique shares
+        # with earlier cliques, and it lies in the parent clique
+        assert sep == set(clique) & covered
+        if tree.parent[r] is None:
+            assert not sep
+        else:
+            assert sep and tree.parent[r] < r
+            assert sep <= set(tree.cliques[tree.parent[r]])
+        covered |= set(clique)
 
 
 def test_chordal_random_interval_graphs():
@@ -166,22 +199,19 @@ def test_chordal_random_interval_graphs():
             for j in range(i + 1, n)
             if starts[j] < ends[i] and starts[i] < ends[j]
         ]
-        tree = is_chordal(SparsityPattern(n, edges))
-        assert tree.ell == len(tree.maximal_cliques)
+        p = SparsityPattern(n, edges)
+        assert_clique_tree(p, is_chordal(p))
 
 
 def test_clique_tree_satisfies_rip():
-    rng = np.random.default_rng(2)
-    for trial in range(10):
-        n = int(rng.integers(5, 10))
-        tree = is_chordal(banded_pattern(n, 2))
-        for r in range(1, tree.ell):
-            sep = set(tree.separators[r])
-            parent = set(tree.cliques[tree.parent[r]])
-            assert sep <= parent
-            assert sep == set(tree.cliques[r]) & set().union(
-                *(tree.cliques[q] for q in range(r))
-            )
+    patterns = [arrow_pattern(6), diagonal_pattern(4), full_pattern(3)]
+    patterns += [banded_pattern(n, 2) for n in range(5, 10)]
+    # disconnected: a path, an isolated vertex, a triangle, two joined triangles
+    patterns.append(SparsityPattern(
+        11, [(0, 1), (1, 2), (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9), (8, 10), (9, 10)]
+    ))
+    for p in patterns:
+        assert_clique_tree(p, is_chordal(p))
 
 
 # --------------------------------------------------------------- completion
@@ -200,6 +230,7 @@ def test_completion_small_oracle():
     assert np.exp(fac.log_det_completion()) == pytest.approx(4.5, rel=1e-12)
     k = fac.inverse_completion()
     assert abs(k[0, 2]) < 1e-14
+    assert not k.flags.writeable  # the factorization's own copy
     assert np.abs(k @ x - np.eye(3)).max() < 1e-12
 
 
