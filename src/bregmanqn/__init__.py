@@ -26,7 +26,6 @@ from .potentials import (
     PotentialReport,
     bounded_potential,
     custom_potential,
-    evaluate,
     log_potential,
     make_builtin,
     power_potential,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameter, PotentialNotAdmissible
+from .errors import InvalidParameter, PotentialNotAdmissible
 
 BETA_GRID = np.logspace(-8.0, 8.0, 256)
 LIMIT_GRID = np.logspace(-12.0, 0.0, 256)
@@ -119,13 +119,6 @@ class Potential:
                 f"potential {self.label()} is not admissible for n={n}: "
                 f"beta_bound_ok={report.beta_bound_ok}, limit_ok={report.limit_ok}"
             )
-
-
-def _check_z(z: float) -> float:
-    z = float(z)
-    if not z > 0.0 or not np.isfinite(z):
-        raise DomainError(f"potential argument must be a positive real, got {z!r}")
-    return z
 
 
 def log_potential() -> Potential:
@@ -262,17 +255,6 @@ def from_string(spec: str) -> Potential:
             except ValueError as exc:
                 raise InvalidParameter(f"non-numeric potential parameter {item!r}") from exc
     return make_builtin(head, **kv)
-
-
-def evaluate(pot: Potential, z: float) -> dict:
-    """Pointwise {V, Vprime, nu, beta} at z > 0."""
-    z = _check_z(z)
-    return {
-        "V": pot.value(z),
-        "Vprime": pot.derivative(z),
-        "nu": pot.nu(z),
-        "beta": pot.beta(z),
-    }
 
 
 def validate(pot: Potential, n: int) -> PotentialReport:

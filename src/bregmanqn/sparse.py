@@ -60,9 +60,12 @@ class SparsityPattern:
         self.n = int(n)
         cleaned = set()
         for i, j in edges:
+            # negated so that nan fails too; 2.0 is taken as 2, 2.7 is not
+            if not all(v % 1 == 0 and 0 <= v < self.n for v in (i, j)):
+                raise InvalidParameter(
+                    f"pattern index ({i!r}, {j!r}) is not an integer in [0, {self.n})"
+                )
             i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidParameter(f"pattern index ({i}, {j}) out of range for n={n}")
             if i == j:
                 continue  # diagonal is implied
             cleaned.add((min(i, j), max(i, j)))

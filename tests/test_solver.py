@@ -15,14 +15,19 @@ from bregmanqn import (
     Objective,
     PDMatrix,
     RootNotBracketed,
+    SecantPair,
     SingularTransform,
     SolverConfig,
     UpdateFamily,
     banded_pattern,
+    bfgs_update,
     check_gradient,
     get_problem,
     invariance_check,
+    is_chordal,
+    log_potential,
     minimize,
+    sparse_update,
     transform_problem,
     wolfe_line_search,
 )
@@ -418,14 +423,65 @@ def test_first_wolfe_trial_is_interpolated_for_bfgs_side_families(family):
 
 
 def test_sparse_vbfgs_rarely_retries_the_first_trial():
-    # B0 = I underestimates curvature the sparse updates have not reached
-    # yet, so a unit first trial fails Armijo at most steps here; the
-    # interpolated first trial keeps the search near one f per step
+    # The theta-projection keeps P_F(B^-1), so the unit diagonal of an
+    # unscaled B0^-1 = I would stay in every later B and the first trial
+    # would fail Armijo at most steps; the one-time s'y/s'Bs scaling of
+    # B0 and the interpolated first trial keep the search near one f per
+    # step
     spec = get_problem("broyden-tridiagonal:40")
     cfg = SolverConfig("vbfgs:log", grad_tol=1e-6, sparsity=(spec.pattern, 2, 1))
     trace = minimize(spec.objective, spec.start, config=cfg)
     assert trace.status == "Converged"
-    assert trace.nfev <= 2 * trace.iterations
+    assert trace.nfev <= 1.5 * trace.iterations
+
+
+def _first_pairs(spec, trace, count):
+    grads = [spec.objective.gradient(r.x) for r in trace.records[: count + 1]]
+    return [
+        SecantPair(trace.records[k + 1].x - trace.records[k].x, grads[k + 1] - grads[k])
+        for k in range(count)
+    ]
+
+
+def test_sparse_run_scales_b0_once_before_its_first_update():
+    spec = get_problem("broyden-tridiagonal:6")
+    pattern, tree, pot = spec.pattern, is_chordal(spec.pattern), log_potential()
+    cfg = SolverConfig("bfgs", grad_tol=1e-6, sparsity=(pattern, 2, 3))
+    trace = minimize(spec.objective, spec.start, config=cfg, record_b=True)
+    assert trace.status == "Converged"
+    r0, r1, r2 = trace.records[:3]
+    assert not r1.skipped and not r2.skipped
+    first, second = _first_pairs(spec, trace, 2)
+    theta = (first.s @ first.y) / (first.s @ r0.b @ first.s)
+    scaled = PDMatrix.from_matrix(theta * r0.b)
+    expected = sparse_update(scaled, first, pattern, tree, pot, 2, 3).b_out.matrix
+    np.testing.assert_allclose(r1.b, expected, rtol=1e-10, atol=1e-12)
+    unscaled = sparse_update(PDMatrix.from_matrix(r0.b), first, pattern, tree, pot, 2, 3)
+    assert np.abs(unscaled.b_out.matrix - r1.b).max() > 1e-2
+    # once only: the second update starts from the first one's B as it is
+    expected = sparse_update(
+        PDMatrix.from_matrix(r1.b), second, pattern, tree, pot, 2, 3
+    ).b_out.matrix
+    np.testing.assert_allclose(r2.b, expected, rtol=1e-10, atol=1e-12)
+    # an explicit identity B0 is scaled like the default one
+    explicit = minimize(
+        spec.objective, spec.start, PDMatrix.identity(6), cfg, record_b=True
+    )
+    assert [r.b.tobytes() for r in explicit.records] == [
+        r.b.tobytes() for r in trace.records
+    ]
+
+
+def test_dense_run_does_not_scale_b0():
+    # dense updates correct their own scale; a one-time scaling slows
+    # some of them badly (bfgs on quadratic:1000:20 takes 28 -> 115 steps)
+    spec = get_problem("broyden-tridiagonal:6")
+    cfg = SolverConfig("bfgs", grad_tol=1e-6)
+    trace = minimize(spec.objective, spec.start, config=cfg, record_b=True)
+    assert trace.status == "Converged"
+    (first,) = _first_pairs(spec, trace, 1)
+    expected = bfgs_update(PDMatrix.identity(6), first).matrix
+    np.testing.assert_allclose(trace.records[1].b, expected, rtol=1e-12, atol=1e-14)
 
 
 # -------------------------------------------------------------- skip policy

@@ -70,6 +70,16 @@ def test_pattern_rejects_bad_edges():
         with pytest.raises(InvalidParameter):
             SparsityPattern(n, [(0, 2)])
     assert SparsityPattern(np.int64(3), [(0, 2)]).n == 3
+    # a non-integral index is refused, not truncated onto another entry
+    for bad in (2.7, -0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter):
+            SparsityPattern(3, [(0, bad)])
+        with pytest.raises(InvalidParameter):
+            SparsityPattern(3, [(bad, 0)])
+    assert SparsityPattern(3, [(0, 2.0), (np.float64(1.0), np.int64(2))]).edges == (
+        (0, 2),
+        (1, 2),
+    )
     # self loops fold into the implied diagonal
     assert SparsityPattern(3, [(1, 1)]).edges == ()
 
