@@ -4,7 +4,6 @@ from .errors import (
     BregmanQNError,
     CliqueBlockNotPD,
     CurvatureViolation,
-    DomainError,
     InvalidParameter,
     LineSearchFail,
     MaxIterations,
@@ -76,6 +75,7 @@ from .sparse import (
     CliqueFactorization,
     CliqueTree,
     SparseUpdateResult,
+    SparseUpdateFamily,
     SparsityPattern,
     arrow_pattern,
     banded_pattern,

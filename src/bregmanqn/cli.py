@@ -28,7 +28,7 @@ from .solver import (
     invariance_check,
     minimize,
 )
-from .sparse import banded_pattern, is_chordal, load_pattern, sparse_update
+from .sparse import SparseUpdateFamily, banded_pattern, load_pattern, sparse_update
 from .updates import SecantPair, UpdateFamily
 
 __all__ = ["RunRecord", "export_trace", "run_command", "main"]
@@ -378,10 +378,10 @@ def _cmd_sparse_demo(args):
         pattern = load_pattern(args.pattern)
     else:
         pattern = banded_pattern(10, 1)
-    tree = is_chordal(pattern)
     n = pattern.n
-    family = UpdateFamily.from_string(args.family)
-    pot = family.potential if family.potential is not None else log_potential()
+    family = SparseUpdateFamily(
+        UpdateFamily.from_string(args.family), pattern, args.algorithm, args.T
+    )
 
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((n, n))
@@ -390,7 +390,8 @@ def _cmd_sparse_demo(args):
     y = feasible @ s
     B0 = PDMatrix.identity(n)
     result = sparse_update(
-        B0, SecantPair(s, y), pattern, tree, pot, algorithm=args.algorithm, T=args.T
+        B0, SecantPair(s, y), pattern, family.tree, family.potential,
+        algorithm=args.algorithm, T=args.T,
     )
     out = args.out or f"sparse-trace.{args.format}"
     export_trace(result.trace, out, args.format)
@@ -398,7 +399,7 @@ def _cmd_sparse_demo(args):
     final = float(result.trace[-1])
     print(
         f"pattern n={n} algorithm={args.algorithm} T={args.T} "
-        f"potential={pot.label()} trace={result.trace_kind} "
+        f"potential={family.potential.label()} trace={result.trace_kind} "
         f"final={final:.3e} monotone={bool(slack.all())} seed={seed} -> {out}"
     )
     return 0 if final <= args.tol else 2

@@ -13,10 +13,6 @@ class InvalidParameter(BregmanQNError, ValueError):
     """A potential or config parameter is outside its admissible range."""
 
 
-class DomainError(BregmanQNError, ValueError):
-    """A scalar argument is outside the function's domain (z <= 0)."""
-
-
 class PotentialNotAdmissible(BregmanQNError):
     """Potential failed admissibility validation for the working dimension."""
 

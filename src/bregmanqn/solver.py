@@ -13,10 +13,9 @@ from .errors import (
     LineSearchFail,
     SingularTransform,
 )
-from .pdlinalg import CholeskyFactor, PDMatrix
-from .potentials import log_potential
+from .pdlinalg import PDMatrix
 from .updates import SecantPair, UpdateFamily
-from .sparse import _require_on_pattern, is_chordal, sparse_update
+from .sparse import SparseUpdateFamily
 
 __all__ = [
     "Objective",
@@ -103,6 +102,8 @@ class SolverConfig:
     max_iter: int = 200
     skip_policy: str = "skip"
     sparsity: tuple | None = None  # (pattern, algorithm, T)
+    # what minimize runs: family, or the SparseUpdateFamily of family and sparsity
+    update_family: UpdateFamily | SparseUpdateFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a bare string uses the same grammar as the CLI --family flag
@@ -114,16 +115,13 @@ class SolverConfig:
             raise InvalidParameter("max_iter must be at least 1")
         if self.skip_policy not in ("skip", "error"):
             raise InvalidParameter(f"unknown skip policy {self.skip_policy!r}")
+        self.update_family = self.family
         if self.sparsity is not None:
-            if self.family.kind not in ("bfgs", "vbfgs"):
+            if len(self.sparsity) != 3:
                 raise InvalidParameter(
-                    "sparse updates maintain B directly; use a bfgs or vbfgs family"
+                    f"sparsity must be (pattern, algorithm, T), got {self.sparsity!r}"
                 )
-            pattern, algorithm, T = self.sparsity
-            if algorithm not in (1, 2):
-                raise InvalidParameter("sparsity algorithm must be 1 or 2")
-            if T < 1:
-                raise InvalidParameter("sparsity T must be at least 1")
+            self.update_family = SparseUpdateFamily(self.family, *self.sparsity)
 
 
 @dataclass
@@ -321,25 +319,11 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     Stops when the gradient norm reaches config.grad_tol or the budget
     runs out; a failed line search or a library error inside the update
     ends the run with its partial trace, which stops at the last point
-    whose B was formed, and the error's message as trace.reason.  A
-    config.sparsity pattern of the wrong dimension, or a B0 with entries
-    off it, raises InvalidParameter before the first evaluation.
-    record_b stores each B_k densely (n^2 per iterate) for invariance
-    comparisons.
-
-    A sparse run replaces B by theta B, theta = s'y / s'Bs, just before
-    its first applied update (a skipped step does not count), whatever
-    B0 is (Oren & Luenberger 1974; Shanno & Phua 1978).  The
-    theta-projection keeps P_F(B^-1) of the secant point, so the scale of
-    an unscaled B0^-1 would stay in every later B and the line search
-    would backtrack at most steps.  theta B stays on the pattern and
-    theta is invariant under congruence.  At the determinants this
-    gives, vbfgs:bounded:c=0.5 has the same iteration and evaluation
-    counts as vbfgs:log on the benchmark's sparse-band cases.  Dense
-    runs are not scaled: their updates correct the scale within about n
-    steps, and a one-time scaling can cost many steps (bfgs on
-    quadratic:1000:20 from its catalog start at grad_tol 1e-6 takes 28
-    without it, 115 with it).
+    whose B was formed, and the error's message as trace.reason.  The
+    update is config.update_family's, dense or sparse; a B0 it cannot
+    start from, such as one with entries off a sparsity pattern, raises
+    before the first evaluation.  record_b stores each B_k densely (n^2
+    per iterate) for invariance comparisons.
     """
     if config is None:
         config = SolverConfig(UpdateFamily("bfgs"))
@@ -348,16 +332,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
         raise InvalidParameter(f"x0 shape {x.shape} does not match n={obj.n}")
     if B0 is None:
         B0 = PDMatrix.identity(obj.n)
-    family = config.family
-
-    sparse_cfg = None
-    if config.sparsity is not None:
-        pattern, algorithm, T = config.sparsity
-        _require_on_pattern(B0, pattern)
-        tree = is_chordal(pattern)
-        pot = family.potential if family.potential is not None else log_potential()
-        sparse_cfg = (pattern, tree, pot, algorithm, T)
-
+    family = config.update_family
     state = family.initial_state(B0)
     # f and g are evaluated once per accepted point: at x0 here, then by
     # the line search, whose values are carried into the next step
@@ -387,8 +362,6 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     # alpha_init.
     carry_f_prev = not family.inverse
     f_prev = None
-    # a sparse run scales B once, just before its first applied update
-    unscaled = sparse_cfg is not None
     status, reason = None, ""
     for k in range(config.max_iter):
         if gn <= config.grad_tol:
@@ -417,20 +390,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
         else:
             pair = SecantPair(s, y)
             try:
-                if sparse_cfg is not None:
-                    pattern, tree, pot, algorithm, T = sparse_cfg
-                    if unscaled:
-                        # s'Bs = -alpha^2 g'd, since Bd = -g
-                        theta = sty / (-alpha * alpha * float(g @ d))
-                        state = PDMatrix(
-                            CholeskyFactor(np.sqrt(theta) * state.factor.L)
-                        )
-                        unscaled = False
-                    state = sparse_update(
-                        state, pair, pattern, tree, pot, algorithm, T
-                    ).b_out
-                else:
-                    state = family.apply(state, pair)
+                state = family.apply(state, pair)
             except BregmanQNError as exc:
                 status, reason = "UpdateFail", str(exc)
                 break

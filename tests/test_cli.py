@@ -270,6 +270,10 @@ def test_sparse_demo_pattern_file(tmp_path):
     bad.write_text("3\nx y\n")
     assert run_command(["sparse-demo", "--pattern", str(bad),
                         "--out", str(out)]) == 1
+    # only bfgs and vbfgs families run sparse; others are not reinterpreted
+    for family in ("selfscale", "dfp", "vdfp:log"):
+        assert run_command(["sparse-demo", "--pattern", str(pat),
+                            "--family", family, "--out", str(out)]) == 1
 
 
 def test_list_problems(capsys):

@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 
 import bregmanqn.solver
+import bregmanqn.sparse
 import bregmanqn.updates
 from bregmanqn import (
     CurvatureViolation,
     InvalidParameter,
     LineSearchFail,
     LineSearchParams,
+    NotChordal,
     Objective,
     PDMatrix,
     RootNotBracketed,
     SecantPair,
     SingularTransform,
     SolverConfig,
+    SparsityPattern,
     UpdateFamily,
     banded_pattern,
     bfgs_update,
@@ -137,6 +140,13 @@ def test_solver_config_validation():
         SolverConfig(fam, sparsity=(pat, 3, 5))
     with pytest.raises(InvalidParameter):
         SolverConfig(fam, sparsity=(pat, 2, 0))
+    # malformed sparsity is rejected before any evaluation
+    for sparsity in ((pat, 2, 1.5), (pat, 2), (None, 2, 1)):
+        with pytest.raises(InvalidParameter):
+            SolverConfig(UpdateFamily.from_string("vbfgs:log"), sparsity=sparsity)
+    cycle = SparsityPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(NotChordal):
+        SolverConfig(fam, sparsity=(cycle, 2, 1))
 
 
 def test_solver_config_accepts_family_string():
@@ -369,7 +379,7 @@ def test_update_failure_ends_run_with_partial_trace(problem, family, sparse):
     k = 4
     assert full.iterations > k
     assert not any(r.skipped for r in full.records[:k + 1])
-    owner, name = (bregmanqn.solver, "sparse_update") if sparse else (UpdateFamily, "apply")
+    owner, name = (bregmanqn.sparse, "sparse_update") if sparse else (UpdateFamily, "apply")
     obj, counts = counting_objective(spec.objective)
     with mock.patch.object(owner, name, fail_on_call(getattr(owner, name), k)):
         trace = minimize(obj, spec.start, config=cfg)
@@ -422,16 +432,22 @@ def test_first_wolfe_trial_is_interpolated_for_bfgs_side_families(family):
         assert all(f_prev is None for _, f_prev in calls)
 
 
-def test_sparse_vbfgs_rarely_retries_the_first_trial():
+@pytest.mark.parametrize("family, algorithm, T, counts", [
+    ("vbfgs:log", 1, 1, (35, 51, 40)),
+    ("vbfgs:log", 2, 1, (33, 47, 35)),
+    ("vbfgs:bounded:c=0.5", 2, 3, (31, 36, 32)),
+])
+def test_sparse_vbfgs_rarely_retries_the_first_trial(family, algorithm, T, counts):
     # The theta-projection keeps P_F(B^-1), so the unit diagonal of an
     # unscaled B0^-1 = I would stay in every later B and the first trial
     # would fail Armijo at most steps; the one-time s'y/s'Bs scaling of
     # B0 and the interpolated first trial keep the search near one f per
-    # step
+    # step.  counts are (iterations, nfev, ngev), pinned exactly.
     spec = get_problem("broyden-tridiagonal:40")
-    cfg = SolverConfig("vbfgs:log", grad_tol=1e-6, sparsity=(spec.pattern, 2, 1))
+    cfg = SolverConfig(family, grad_tol=1e-6, sparsity=(spec.pattern, algorithm, T))
     trace = minimize(spec.objective, spec.start, config=cfg)
     assert trace.status == "Converged"
+    assert (trace.iterations, trace.nfev, trace.ngev) == counts
     assert trace.nfev <= 1.5 * trace.iterations
 
 

@@ -521,6 +521,9 @@ def test_sparse_update_validates_inputs():
     with pytest.raises(InvalidParameter):
         sparse_update(PDMatrix.identity(3), pair, pattern, tree,
                       log_potential(), algorithm=1, T=0)
+    with pytest.raises(InvalidParameter):
+        sparse_update(PDMatrix.identity(3), pair, pattern, tree,
+                      log_potential(), algorithm=1, T=1.5)
     off = PDMatrix.from_matrix(np.eye(3) + 0.5 * np.ones((3, 3)))
     with pytest.raises(InvalidParameter):
         sparse_update(off, pair, SparsityPattern(3, [(0, 1)]),
