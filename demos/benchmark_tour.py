@@ -46,5 +46,6 @@ cfg = SolverConfig(
 trace = minimize(spec.objective, spec.start, config=cfg, record_b=True)
 off = max(spec.pattern.off_pattern_magnitude(r.b) for r in trace.records)
 print(f"{spec.name} with sparse updates on the band:")
-print(f"  {trace.status} in {trace.iterations} iterations, "
+print(f"  {trace.status} in {trace.iterations} iterations "
+      f"(nfev = {trace.nfev}, ngev = {trace.ngev}), "
       f"max off-pattern over the run = {off:.2e}")

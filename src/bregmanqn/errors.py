@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
+
+import numbers
 
 
 class BregmanQNError(Exception):
@@ -55,3 +58,9 @@ class LineSearchFail(BregmanQNError):
 
 class SingularTransform(BregmanQNError, ValueError):
     """Change-of-variables matrix is singular or too ill-conditioned."""
+
+
+def require_count(name, value):
+    """Raise InvalidParameter unless value is an integer >= 1."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")

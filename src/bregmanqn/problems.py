@@ -49,8 +49,8 @@ def _rosenbrock():
 
 
 def _quadratic(cond, n, seed):
-    if cond < 1.0:
-        raise InvalidParameter("quadratic condition number must be >= 1")
+    if not (np.isfinite(cond) and cond >= 1.0):
+        raise InvalidParameter("quadratic condition number must be finite and >= 1")
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.logspace(0.0, np.log10(cond), n)

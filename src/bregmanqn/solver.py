@@ -1,6 +1,7 @@
 """Quasi-Newton driver: line searches, the iteration loop, and
 affine-transformation tooling for invariance experiments."""
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -12,6 +13,7 @@ from .errors import (
     InvalidParameter,
     LineSearchFail,
     SingularTransform,
+    require_count,
 )
 from .pdlinalg import PDMatrix
 from .updates import SecantPair, UpdateFamily
@@ -86,10 +88,9 @@ class LineSearchParams:
     def __post_init__(self):
         if not (0.0 < self.c1 < self.c2 < 1.0):
             raise InvalidParameter("need 0 < c1 < c2 < 1")
-        if self.alpha_init <= 0.0:
-            raise InvalidParameter("alpha_init must be positive")
-        if self.max_trials < 1:
-            raise InvalidParameter("max_trials must be at least 1")
+        if not (math.isfinite(self.alpha_init) and self.alpha_init > 0.0):
+            raise InvalidParameter(f"alpha_init must be finite and positive, got {self.alpha_init!r}")
+        require_count("max_trials", self.max_trials)
         if self.method not in ("wolfe", "exact"):
             raise InvalidParameter(f"unknown line search method {self.method!r}")
 
@@ -109,10 +110,9 @@ class SolverConfig:
         # a bare string uses the same grammar as the CLI --family flag
         if isinstance(self.family, str):
             self.family = UpdateFamily.from_string(self.family)
-        if self.grad_tol <= 0.0:
-            raise InvalidParameter("grad_tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidParameter("max_iter must be at least 1")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
+            raise InvalidParameter(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
+        require_count("max_iter", self.max_iter)
         if self.skip_policy not in ("skip", "error"):
             raise InvalidParameter(f"unknown skip policy {self.skip_policy!r}")
         self.update_family = self.family

@@ -8,7 +8,6 @@ alternating projection schemes built from these pieces, and the update
 family through which the solver runs them.
 """
 
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ from .errors import (
     NotChordal,
     NotPositiveDefinite,
     OracleNoConvergence,
+    require_count,
 )
 from .pdlinalg import CholeskyFactor, PDMatrix, as_symmetric, cholesky_factorize
 from .potentials import Potential, log_potential
@@ -567,8 +567,7 @@ def _require_on_pattern(B, pattern):
 def _require_rounds(algorithm, T):
     if algorithm not in (1, 2):
         raise InvalidParameter(f"algorithm must be 1 or 2, got {algorithm!r}")
-    if not (isinstance(T, numbers.Integral) and T >= 1):
-        raise InvalidParameter(f"T must be an integer >= 1, got {T!r}")
+    require_count("T", T)
 
 
 def sparse_update(B, pair, pattern, tree, pot, algorithm, T=1):
@@ -639,6 +638,17 @@ class SparseUpdateFamily:
     quadratic:1000:20 from its catalog start at grad_tol 1e-6 takes 28
     without it, 115 with it).  The flag is in the state because one
     family serves every solve of its SolverConfig.
+
+    B0 thus sets only the shape of B.  Until the first applied update
+    (a skipped step leaves the state unscaled) the direction -B^-1 g is
+    divided by its Euclidean norm: the unit first trial is a step of
+    length one, not one scaled by B0, which the search would cut back
+    at a cost of several f evaluations (L-BFGS takes 1/|g| as its first
+    step, Liu & Nocedal 1989; L-BFGS-B 1/|d|, Byrd, Lu, Nocedal & Zhu
+    1995).  theta B does not depend on the scale of B, so the first
+    update is unaffected.  The length is Euclidean, so the first step is
+    not invariant under a change of variables; the update, a function of
+    B, s and y alone, is as invariant as before.
     """
 
     inverse = False
@@ -659,7 +669,11 @@ class SparseUpdateFamily:
         return B0, True
 
     def direction(self, state, gradient) -> np.ndarray:
-        return -state[0].solve(gradient)
+        B, unscaled = state
+        d = -B.solve(gradient)
+        if unscaled:
+            d /= np.linalg.norm(d)
+        return d
 
     def apply(self, state, pair: SecantPair):
         B, unscaled = state

@@ -76,6 +76,8 @@ def test_problem_parsing_errors():
         "quadratic",
         "quadratic:abc",
         "quadratic:0.5",
+        "quadratic:nan:3",
+        "quadratic:inf:3",
         "extended-powell:6",
         "extended-powell:x",
         "broyden-tridiagonal:1",

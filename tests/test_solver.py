@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bregmanqn.solver
 import bregmanqn.sparse
@@ -118,7 +120,10 @@ def test_line_search_params_validation():
         dict(c1=0.0),
         dict(c2=1.0),
         dict(alpha_init=0.0),
+        dict(alpha_init=float("nan")),
+        dict(alpha_init=float("inf")),
         dict(max_trials=0),
+        dict(max_trials=2.5),
         dict(method="golden"),
     ):
         with pytest.raises(InvalidParameter):
@@ -127,10 +132,17 @@ def test_line_search_params_validation():
 
 def test_solver_config_validation():
     fam = UpdateFamily("bfgs")
-    with pytest.raises(InvalidParameter):
-        SolverConfig(fam, grad_tol=0.0)
-    with pytest.raises(InvalidParameter):
-        SolverConfig(fam, max_iter=0)
+    # each of these used to fail mid-run or never converge
+    for kwargs in (
+        dict(grad_tol=0.0),
+        dict(grad_tol=float("nan")),
+        dict(grad_tol=float("inf")),
+        dict(max_iter=0),
+        dict(max_iter=2.5),
+    ):
+        with pytest.raises(InvalidParameter):
+            SolverConfig(fam, **kwargs)
+    assert SolverConfig(fam, max_iter=np.int64(3)).max_iter == 3
     with pytest.raises(InvalidParameter):
         SolverConfig(fam, skip_policy="maybe")
     pat = banded_pattern(4, 1)
@@ -433,22 +445,90 @@ def test_first_wolfe_trial_is_interpolated_for_bfgs_side_families(family):
 
 
 @pytest.mark.parametrize("family, algorithm, T, counts", [
-    ("vbfgs:log", 1, 1, (35, 51, 40)),
-    ("vbfgs:log", 2, 1, (33, 47, 35)),
-    ("vbfgs:bounded:c=0.5", 2, 3, (31, 36, 32)),
+    ("vbfgs:log", 1, 1, (30, 31, 31)),
+    ("vbfgs:log", 2, 1, (27, 28, 28)),
+    ("vbfgs:bounded:c=0.5", 2, 3, (21, 22, 22)),
 ])
 def test_sparse_vbfgs_rarely_retries_the_first_trial(family, algorithm, T, counts):
-    # The theta-projection keeps P_F(B^-1), so the unit diagonal of an
-    # unscaled B0^-1 = I would stay in every later B and the first trial
-    # would fail Armijo at most steps; the one-time s'y/s'Bs scaling of
-    # B0 and the interpolated first trial keep the search near one f per
-    # step.  counts are (iterations, nfev, ngev), pinned exactly.
+    # The theta-projection keeps P_F(B^-1), so an unscaled B0 would set
+    # the scale of every later B; the one-time s'y/s'Bs scaling of B0
+    # fixes that, the unit-length first step keeps the scale of B0 out
+    # of the first search, and the interpolated first trial does the
+    # rest: every search here ends on its first trial, one f and one g
+    # per step.  counts are (iterations, nfev, ngev), pinned exactly.
     spec = get_problem("broyden-tridiagonal:40")
     cfg = SolverConfig(family, grad_tol=1e-6, sparsity=(spec.pattern, algorithm, T))
     trace = minimize(spec.objective, spec.start, config=cfg)
     assert trace.status == "Converged"
     assert (trace.iterations, trace.nfev, trace.ngev) == counts
-    assert trace.nfev <= 1.5 * trace.iterations
+    assert trace.nfev == trace.ngev == trace.iterations + 1
+
+
+def _band_pd(n, bandwidth, rng):
+    """A random positive definite matrix on the band |i - j| <= bandwidth."""
+    M = rng.uniform(-1.0, 1.0, (n, n))
+    M = banded_pattern(n, bandwidth).restrict(0.5 * (M + M.T))
+    np.fill_diagonal(M, 2.0 * bandwidth + rng.uniform(0.5, 2.0, n))
+    return PDMatrix.from_matrix(M)
+
+
+def _check_step(spec, trace, B, k, unit):
+    """Step k of trace went alpha_k along -B^-1 g_k, divided by its norm if unit."""
+    r, r_next = trace.records[k], trace.records[k + 1]
+    d = -B.solve(spec.objective.gradient(r.x))
+    if unit:
+        d /= np.linalg.norm(d)
+        np.testing.assert_allclose(np.linalg.norm(r_next.x - r.x), r_next.alpha, rtol=1e-12)
+    np.testing.assert_allclose(r_next.x - r.x, r_next.alpha * d, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("b0", ["default", "4I", "band"])
+def test_first_sparse_step_has_unit_length(b0):
+    # B0 sets only the shape of B; its scale goes at the first update, so
+    # the first step is one unit long whatever the scale of B0
+    spec = get_problem("broyden-tridiagonal:12")
+    B0 = {
+        "default": None,
+        "4I": PDMatrix.from_matrix(4.0 * np.eye(12)),
+        "band": _band_pd(12, 1, np.random.default_rng(5)),
+    }[b0]
+    cfg = SolverConfig("vbfgs:log", grad_tol=1e-6, sparsity=(spec.pattern, 2, 1))
+    trace = minimize(spec.objective, spec.start, B0, cfg)
+    assert trace.status == "Converged"
+    assert not trace.records[1].skipped
+    _check_step(spec, trace, B0 or PDMatrix.identity(12), 0, unit=True)
+
+
+@pytest.mark.parametrize("family", ["bfgs", "vbfgs:log", "dfp", "selfscale"])
+def test_first_dense_step_is_not_normalized(family):
+    spec = get_problem("broyden-tridiagonal:6")
+    B0 = PDMatrix.from_matrix(4.0 * np.eye(6))
+    trace = minimize(spec.objective, spec.start, B0, SolverConfig(family, max_iter=1))
+    _check_step(spec, trace, B0, 0, unit=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 30),
+    bandwidth=st.integers(1, 2),
+    potential=st.sampled_from(["log", "bounded:c=0.5", "power:gamma=-0.25"]),
+    algorithm=st.sampled_from([1, 2]),
+    T=st.integers(1, 3),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_sparse_steps_are_unit_length_until_the_first_update(
+    n, bandwidth, potential, algorithm, T, log_scale
+):
+    spec = get_problem(f"broyden-tridiagonal:{n}")
+    pattern = banded_pattern(n, bandwidth)
+    B0 = PDMatrix.from_matrix(10.0**log_scale * np.eye(n))
+    cfg = SolverConfig(f"vbfgs:{potential}", max_iter=2, sparsity=(pattern, algorithm, T))
+    trace = minimize(spec.objective, spec.start, B0, cfg, record_b=True)
+    assert len(trace.records) == 3, trace.reason
+    _check_step(spec, trace, B0, 0, unit=True)
+    # a skipped step leaves B0 unscaled; an update ends the normalization
+    r1 = trace.records[1]
+    _check_step(spec, trace, PDMatrix.from_matrix(r1.b), 1, unit=r1.skipped)
 
 
 def _first_pairs(spec, trace, count):
