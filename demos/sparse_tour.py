@@ -10,6 +10,8 @@ import numpy as np
 from bregmanqn import (
     PDMatrix,
     SecantPair,
+    SparseUpdateFamily,
+    UpdateFamily,
     banded_pattern,
     clique_factorize,
     is_chordal,
@@ -29,9 +31,8 @@ print()
 rng = np.random.default_rng(2)
 a = rng.standard_normal((n, n))
 data = pattern.restrict(a @ a.T + n * np.eye(n))
-fac = clique_factorize(data, tree)
-x = fac.completion()
-k = fac.inverse_completion()
+_, k = clique_factorize(data, tree)  # (log det X, X^-1)
+x = PDMatrix.from_matrix(k).inv()
 print("maximum determinant completion of the banded data:")
 print(f"  det = {np.linalg.det(x):.4f}")
 print(f"  largest off-pattern entry of the inverse = {pattern.off_pattern_magnitude(k):.2e}")
@@ -41,7 +42,7 @@ print()
 # divergence projection onto the pattern
 pot = log_potential()
 b = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
-bstar = theta_v_project_sparse(b, pattern, tree, pot)
+bstar = theta_v_project_sparse(b, tree, pot)
 print("projection of a dense matrix onto the pattern:")
 print(f"  off-pattern magnitude of B* = {pattern.off_pattern_magnitude(bstar.matrix):.2e}")
 print()
@@ -51,8 +52,8 @@ print()
 target = pattern.restrict(a @ a.T + n * np.eye(n))
 s = rng.standard_normal(n)
 pair = SecantPair(s, target @ s)
-res = sparse_update(PDMatrix.identity(n), pair, pattern, tree, pot,
-                    algorithm=2, T=250)
+family = SparseUpdateFamily(UpdateFamily("vbfgs", pot), pattern, algorithm=2, T=250)
+res = sparse_update(PDMatrix.identity(n), pair, family)
 print(f"alternating projections ({res.trace_kind} trace), every 50th round:")
 for t in range(0, len(res.trace), 50):
     print(f"  t={t:4d}  divergence = {res.trace[t]:.3e}")

@@ -72,7 +72,6 @@ from .solver import (
 )
 from .problems import ProblemSpec, get_problem, list_problems
 from .sparse import (
-    CliqueFactorization,
     CliqueTree,
     SparseUpdateResult,
     SparseUpdateFamily,

@@ -163,29 +163,17 @@ def _build_parser():
     return p
 
 
-def _apply_config_file(args, argv):
-    """Overlay key=value file entries under explicit command-line flags."""
-    if args.config is None:
-        return args
+def _apply_config_file(parser, args, argv):
+    """Overlay key=value file entries under explicit command-line flags.
+
+    Each entry is parsed as the flag --key=value of the same subcommand,
+    so it gets the flag's type and choices.
+    """
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read config file {args.config}: {exc}")
-    known = {
-        "problem": str,
-        "family": str,
-        "families": str,
-        "tol": float,
-        "max-iter": int,
-        "seed": int,
-        "out": str,
-        "format": str,
-        "pattern": str,
-        "algorithm": int,
-        "T": int,
-        "transform": str,
-    }
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -194,21 +182,18 @@ def _apply_config_file(args, argv):
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise _UsageError(f"config line {lineno} is not key=value: {raw!r}")
-        if key not in known:
-            raise _UsageError(f"unknown config key {key!r} on line {lineno}")
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise _UsageError(f"config key {key!r} does not apply to this command")
+        if key == "config":
+            raise _UsageError(f"config line {lineno}: a config file cannot name another")
+        option = "--" + key
         try:
-            parsed = known[key](value)
-        except ValueError:
-            raise _UsageError(f"config key {key!r} has a bad value {value!r}")
+            parsed = parser.parse_args([args.command, f"{option}={value}"])
+        except _UsageError as exc:
+            raise _UsageError(f"config line {lineno}: {exc}")
         # flags explicitly given on the command line take precedence;
         # abbreviation is disabled so the option string appears verbatim
-        option = "--" + key
-        explicit = any(tok == option or tok.startswith(option + "=") for tok in argv)
-        if not explicit:
-            setattr(args, attr, parsed)
+        if not any(tok == option or tok.startswith(option + "=") for tok in argv):
+            attr = key.replace("-", "_")
+            setattr(args, attr, getattr(parsed, attr))
     return args
 
 
@@ -389,10 +374,7 @@ def _cmd_sparse_demo(args):
     s = rng.standard_normal(n)
     y = feasible @ s
     B0 = PDMatrix.identity(n)
-    result = sparse_update(
-        B0, SecantPair(s, y), pattern, family.tree, family.potential,
-        algorithm=args.algorithm, T=args.T,
-    )
+    result = sparse_update(B0, SecantPair(s, y), family)
     out = args.out or f"sparse-trace.{args.format}"
     export_trace(result.trace, out, args.format)
     slack = np.diff(result.trace) <= 1e-9 if len(result.trace) > 1 else np.array([True])
@@ -432,7 +414,7 @@ def run_command(argv):
     }
     try:
         if getattr(args, "config", None) is not None:
-            args = _apply_config_file(args, argv)
+            args = _apply_config_file(parser, args, argv)
         return handlers[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

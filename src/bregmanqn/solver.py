@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import (
     BregmanQNError,
-    CurvatureViolation,
     InvalidParameter,
     LineSearchFail,
     SingularTransform,
@@ -101,7 +100,6 @@ class SolverConfig:
     line_search: LineSearchParams = field(default_factory=LineSearchParams)
     grad_tol: float = 1e-8
     max_iter: int = 200
-    skip_policy: str = "skip"
     sparsity: tuple | None = None  # (pattern, algorithm, T)
     # what minimize runs: family, or the SparseUpdateFamily of family and sparsity
     update_family: UpdateFamily | SparseUpdateFamily = field(init=False, repr=False, compare=False)
@@ -113,8 +111,6 @@ class SolverConfig:
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
             raise InvalidParameter(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
         require_count("max_iter", self.max_iter)
-        if self.skip_policy not in ("skip", "error"):
-            raise InvalidParameter(f"unknown skip policy {self.skip_policy!r}")
         self.update_family = self.family
         if self.sparsity is not None:
             if len(self.sparsity) != 3:
@@ -379,18 +375,11 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
         s = x_new - x
         y = g_new - g
         sty = float(s @ y)
-        skipped = False
         scale = float(np.linalg.norm(s) * np.linalg.norm(y))
-        if sty <= CURVATURE_SKIP_RTOL * scale:
-            if config.skip_policy == "error":
-                raise CurvatureViolation(
-                    f"s'y = {sty:.3e} at iteration {k} with skip_policy='error'"
-                )
-            skipped = True
-        else:
-            pair = SecantPair(s, y)
+        skipped = sty <= CURVATURE_SKIP_RTOL * scale
+        if not skipped:
             try:
-                state = family.apply(state, pair)
+                state = family.apply(state, SecantPair(s, y))
             except BregmanQNError as exc:
                 status, reason = "UpdateFail", str(exc)
                 break

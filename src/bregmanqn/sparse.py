@@ -5,11 +5,12 @@ cardinality search or returns a chordless-cycle witness, the
 maximum-determinant completion assembled block by block over that tree,
 projection of a dense update onto the sparse submanifold, the two
 alternating projection schemes built from these pieces, and the update
-family through which the solver runs them.
+family that holds their checked configuration and through which the
+solver runs them.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     require_count,
 )
 from .pdlinalg import CholeskyFactor, PDMatrix, as_symmetric, cholesky_factorize
-from .potentials import Potential, log_potential
+from .potentials import log_potential
 from .geometry import (
     _as_pd,
     solve_neg_theta_det,
@@ -30,12 +31,17 @@ from .geometry import (
     trace_inner,
     v_bregman_divergence,
 )
-from .updates import SecantPair, dfp_update, minimize_divergence_affine, v_bfgs_update
+from .updates import (
+    _require_pair_length,
+    SecantPair,
+    dfp_update,
+    minimize_divergence_affine,
+    v_bfgs_update,
+)
 
 __all__ = [
     "SparsityPattern",
     "CliqueTree",
-    "CliqueFactorization",
     "SparseUpdateResult",
     "full_pattern",
     "diagonal_pattern",
@@ -58,9 +64,7 @@ class SparsityPattern:
     """Symmetric index set F on an n x n matrix; the diagonal is always in."""
 
     def __init__(self, n, edges=()):
-        if n % 1 != 0 or n < 1:
-            raise InvalidParameter(f"pattern dimension must be an integer >= 1, got {n!r}")
-        self.n = int(n)
+        self.n = _require_size("pattern dimension", n, 1)
         cleaned = set()
         for i, j in edges:
             # negated so that nan fails too; 2.0 is taken as 2, 2.7 is not
@@ -127,7 +131,16 @@ class SparsityPattern:
         return f"SparsityPattern(n={self.n}, edges={len(self.edges)})"
 
 
+def _require_size(name, value, low):
+    """value as an int; InvalidParameter unless it is an integer >= low."""
+    # negated so that nan and inf fail too; 2.0 is taken as 2, 2.7 is not
+    if not (value % 1 == 0 and value >= low):
+        raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def full_pattern(n):
+    n = _require_size("pattern dimension", n, 1)
     return SparsityPattern(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -137,8 +150,8 @@ def diagonal_pattern(n):
 
 def banded_pattern(n, bandwidth):
     """Band |i - j| <= bandwidth; bandwidth 1 is tridiagonal."""
-    if bandwidth < 0:
-        raise InvalidParameter("bandwidth must be nonnegative")
+    n = _require_size("pattern dimension", n, 1)
+    bandwidth = _require_size("bandwidth", bandwidth, 0)
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, min(n, i + bandwidth + 1))
     ]
@@ -147,6 +160,7 @@ def banded_pattern(n, bandwidth):
 
 def arrow_pattern(n):
     """Dense first row/column plus the diagonal."""
+    n = _require_size("pattern dimension", n, 1)
     return SparsityPattern(n, [(0, j) for j in range(1, n)])
 
 
@@ -244,32 +258,13 @@ class CliqueTree:
 
     cliques[r] is a sorted tuple of vertices; intersected with the union
     of all earlier cliques it equals separators[r], which is contained in
-    cliques[parent[r]].
+    cliques[parent[r]] (empty for a root, whose parent is None).
     """
 
     pattern: SparsityPattern
     cliques: list
     parent: list
-    separators: list = field(init=False)
-
-    def __post_init__(self):
-        covered = set()
-        seps = []
-        for r, c in enumerate(self.cliques):
-            cset = set(c)
-            sep = tuple(sorted(cset & covered))
-            if self.parent[r] is None:
-                if sep:
-                    raise RuntimeError("clique forest root has a nonempty separator")
-            elif set(sep) - set(self.cliques[self.parent[r]]):
-                raise RuntimeError("clique tree lost the running intersection property")
-            seps.append(sep)
-            covered |= cset
-        self.separators = seps
-
-    @property
-    def n(self):
-        return self.pattern.n
+    separators: list
 
 
 def is_chordal(pattern):
@@ -281,15 +276,16 @@ def is_chordal(pattern):
     a perfect elimination ordering exactly when every visited neighbor of
     each vertex is adjacent to its latest-visited one; raises NotChordal
     with a chordless cycle witness otherwise.  A vertex whose count of
-    visited neighbors did not grow opens a new clique, whose parent is
-    the clique of that latest neighbor; any other vertex joins the newest
-    clique.  The cliques come out in running-intersection order.
+    visited neighbors did not grow opens a new clique, whose separator is
+    those visited neighbors and whose parent is the clique of the latest
+    of them; any other vertex joins the newest clique.  The cliques come
+    out in running-intersection order.
     """
     n = pattern.n
     weights = [0] * n  # visited neighbors of each vertex
     visit_step = [None] * n
     clique_of = [None] * n
-    cliques, parents = [], []
+    cliques, parents, separators = [], [], []
     last_weight = 0
     for step in range(n):
         v = max(
@@ -309,60 +305,35 @@ def is_chordal(pattern):
         if weights[v] <= last_weight:
             cliques.append(set(earlier))
             parents.append(clique_of[u] if earlier else None)
+            separators.append(tuple(sorted(earlier)))
         cliques[-1].add(v)
         clique_of[v] = len(cliques) - 1
         last_weight = weights[v]
         visit_step[v] = step
         for x in pattern._adj[v]:
             weights[x] += 1
-    return CliqueTree(pattern, [tuple(sorted(c)) for c in cliques], parents)
+    return CliqueTree(pattern, [tuple(sorted(c)) for c in cliques], parents, separators)
 
 
 # ---------------------------------------------------------------------------
 # clique factorization of the maximum-determinant completion
 
 
-@dataclass(repr=False)
-class CliqueFactorization:
-    """The maximum-determinant completion X through its clique tree.
-
-    X^{-1} is the sum over cliques of the inverse clique blocks minus the
-    sum over separators of the inverse separator blocks, and log det X is
-    the matching sum of block log-determinants (Vandenberghe & Andersen,
-    Chordal Graphs and Semidefinite Optimization, 2015).
-    """
-
-    tree: CliqueTree
-    _log_det: float
-    _inverse: np.ndarray
-
-    @property
-    def n(self):
-        return self.tree.n
-
-    def inverse_completion(self):
-        """K = X^{-1} in the original vertex order; K is zero off-pattern."""
-        return self._inverse
-
-    def completion(self):
-        """The maximum-determinant completion X itself, original order."""
-        return PDMatrix.from_matrix(self._inverse).inv()
-
-    def log_det_completion(self):
-        return self._log_det
-
-
 def clique_factorize(entries, tree):
-    """Factor the maximum-determinant PD completion of a partial matrix.
+    """(log det X, X^{-1}) of the maximum-determinant PD completion X.
 
     entries is a dense symmetric array read only at pattern positions;
     every clique principal block must be PD, which is exactly the
-    condition for a PD completion to exist on a chordal pattern.  Each
-    clique and separator block is factored for its log det and inverted
-    into X^{-1} in one pass over the tree.
+    condition for a PD completion to exist on a chordal pattern.  X^{-1}
+    is the sum over cliques of the inverse clique blocks minus the sum
+    over separators of the inverse separator blocks, zero off-pattern,
+    and log det X is the matching sum of block log-determinants
+    (Vandenberghe & Andersen, Chordal Graphs and Semidefinite
+    Optimization, 2015); one pass over the tree factors and inverts
+    every block.
     """
     A = as_symmetric(entries)
-    n = tree.n
+    n = tree.pattern.n
     if A.shape != (n, n):
         raise InvalidParameter(f"entries shape {A.shape} does not match pattern n={n}")
 
@@ -379,19 +350,15 @@ def clique_factorize(entries, tree):
             Ass = A[np.ix_(sep, sep)]
             ld_separators += cholesky_factorize(Ass).log_det()
             K[np.ix_(sep, sep)] -= np.linalg.inv(Ass)
-    K = 0.5 * (K + K.T)
-    K.setflags(write=False)  # inverse_completion hands out this array itself
-    return CliqueFactorization(
-        tree=tree, _log_det=float(ld_cliques - ld_separators), _inverse=K
-    )
+    return float(ld_cliques - ld_separators), 0.5 * (K + K.T)
 
 
 # ---------------------------------------------------------------------------
 # projection onto the sparse submanifold
 
 
-def theta_v_project_sparse(Bbar, pattern, tree, pot):
-    """Project Bbar onto {B in PD : B zero off-pattern} along theta_V.
+def theta_v_project_sparse(Bbar, tree, pot):
+    """Project Bbar onto {B in PD : B zero off tree.pattern} along theta_V.
 
     The projection matches theta_V on the pattern, so take the pattern
     entries of -theta_V(Bbar), build the maximum-determinant completion X
@@ -400,15 +367,11 @@ def theta_v_project_sparse(Bbar, pattern, tree, pot):
     """
     Bbar = _as_pd(Bbar)
     n = Bbar.n
-    if pattern.n != n or tree.pattern != pattern:
-        raise InvalidParameter("pattern/tree do not match the matrix dimension")
     pot.require_admissible(n)
 
-    neg_theta = -theta_coordinate(Bbar, pot).matrix
-    fac = clique_factorize(neg_theta, tree)
-    ld_star = solve_neg_theta_det(fac.log_det_completion(), n, pot)
-    bstar = pot.nu_ld(ld_star) * fac.inverse_completion()
-    return PDMatrix.from_matrix(bstar)
+    log_det_x, K = clique_factorize(-theta_coordinate(Bbar, pot).matrix, tree)
+    ld_star = solve_neg_theta_det(log_det_x, n, pot)
+    return PDMatrix.from_matrix(pot.nu_ld(ld_star) * K)
 
 
 def _pattern_basis(pattern):
@@ -564,36 +527,33 @@ def _require_on_pattern(B, pattern):
         raise InvalidParameter("B has entries outside the sparsity pattern")
 
 
-def _require_rounds(algorithm, T):
-    if algorithm not in (1, 2):
-        raise InvalidParameter(f"algorithm must be 1 or 2, got {algorithm!r}")
-    require_count("T", T)
-
-
-def sparse_update(B, pair, pattern, tree, pot, algorithm, T=1):
+def sparse_update(B, pair, family):
     """Alternate a secant-manifold update with the sparse projection.
 
+    family is the SparseUpdateFamily that names the pattern, its clique
+    tree, the potential, the algorithm and the number of rounds T.
     Algorithm 1 moves to the DFP point of the current iterate, algorithm
     2 to its theta_V-projection on the secant manifold (the V-BFGS
-    point); both then project back onto the pattern.  T controls the
-    number of rounds; one round is the plain sparse quasi-Newton update.
+    point); both then project back onto the pattern.  One round is the
+    plain sparse quasi-Newton update.
     """
-    _require_rounds(algorithm, T)
     B = _as_pd(B)
     n = B.n
-    _require_on_pattern(B, pattern)
+    _require_pair_length(B, pair)
+    _require_on_pattern(B, family.pattern)
+    pot, tree, algorithm = family.potential, family.tree, family.algorithm
     pot.require_admissible(n)
 
     bstar = None
     if algorithm == 2 and n <= 4:
         try:
-            bstar = sparse_secant_oracle(B, pair, pattern, pot)
+            bstar = sparse_secant_oracle(B, pair, family.pattern, pot)
         except OracleNoConvergence:
             bstar = None  # constraint sets may not intersect; run the chain anyway
 
     trace = []
     cur = B
-    for _ in range(T):
+    for _ in range(family.T):
         if algorithm == 1:
             bar = dfp_update(cur, pair)
             trace.append(v_bregman_divergence(cur, bar, pot))
@@ -601,7 +561,7 @@ def sparse_update(B, pair, pattern, tree, pot, algorithm, T=1):
             bar = v_bfgs_update(cur, pair, pot)
             if bstar is not None:
                 trace.append(v_bregman_divergence(bstar, cur, pot))
-        nxt = theta_v_project_sparse(bar, pattern, tree, pot)
+        nxt = theta_v_project_sparse(bar, tree, pot)
         if algorithm == 2 and bstar is None:
             trace.append(v_bregman_divergence(nxt, cur, pot))
         cur = nxt
@@ -621,8 +581,9 @@ class SparseUpdateFamily:
     """sparse_update on a chordal pattern, behind UpdateFamily's state protocol.
 
     Takes a bfgs or vbfgs family, bfgs meaning the log potential, and
-    checks it, the pattern, algorithm and T once, keeping the clique
-    tree.  The state is (B, unscaled); initial_state raises
+    checks it, the pattern, algorithm (1 or 2) and T once, keeping the
+    clique tree; sparse_update(B, pair, family) reads all of them from
+    here.  The state is (B, unscaled); initial_state raises
     InvalidParameter for a B0 of the wrong dimension or off the pattern.
 
     The first applied update replaces B by theta B, theta = s'y / s'Bs,
@@ -658,7 +619,9 @@ class SparseUpdateFamily:
             raise InvalidParameter("sparse updates maintain B directly; use a bfgs or vbfgs family")
         if not isinstance(pattern, SparsityPattern):
             raise InvalidParameter(f"sparsity pattern must be a SparsityPattern, got {pattern!r}")
-        _require_rounds(algorithm, T)
+        if algorithm not in (1, 2):
+            raise InvalidParameter(f"algorithm must be 1 or 2, got {algorithm!r}")
+        require_count("T", T)
         self.pattern, self.algorithm, self.T = pattern, algorithm, T
         self.tree = is_chordal(pattern)
         self.potential = family.potential if family.potential is not None else log_potential()
@@ -681,10 +644,7 @@ class SparseUpdateFamily:
             Ls = B.factor.L.T @ pair.s
             theta = pair.curvature / float(Ls @ Ls)
             B = PDMatrix(CholeskyFactor(np.sqrt(theta) * B.factor.L))
-        out = sparse_update(
-            B, pair, self.pattern, self.tree, self.potential, self.algorithm, self.T
-        )
-        return out.b_out, False
+        return sparse_update(B, pair, self).b_out, False
 
     def det_b(self, state) -> float:
         return state[0].det()

@@ -77,6 +77,11 @@ class SecantPair:
         return f"SecantPair(n={self.n}, curvature={self.curvature:.6g})"
 
 
+def _require_pair_length(B: PDMatrix, pair: SecantPair) -> None:
+    if pair.n != B.n:
+        raise InvalidParameter(f"secant pair of length {pair.n} does not fit an n={B.n} matrix")
+
+
 def _secant_mix(B: PDMatrix, pair: SecantPair, ratio) -> PDMatrix:
     """r * BFGS(B) + (1 - r) * y y'/(s'y) in one rank-one factor step.
 
@@ -93,6 +98,7 @@ def _secant_mix(B: PDMatrix, pair: SecantPair, ratio) -> PDMatrix:
 
 def bfgs_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     """BFGS: B - Bss'B/(s'Bs) + yy'/(s'y), computed on the factor."""
+    _require_pair_length(B, pair)
     return _secant_mix(B, pair, lambda ld_bfgs: 1.0)
 
 
@@ -104,6 +110,7 @@ def dfp_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     solver path, which carries the inverse and takes that BFGS step (see
     UpdateFamily); sparse algorithm 1 and the tests need B itself.
     """
+    _require_pair_length(B, pair)
     s, y, sty = pair.s, pair.y, pair.curvature
     M = np.eye(pair.n) - np.outer(y, s) / sty
     A = M @ B.matrix @ M.T + np.outer(y, y) / sty
@@ -154,6 +161,7 @@ def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
     with c = 0) the ratio is exactly one, so the update is bfgs_update
     itself and needs no scalar solve.
     """
+    _require_pair_length(B, pair)
     n = pair.n
     pot.require_admissible(n)
     if pot.constant_nu:
@@ -192,6 +200,7 @@ def self_scaling_update(B: PDMatrix, pair: SecantPair, theta: float | None = Non
     and it is known to over-scale on well-conditioned problems, so treat it
     as a baseline rather than a default.
     """
+    _require_pair_length(B, pair)
     if theta is None:
         return _secant_mix(B, pair, lambda ld_bfgs: float(np.exp(ld_bfgs - B.logdet)))
     theta = float(theta)

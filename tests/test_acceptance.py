@@ -13,6 +13,7 @@ from bregmanqn import (
     SecantManifold,
     SecantPair,
     SolverConfig,
+    SparseUpdateFamily,
     UpdateFamily,
     arrow_pattern,
     banded_pattern,
@@ -198,7 +199,7 @@ def test_criterion_05_pythagorean_identities():
         pattern = banded_pattern(n, 1) if k % 2 == 0 else arrow_pattern(n)
         tree = is_chordal(pattern)
         b = random_pd(rng, n)
-        bstar = theta_v_project_sparse(b, pattern, tree, pot)
+        bstar = theta_v_project_sparse(b, tree, pot)
         c = rng.standard_normal((n, n))
         a = PDMatrix.from_matrix(pattern.restrict(c @ c.T + n * np.eye(n)))
         lhs = v_bregman_divergence(a, b, pot)
@@ -263,18 +264,16 @@ def test_criterion_07_sparse_algorithm2():
     # intersection angle; a secant dominated by the path's middle vertex
     # keeps the hidden direction nearly orthogonal to the secant normals
     pattern = banded_pattern(3, 1)
-    tree = is_chordal(pattern)
     worst = 0.0
     for pot in (log_potential(), power_potential(-0.2)):
+        family = SparseUpdateFamily(UpdateFamily("vbfgs", pot), pattern, 2, 50)
         rng = np.random.default_rng(1007)
         for _ in range(40):
             a = rng.standard_normal((3, 3))
             target = pattern.restrict(a @ a.T + 3 * np.eye(3))
             s = np.array([0.0, 1.0, 0.0]) + 0.05 * rng.standard_normal(3)
             pair = SecantPair(s, target @ s)
-            res = sparse_update(
-                PDMatrix.identity(3), pair, pattern, tree, pot, algorithm=2, T=50
-            )
+            res = sparse_update(PDMatrix.identity(3), pair, family)
             assert res.trace_kind == "to-limit"
             assert np.all(np.diff(res.trace) <= 1e-9)
             worst = max(worst, float(res.trace[-1]))
@@ -295,7 +294,7 @@ def test_criterion_08_sparse_projection():
         tree = is_chordal(pattern)
         pot = BUILTINS[k % 3]
         b = random_pd(rng, n)
-        bstar = theta_v_project_sparse(b, pattern, tree, pot)
+        bstar = theta_v_project_sparse(b, tree, pot)
         tb = theta_coordinate(b, pot).matrix
         ts = theta_coordinate(bstar, pot).matrix
         for (i, j) in pattern.pairs:
@@ -309,8 +308,8 @@ def test_criterion_08_sparse_projection():
         # max-determinant completion of the pattern data: moving any one
         # free entry never improves the determinant
         entries = pattern.restrict(b.matrix)
-        fac = clique_factorize(entries, tree)
-        x = fac.completion()
+        _, inv_x = clique_factorize(entries, tree)
+        x = PDMatrix.from_matrix(inv_x).inv()
         best = np.linalg.det(x)
         free = [
             (i, j)

@@ -206,6 +206,17 @@ def test_config_file_rejections(tmp_path):
     assert run_command(["compare", "--config", str(misplaced),
                         "--out", str(tmp_path / "e.csv")]) == 0
 
+    # file values meet the flag's choices: banana used to run the gl transform
+    bad_choice = tmp_path / "f.cfg"
+    bad_choice.write_text("transform = banana\n")
+    assert run_command(["invariance", "--config", str(bad_choice), "--max-iter", "3"]) == 1
+    assert run_command(["invariance", "--transform", "banana", "--max-iter", "3"]) == 1
+
+    # a config file cannot name another one
+    nested = tmp_path / "g.cfg"
+    nested.write_text(f"config = {bad_key}\n")
+    assert run_command(["solve", "--config", str(nested), "--out", str(out)]) == 1
+
 
 def test_compare_summary(tmp_path):
     out = tmp_path / "cmp.csv"

@@ -1,4 +1,4 @@
-"""Driver loop: line searches, convergence, invariance, skip policy."""
+"""Driver loop: line searches, convergence, invariance, skipped updates."""
 
 from unittest import mock
 
@@ -11,7 +11,6 @@ import bregmanqn.solver
 import bregmanqn.sparse
 import bregmanqn.updates
 from bregmanqn import (
-    CurvatureViolation,
     InvalidParameter,
     LineSearchFail,
     LineSearchParams,
@@ -29,8 +28,6 @@ from bregmanqn import (
     check_gradient,
     get_problem,
     invariance_check,
-    is_chordal,
-    log_potential,
     minimize,
     sparse_update,
     transform_problem,
@@ -143,8 +140,6 @@ def test_solver_config_validation():
         with pytest.raises(InvalidParameter):
             SolverConfig(fam, **kwargs)
     assert SolverConfig(fam, max_iter=np.int64(3)).max_iter == 3
-    with pytest.raises(InvalidParameter):
-        SolverConfig(fam, skip_policy="maybe")
     pat = banded_pattern(4, 1)
     with pytest.raises(InvalidParameter):
         SolverConfig(UpdateFamily("dfp"), sparsity=(pat, 2, 5))
@@ -541,8 +536,8 @@ def _first_pairs(spec, trace, count):
 
 def test_sparse_run_scales_b0_once_before_its_first_update():
     spec = get_problem("broyden-tridiagonal:6")
-    pattern, tree, pot = spec.pattern, is_chordal(spec.pattern), log_potential()
-    cfg = SolverConfig("bfgs", grad_tol=1e-6, sparsity=(pattern, 2, 3))
+    cfg = SolverConfig("bfgs", grad_tol=1e-6, sparsity=(spec.pattern, 2, 3))
+    family = cfg.update_family
     trace = minimize(spec.objective, spec.start, config=cfg, record_b=True)
     assert trace.status == "Converged"
     r0, r1, r2 = trace.records[:3]
@@ -550,14 +545,12 @@ def test_sparse_run_scales_b0_once_before_its_first_update():
     first, second = _first_pairs(spec, trace, 2)
     theta = (first.s @ first.y) / (first.s @ r0.b @ first.s)
     scaled = PDMatrix.from_matrix(theta * r0.b)
-    expected = sparse_update(scaled, first, pattern, tree, pot, 2, 3).b_out.matrix
+    expected = sparse_update(scaled, first, family).b_out.matrix
     np.testing.assert_allclose(r1.b, expected, rtol=1e-10, atol=1e-12)
-    unscaled = sparse_update(PDMatrix.from_matrix(r0.b), first, pattern, tree, pot, 2, 3)
+    unscaled = sparse_update(PDMatrix.from_matrix(r0.b), first, family)
     assert np.abs(unscaled.b_out.matrix - r1.b).max() > 1e-2
     # once only: the second update starts from the first one's B as it is
-    expected = sparse_update(
-        PDMatrix.from_matrix(r1.b), second, pattern, tree, pot, 2, 3
-    ).b_out.matrix
+    expected = sparse_update(PDMatrix.from_matrix(r1.b), second, family).b_out.matrix
     np.testing.assert_allclose(r2.b, expected, rtol=1e-10, atol=1e-12)
     # an explicit identity B0 is scaled like the default one
     explicit = minimize(
@@ -580,7 +573,7 @@ def test_dense_run_does_not_scale_b0():
     np.testing.assert_allclose(trace.records[1].b, expected, rtol=1e-12, atol=1e-14)
 
 
-# -------------------------------------------------------------- skip policy
+# ---------------------------------------------------------- skipped updates
 
 
 def skip_trigger_objective():
@@ -607,13 +600,6 @@ def test_skip_policy_skip_keeps_b():
     rec = trace.records[1]
     assert rec.skipped
     assert rec.det_b == 1.0  # update suppressed, B still the identity
-
-
-def test_skip_policy_error_raises():
-    obj = skip_trigger_objective()
-    cfg = SolverConfig(UpdateFamily("bfgs"), max_iter=1, skip_policy="error")
-    with pytest.raises(CurvatureViolation):
-        minimize(obj, np.array([-1.0, 0.0]), config=cfg)
 
 
 # ------------------------------------------------------------- sparse chain

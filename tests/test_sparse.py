@@ -11,7 +11,9 @@ from bregmanqn import (
     NotChordal,
     PDMatrix,
     SecantPair,
+    SparseUpdateFamily,
     SparsityPattern,
+    UpdateFamily,
     arrow_pattern,
     banded_pattern,
     bfgs_update,
@@ -33,6 +35,10 @@ from bregmanqn import (
     theta_coordinate,
     v_bregman_divergence,
 )
+
+
+def sparse_family(pattern, pot, algorithm, T):
+    return SparseUpdateFamily(UpdateFamily("vbfgs", pot), pattern, algorithm, T)
 
 
 def tridiag_entries(rng, n, diag=4.0):
@@ -82,6 +88,19 @@ def test_pattern_rejects_bad_edges():
     )
     # self loops fold into the implied diagonal
     assert SparsityPattern(3, [(1, 1)]).edges == ()
+    # the builders take the sizes SparsityPattern takes: a nan bandwidth
+    # used to give the full pattern, 2.0 a TypeError from range
+    for bad in (2.5, float("nan"), float("inf"), 0, -1):
+        for build in (full_pattern, arrow_pattern, lambda n: banded_pattern(n, 1)):
+            with pytest.raises(InvalidParameter):
+                build(bad)
+    for bad in (1.5, float("nan"), float("inf"), -1):
+        with pytest.raises(InvalidParameter):
+            banded_pattern(5, bad)
+    assert banded_pattern(5.0, 2.0) == banded_pattern(5, 2)
+    assert full_pattern(3.0) == full_pattern(3)
+    assert arrow_pattern(np.float64(3.0)) == arrow_pattern(3)
+    assert banded_pattern(5, 0) == diagonal_pattern(5)
 
 
 def test_pattern_restrict_and_off_pattern():
@@ -213,6 +232,37 @@ def test_chordal_random_interval_graphs():
         assert_clique_tree(p, is_chordal(p))
 
 
+def random_fill_pattern(rng, n):
+    # the fill graph of an elimination order is chordal: eliminating a
+    # vertex joins all of its neighbors not yet eliminated
+    density = rng.uniform(0.05, 0.5)
+    adj = [set() for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.uniform() < density:
+            adj[i].add(j)
+            adj[j].add(i)
+    remaining = set(range(n))
+    for v in rng.permutation(n):
+        remaining.discard(int(v))
+        for a, b in itertools.combinations(sorted(adj[v] & remaining), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return SparsityPattern(n, [(i, j) for i in range(n) for j in adj[i] if i < j])
+
+
+def test_clique_tree_of_random_fill_graphs():
+    # sparse draws give disconnected patterns, n = 1 a single vertex
+    rng = np.random.default_rng(4)
+    seen_disconnected = seen_single = False
+    for _ in range(300):
+        p = random_fill_pattern(rng, int(rng.integers(1, 10)))
+        tree = is_chordal(p)
+        assert_clique_tree(p, tree)
+        seen_single |= p.n == 1
+        seen_disconnected |= tree.parent.count(None) > 1
+    assert seen_single and seen_disconnected
+
+
 def test_clique_tree_satisfies_rip():
     patterns = [arrow_pattern(6), diagonal_pattern(4), full_pattern(3)]
     patterns += [banded_pattern(n, 2) for n in range(5, 10)]
@@ -233,14 +283,12 @@ def test_completion_small_oracle():
     entries = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
     pattern = banded_pattern(3, 1)
     tree = is_chordal(pattern)
-    fac = clique_factorize(entries, tree)
-    x = fac.completion()
+    log_det, k = clique_factorize(entries, tree)
+    x = PDMatrix.from_matrix(k).inv()
     assert x[0, 2] == pytest.approx(0.5, abs=1e-12)
     assert np.linalg.det(x) == pytest.approx(4.5, rel=1e-12)
-    assert np.exp(fac.log_det_completion()) == pytest.approx(4.5, rel=1e-12)
-    k = fac.inverse_completion()
+    assert np.exp(log_det) == pytest.approx(4.5, rel=1e-12)
     assert abs(k[0, 2]) < 1e-14
-    assert not k.flags.writeable  # the factorization's own copy
     assert np.abs(k @ x - np.eye(3)).max() < 1e-12
 
 
@@ -250,8 +298,8 @@ def test_completion_beats_grid_search():
         entries = tridiag_entries(rng, 4)
         pattern = banded_pattern(4, 1)
         tree = is_chordal(pattern)
-        fac = clique_factorize(entries, tree)
-        x = fac.completion()
+        _, k = clique_factorize(entries, tree)
+        x = PDMatrix.from_matrix(k).inv()
         best = np.linalg.det(x)
         for (i, j) in [(0, 2), (0, 3), (1, 3)]:
             e = np.zeros((4, 4))
@@ -274,11 +322,11 @@ def test_completion_respects_given_entries():
     tree = is_chordal(pattern)
     a = rng.standard_normal((6, 6))
     entries = pattern.restrict(a @ a.T + 6 * np.eye(6))
-    fac = clique_factorize(entries, tree)
-    x = fac.completion()
+    _, k = clique_factorize(entries, tree)
+    x = PDMatrix.from_matrix(k).inv()
     for (i, j) in pattern.pairs:
         assert x[i, j] == pytest.approx(entries[i, j], rel=1e-10, abs=1e-10)
-    assert pattern.off_pattern_magnitude(fac.inverse_completion()) < 1e-12
+    assert pattern.off_pattern_magnitude(k) < 1e-12
 
 
 # --------------------------------------------------------------- projection
@@ -291,7 +339,7 @@ def test_projection_full_pattern_is_identity():
     pattern = full_pattern(4)
     tree = is_chordal(pattern)
     for pot in (log_potential(), power_potential(0.2)):
-        out = theta_v_project_sparse(b, pattern, tree, pot)
+        out = theta_v_project_sparse(b, tree, pot)
         assert np.abs(out.matrix - b.matrix).max() < 1e-10 * np.abs(b.matrix).max()
 
 
@@ -302,7 +350,7 @@ def test_projection_diagonal_log_closed_form():
     b = PDMatrix.from_matrix(a @ a.T + 5 * np.eye(5))
     pattern = diagonal_pattern(5)
     tree = is_chordal(pattern)
-    out = theta_v_project_sparse(b, pattern, tree, log_potential())
+    out = theta_v_project_sparse(b, tree, log_potential())
     expect = np.diag(1.0 / np.diag(np.linalg.inv(b.matrix)))
     assert np.abs(out.matrix - expect).max() < 1e-12 * np.abs(expect).max()
 
@@ -318,7 +366,7 @@ def test_projection_theta_match_and_membership():
             tree = is_chordal(pattern)
             a = rng.standard_normal((n, n))
             b = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
-            out = theta_v_project_sparse(b, pattern, tree, pot)
+            out = theta_v_project_sparse(b, tree, pot)
             assert pattern.off_pattern_magnitude(out.matrix) < 1e-10 * np.abs(
                 out.matrix
             ).max()
@@ -337,7 +385,7 @@ def test_projection_agrees_with_numeric_oracle():
             tree = is_chordal(pattern)
             a = rng.standard_normal((n, n))
             b = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
-            closed = theta_v_project_sparse(b, pattern, tree, pot)
+            closed = theta_v_project_sparse(b, tree, pot)
             numeric = sparse_projection_oracle(b, pattern, pot)
             dev = np.abs(closed.matrix - numeric.matrix).max()
             assert dev < 1e-6 * np.abs(closed.matrix).max()
@@ -353,7 +401,7 @@ def test_projection_pythagoras():
             tree = is_chordal(pattern)
             a = rng.standard_normal((n, n))
             b = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
-            bstar = theta_v_project_sparse(b, pattern, tree, pot)
+            bstar = theta_v_project_sparse(b, tree, pot)
             c = rng.standard_normal((n, n))
             other = PDMatrix.from_matrix(
                 pattern.restrict(c @ c.T + n * np.eye(n))
@@ -382,7 +430,7 @@ def test_theta_maps_beyond_exp_range(log_det):
     assert np.abs(back.matrix - m).max() < 1e-9 * np.abs(m).max()
 
     pattern = banded_pattern(n, 2)
-    out = theta_v_project_sparse(b, pattern, is_chordal(pattern), pot)
+    out = theta_v_project_sparse(b, is_chordal(pattern), pot)
     assert pattern.off_pattern_magnitude(out.matrix) < 1e-10 * np.abs(out.matrix).max()
     tb = pattern.restrict(theta_coordinate(b, pot).matrix)
     to = pattern.restrict(theta_coordinate(out, pot).matrix)
@@ -416,12 +464,12 @@ def well_angled_instance(rng, pattern):
 def test_sparse_update_algorithm2_chain():
     rng = np.random.default_rng(11)
     pattern = banded_pattern(3, 1)
-    tree = is_chordal(pattern)
     for pot in (log_potential(), power_potential(-0.2)):
+        family = sparse_family(pattern, pot, algorithm=2, T=50)
         for _ in range(5):
             pair = well_angled_instance(rng, pattern)
             b0 = PDMatrix.identity(3)
-            res = sparse_update(b0, pair, pattern, tree, pot, algorithm=2, T=50)
+            res = sparse_update(b0, pair, family)
             assert res.trace_kind == "to-limit"
             assert res.bstar is not None
             diffs = np.diff(res.trace)
@@ -439,14 +487,11 @@ def test_sparse_update_algorithm2_monotone_generic():
     # however slow the instance
     rng = np.random.default_rng(21)
     pattern = banded_pattern(3, 1)
-    tree = is_chordal(pattern)
     for pot in (log_potential(), power_potential(-0.2)):
+        family = sparse_family(pattern, pot, algorithm=2, T=30)
         for _ in range(6):
             pair = feasible_instance(rng, 3, pattern)
-            res = sparse_update(
-                PDMatrix.identity(3), pair, pattern, tree, pot,
-                algorithm=2, T=30,
-            )
+            res = sparse_update(PDMatrix.identity(3), pair, family)
             assert res.trace_kind == "to-limit"
             assert np.all(np.diff(res.trace) <= 1e-9)
 
@@ -454,13 +499,10 @@ def test_sparse_update_algorithm2_monotone_generic():
 def test_sparse_update_algorithm1_log_monotone():
     rng = np.random.default_rng(12)
     pattern = banded_pattern(4, 1)
-    tree = is_chordal(pattern)
+    family = sparse_family(pattern, log_potential(), algorithm=1, T=40)
     for _ in range(5):
         pair = feasible_instance(rng, 4, pattern)
-        res = sparse_update(
-            PDMatrix.identity(4), pair, pattern, tree, log_potential(),
-            algorithm=1, T=40,
-        )
+        res = sparse_update(PDMatrix.identity(4), pair, family)
         assert res.trace_kind == "eta-gap"
         assert np.all(np.diff(res.trace) <= 1e-9)
 
@@ -468,7 +510,6 @@ def test_sparse_update_algorithm1_log_monotone():
 def test_sparse_update_full_pattern_single_step_is_bfgs():
     rng = np.random.default_rng(13)
     pattern = full_pattern(4)
-    tree = is_chordal(pattern)
     a = rng.standard_normal((4, 4))
     b = PDMatrix.from_matrix(a @ a.T + 4 * np.eye(4))
     s = rng.standard_normal(4)
@@ -476,7 +517,7 @@ def test_sparse_update_full_pattern_single_step_is_bfgs():
     if s @ y <= 0:
         y = -y
     pair = SecantPair(s, y)
-    res = sparse_update(b, pair, pattern, tree, log_potential(), algorithm=2, T=1)
+    res = sparse_update(b, pair, sparse_family(pattern, log_potential(), algorithm=2, T=1))
     ref = bfgs_update(b, pair)
     assert np.abs(res.b_out.matrix - ref.matrix).max() < 1e-10 * np.abs(
         ref.matrix
@@ -485,14 +526,10 @@ def test_sparse_update_full_pattern_single_step_is_bfgs():
 
 def test_sparse_update_infeasible_falls_back_to_successive():
     # diagonal pattern cannot reproduce y with mixed support from this s
-    pattern = diagonal_pattern(3)
-    tree = is_chordal(pattern)
+    family = sparse_family(diagonal_pattern(3), log_potential(), algorithm=2, T=30)
     s = np.array([0.0, 1.0, 1.0])
     y = np.array([1.0, 1.0, 2.0])
-    res = sparse_update(
-        PDMatrix.identity(3), SecantPair(s, y), pattern, tree, log_potential(),
-        algorithm=2, T=30,
-    )
+    res = sparse_update(PDMatrix.identity(3), SecantPair(s, y), family)
     assert res.trace_kind == "successive"
     assert res.bstar is None
 
@@ -500,12 +537,9 @@ def test_sparse_update_infeasible_falls_back_to_successive():
 def test_sparse_update_larger_n_successive():
     rng = np.random.default_rng(14)
     pattern = banded_pattern(6, 1)
-    tree = is_chordal(pattern)
     pair = feasible_instance(rng, 6, pattern)
-    res = sparse_update(
-        PDMatrix.identity(6), pair, pattern, tree, log_potential(),
-        algorithm=2, T=250,
-    )
+    family = sparse_family(pattern, log_potential(), algorithm=2, T=250)
+    res = sparse_update(PDMatrix.identity(6), pair, family)
     assert res.trace_kind == "successive"
     assert res.trace[-1] <= 1e-9
     assert np.all(np.diff(res.trace) <= 1e-9)
@@ -513,34 +547,27 @@ def test_sparse_update_larger_n_successive():
 
 def test_sparse_update_validates_inputs():
     pattern = banded_pattern(3, 1)
-    tree = is_chordal(pattern)
     pair = SecantPair(np.ones(3), np.ones(3))
-    with pytest.raises(InvalidParameter):
-        sparse_update(PDMatrix.identity(3), pair, pattern, tree,
-                      log_potential(), algorithm=3, T=5)
-    with pytest.raises(InvalidParameter):
-        sparse_update(PDMatrix.identity(3), pair, pattern, tree,
-                      log_potential(), algorithm=1, T=0)
-    with pytest.raises(InvalidParameter):
-        sparse_update(PDMatrix.identity(3), pair, pattern, tree,
-                      log_potential(), algorithm=1, T=1.5)
+    # algorithm and T are checked once, by the family
+    for algorithm, T in ((3, 5), (1, 0), (1, 1.5)):
+        with pytest.raises(InvalidParameter):
+            sparse_family(pattern, log_potential(), algorithm, T)
     off = PDMatrix.from_matrix(np.eye(3) + 0.5 * np.ones((3, 3)))
     with pytest.raises(InvalidParameter):
-        sparse_update(off, pair, SparsityPattern(3, [(0, 1)]),
-                      is_chordal(SparsityPattern(3, [(0, 1)])),
-                      log_potential(), algorithm=1, T=5)
+        sparse_update(
+            off, pair, sparse_family(SparsityPattern(3, [(0, 1)]), log_potential(), 1, 5)
+        )
 
 
 def test_sparse_secant_oracle_matches_limit():
     rng = np.random.default_rng(15)
     pattern = banded_pattern(3, 1)
-    tree = is_chordal(pattern)
     pair = feasible_instance(rng, 3, pattern)
     b = PDMatrix.identity(3)
     bstar = sparse_secant_oracle(b, pair, pattern, log_potential())
     assert np.abs(bstar.matrix @ pair.s - pair.y).max() < 1e-7
     assert pattern.off_pattern_magnitude(bstar.matrix) < 1e-9
-    res = sparse_update(b, pair, pattern, tree, log_potential(), algorithm=2, T=120)
+    res = sparse_update(b, pair, sparse_family(pattern, log_potential(), algorithm=2, T=120))
     dev = np.abs(res.b_out.matrix - bstar.matrix).max()
     assert dev < 1e-5 * np.abs(bstar.matrix).max()
 
@@ -550,11 +577,8 @@ def test_scales_to_medium_n():
     rng = np.random.default_rng(16)
     n = 200
     pattern = banded_pattern(n, 1)
-    tree = is_chordal(pattern)
     pair = feasible_instance(rng, n, pattern)
-    res = sparse_update(
-        PDMatrix.identity(n), pair, pattern, tree, log_potential(),
-        algorithm=2, T=3,
-    )
+    family = sparse_family(pattern, log_potential(), algorithm=2, T=3)
+    res = sparse_update(PDMatrix.identity(n), pair, family)
     assert res.trace.shape == (3,)
     assert pattern.off_pattern_magnitude(res.b_out.matrix) < 1e-8

@@ -9,7 +9,9 @@ from bregmanqn import (
     RootNotBracketed,
     PDMatrix,
     SecantPair,
+    SparseUpdateFamily,
     UpdateFamily,
+    banded_pattern,
     bfgs_update,
     bounded_potential,
     cholesky_factorize,
@@ -18,6 +20,7 @@ from bregmanqn import (
     power_potential,
     self_scaling_update,
     solve_scaling_equation,
+    sparse_update,
     v_bfgs_update,
     v_bregman_divergence,
     v_dfp_update,
@@ -48,6 +51,31 @@ def test_secant_pair_validation():
     assert p.curvature == pytest.approx(5.0)
     sw = p.swapped()
     assert np.array_equal(sw.s, p.y) and np.array_equal(sw.y, p.s)
+
+
+def test_updates_reject_a_pair_of_the_wrong_length():
+    # these raised numpy's own ValueError from a matrix product
+    rng = np.random.default_rng(30)
+    updates = (
+        bfgs_update,
+        dfp_update,
+        self_scaling_update,
+        lambda b, pair: self_scaling_update(b, pair, 0.5),
+        lambda b, pair: v_bfgs_update(b, pair, log_potential()),
+        lambda b, pair: v_bfgs_update(b, pair, power_potential(0.1)),
+        lambda b, pair: v_dfp_update(b, pair, bounded_potential(0.4)),
+    )
+    for n in (3, 6):
+        b, _ = random_case(rng, n)
+        _, short = random_case(rng, n - 1)
+        for update in updates:
+            with pytest.raises(InvalidParameter):
+                update(b, short)
+        # the n <= 4 sparse check used to come from the secant oracle alone
+        for algorithm in (1, 2):
+            family = SparseUpdateFamily(UpdateFamily("bfgs"), banded_pattern(n, 1), algorithm, 2)
+            with pytest.raises(InvalidParameter):
+                sparse_update(PDMatrix.identity(n), short, family)
 
 
 def test_bfgs_secant_and_pd():
