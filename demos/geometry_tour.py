@@ -38,9 +38,9 @@ print()
 
 pot = power_potential(0.25)
 theta = theta_coordinate(P, pot)
-back = invert_theta(theta)
+back = invert_theta(theta, pot)
 print("theta_V round trip for the power potential:")
-print(f"  theta eigenvalues (all negative): {np.linalg.eigvalsh(theta.matrix)}")
+print(f"  theta eigenvalues (all negative): {np.linalg.eigvalsh(theta)}")
 print(f"  max |invert(theta(P)) - P|       = {np.abs(back.matrix - P.matrix).max():.2e}")
 print()
 

@@ -32,8 +32,6 @@ from .potentials import (
 )
 from .potentials import from_string as potential_from_string
 from .geometry import (
-    SecantManifold,
-    ThetaPoint,
     generic_bregman,
     invert_theta,
     kl_divergence,

@@ -1,12 +1,13 @@
-"""Safeguarded Newton in log-space for the determinant equations.
+"""Safeguarded Newton in log-space for the determinant equation.
 
-Both determinant-side scalar solves (the scaling equation of the weighted
-updates and the dual-coordinate inversion) have the form
+The scaling equation of the weighted updates (k = n - 1) and the
+dual-coordinate inversion (k = n) are one equation,
 
     g(ld) = ld - k * log nu(ld) - t = 0,        ld = log z,
 
 with g' = 1 - k * beta(ld) > 0 for admissible potentials (beta < 1/n,
-k <= n), so one bracketed Newton with bisection fallback serves both.  The
+k <= n).  geometry.solve_det_equation solves it, and calls this bracketed
+Newton with bisection fallback when the potential has no closed form.  The
 bracket grows outward until g changes sign, so the root is found at any
 log det a float64 factor can represent.
 """

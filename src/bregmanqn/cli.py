@@ -199,14 +199,18 @@ def _apply_config_file(parser, args, argv):
 
 def _resolve_seed(args):
     if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("BREGMANQN_SEED")
-    if env is not None:
+        seed, source = int(args.seed), "--seed"
+    else:
+        env = os.environ.get("BREGMANQN_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "BREGMANQN_SEED"
         except ValueError:
             raise _UsageError(f"BREGMANQN_SEED is not an integer: {env!r}")
-    return 0
+    if seed < 0:
+        raise _UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _solve_once(problem_name, family_str, tol, max_iter, seed):

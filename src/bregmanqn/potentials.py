@@ -20,7 +20,7 @@ Together they make V decreasing (nu > 0) and strictly convex
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class PotentialReport:
     beta_bound_ok: bool
     limit_ok: bool
     beta_max: float
-    grid: np.ndarray = field(repr=False)
 
     @property
     def admissible(self) -> bool:
@@ -66,14 +65,10 @@ class Potential:
         self._reports: dict[int, PotentialReport] = {}
 
     @property
-    def closed_form_scaling(self) -> bool:
-        """The scaling equation has a closed-form root (the power family)."""
-        return self.kind == "power"
-
-    @property
     def constant_nu(self) -> bool:
-        """nu is constant (log, and bounded with c = 0), so the weight ratio
-        of every weighted update is exactly one."""
+        """nu is constant (log, and bounded with c = 0), so the determinant
+        equation ld - k log nu(ld) = t has the root ld = t and the weight
+        ratio of every weighted update is exactly one."""
         return self.kind == "log" or (self.kind == "bounded" and self.params["c"] == 0.0)
 
     def nu_ld(self, ld: float) -> float:
@@ -105,9 +100,6 @@ class Potential:
 
     def __repr__(self):
         return f"Potential({self.label()})"
-
-    def validate(self, n: int) -> PotentialReport:
-        return validate(self, n)
 
     def require_admissible(self, n: int) -> None:
         """Validate for dimension n (cached); raise if inadmissible."""
@@ -291,7 +283,6 @@ def validate(pot: Potential, n: int) -> PotentialReport:
         beta_bound_ok=beta_bound_ok,
         limit_ok=limit_ok,
         beta_max=beta_max,
-        grid=BETA_GRID.copy(),
     )
     pot._reports[n] = report
     return report

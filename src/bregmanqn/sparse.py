@@ -26,7 +26,7 @@ from .pdlinalg import CholeskyFactor, PDMatrix, as_symmetric, cholesky_factorize
 from .potentials import log_potential
 from .geometry import (
     _as_pd,
-    solve_neg_theta_det,
+    _from_neg_theta,
     theta_coordinate,
     trace_inner,
     v_bregman_divergence,
@@ -360,18 +360,13 @@ def clique_factorize(entries, tree):
 def theta_v_project_sparse(Bbar, tree, pot):
     """Project Bbar onto {B in PD : B zero off tree.pattern} along theta_V.
 
-    The projection matches theta_V on the pattern, so take the pattern
-    entries of -theta_V(Bbar), build the maximum-determinant completion X
-    through the clique tree, solve det X = nu(z)^n / z for the projected
-    determinant, and scale: B* = nu(z*) X^{-1}.
+    The projection matches theta_V on the pattern, so it is theta_V^{-1}
+    of -X, where X is the maximum-determinant completion of the pattern
+    entries of -theta_V(Bbar), built through the clique tree:
+    B* = nu(z*) X^{-1} with det X = nu(z*)^n / z*.
     """
-    Bbar = _as_pd(Bbar)
-    n = Bbar.n
-    pot.require_admissible(n)
-
-    log_det_x, K = clique_factorize(-theta_coordinate(Bbar, pot).matrix, tree)
-    ld_star = solve_neg_theta_det(log_det_x, n, pot)
-    return PDMatrix.from_matrix(pot.nu_ld(ld_star) * K)
+    log_det_x, K = clique_factorize(-theta_coordinate(Bbar, pot), tree)
+    return _from_neg_theta(log_det_x, K, pot)
 
 
 def _pattern_basis(pattern):

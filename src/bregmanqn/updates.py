@@ -37,19 +37,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import newton_bisect_log
 from .errors import CurvatureViolation, InvalidParameter, OracleNoConvergence
-from .geometry import SecantManifold, theta_coordinate, trace_inner, v_bregman_divergence
-# cholesky_factorize is unused here but stays bound: bench/ traces and
-# checks every module binding of it.
-from .pdlinalg import CholeskyFactor, PDMatrix, cholesky_factorize, rank_one_update  # noqa: F401
+from .geometry import solve_det_equation, theta_coordinate, trace_inner, v_bregman_divergence
+from .pdlinalg import CholeskyFactor, PDMatrix, as_symmetric, rank_one_update
 from .potentials import Potential, from_string as potential_from_string
-
-CURVATURE_RTOL = 1e-12
+# newton_bisect_log and cholesky_factorize are unused here but stay bound:
+# bench/ traces and checks these module bindings.
+from ._roots import newton_bisect_log  # noqa: F401
+from .pdlinalg import cholesky_factorize  # noqa: F401
 
 
 class SecantPair:
-    """Step/gradient-difference pair with positive curvature s'y."""
+    """Step/gradient-difference pair with positive curvature s'y, and the
+    secant slice {B symmetric : B s = y}, which then meets the PD cone."""
 
     __slots__ = ("s", "y", "curvature")
 
@@ -72,6 +72,31 @@ class SecantPair:
     def swapped(self) -> "SecantPair":
         """The pair with s and y exchanged (same curvature)."""
         return SecantPair(self.y, self.s)
+
+    def particular_point(self) -> np.ndarray:
+        """The rank-one member y y' / s'y of the slice {B : B s = y} (PSD)."""
+        return np.outer(self.y, self.y) / self.curvature
+
+    def contains(self, B, tol: float = 1e-10) -> bool:
+        """Whether B s = y, relative to 1 + |y|."""
+        B = as_symmetric(B)
+        return bool(np.linalg.norm(B @ self.s - self.y) <= tol * (1.0 + np.linalg.norm(self.y)))
+
+    def tangent_basis(self) -> list[np.ndarray]:
+        """Frobenius-orthonormal basis of {Delta symmetric : Delta s = 0}."""
+        n = self.n
+        u = self.s / np.linalg.norm(self.s)
+        # Householder reflector mapping e1 -> u; its trailing columns span s-perp.
+        w = u.copy()
+        w[0] += 1.0 if u[0] >= 0.0 else -1.0
+        H = np.eye(n) - 2.0 * np.outer(w, w) / (w @ w)
+        q = [H[:, j] for j in range(1, n)]
+        basis = []
+        for i in range(n - 1):
+            basis.append(np.outer(q[i], q[i]))
+            for j in range(i + 1, n - 1):
+                basis.append((np.outer(q[i], q[j]) + np.outer(q[j], q[i])) / np.sqrt(2.0))
+        return basis
 
     def __repr__(self):
         return f"SecantPair(n={self.n}, curvature={self.curvature:.6g})"
@@ -120,36 +145,14 @@ def dfp_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
 def solve_scaling_equation(C: float, pot: Potential, n: int) -> float:
     """Unique positive root of z = C * nu(z)^(n-1).
 
-    Power potentials take the closed form z = C^(1/(1-(n-1)*gamma)).
-    Otherwise Newton on log z from log C with a bisection safeguard
-    (_roots.newton_bisect_log) on zeta(z) - log C, stopping when that
-    log-space residual is at most 1e-13 * (1 + |log C|).
+    In log form this is geometry.solve_det_equation with t = log C and
+    k = n - 1.
     """
     C = float(C)
     if not C > 0.0 or not np.isfinite(C):
         raise InvalidParameter(f"C must be a positive real, got {C!r}")
-    if n < 1:
-        raise InvalidParameter(f"dimension must be >= 1, got {n}")
-    pot.require_admissible(n)
-    log_c = np.log(C)
-    return float(np.exp(_solve_scaling_ld(log_c, pot, n, log_c)))
-
-
-def _solve_scaling_ld(log_c: float, pot: Potential, n: int, ld0: float) -> float:
-    """log z of solve_scaling_equation's root, from log C, with the
-    Newton start ld0 and no validation."""
-    if pot.closed_form_scaling:
-        gamma = pot.params["gamma"]
-        return log_c / (1.0 - (n - 1) * gamma)
-
-    def g(ld):
-        # zeta(z) - log C, strictly increasing in ld.
-        return ld - (n - 1) * pot.log_nu_ld(ld) - log_c
-
-    def dg(ld):
-        return 1.0 - (n - 1) * pot.beta_ld(ld)
-
-    return newton_bisect_log(g, dg, ld0, 1e-13 * (1.0 + abs(log_c)))
+    pot.require_admissible(n)  # raises InvalidParameter for n < 1
+    return float(np.exp(solve_det_equation(np.log(C), n - 1, pot)))
 
 
 def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
@@ -157,20 +160,19 @@ def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
 
     Solves min D_V(X, B) over {X : Xs = y}; the minimizer mixes BFGS(B)
     with the rank-one secant point, weighted by the nu-ratio at the new and
-    old determinants.  When nu is constant (the log potential, and bounded
-    with c = 0) the ratio is exactly one, so the update is bfgs_update
-    itself and needs no scalar solve.
+    old determinants.  The new determinant solves the scaling equation.
+    When nu is constant (the log potential, and bounded with c = 0) that
+    determinant is det BFGS(B) and the ratio is exactly one, so the factor
+    step is bfgs_update's bit for bit.
     """
     _require_pair_length(B, pair)
     n = pair.n
     pot.require_admissible(n)
-    if pot.constant_nu:
-        return bfgs_update(B, pair)
     log_nu_b = pot.log_nu_ld(B.logdet)
 
     def ratio(ld_bfgs):
         log_c = ld_bfgs - (n - 1) * log_nu_b
-        ld_star = _solve_scaling_ld(log_c, pot, n, log_c + (n - 1) * log_nu_b)
+        ld_star = solve_det_equation(log_c, n - 1, pot, log_c + (n - 1) * log_nu_b)
         return float(np.exp(pot.log_nu_ld(ld_star) - log_nu_b))
 
     return _secant_mix(B, pair, ratio)
@@ -227,7 +229,7 @@ def minimize_divergence_affine(
     """
     pot.require_admissible(B.n)
     dim = len(basis)
-    theta_b = theta_coordinate(B, pot).matrix
+    theta_b = theta_coordinate(B, pot)
 
     def assemble(u):
         X = base.copy()
@@ -247,7 +249,7 @@ def minimize_divergence_affine(
         Xpd, f = fval(u)
         if Xpd is None:
             raise OracleNoConvergence("iterate left the PD cone")
-        gap = theta_coordinate(Xpd, pot).matrix - theta_b
+        gap = theta_coordinate(Xpd, pot) - theta_b
         return np.array([trace_inner(gap, Em) for Em in basis]), f
 
     u = np.asarray(u0, dtype=float).copy()
@@ -325,9 +327,8 @@ def variational_oracle(
     n = pair.n
     if n > 4:
         raise ValueError("variational oracle is restricted to n <= 4")
-    manifold = SecantManifold(pair.s, pair.y)
-    basis = manifold.tangent_basis()
-    base = manifold.particular_point()
+    basis = pair.tangent_basis()
+    base = pair.particular_point()
     # Start from the BFGS point, which already lies on the slice.
     start_gap = bfgs_update(B, pair).matrix - base
     u0 = np.array([trace_inner(start_gap, Em) for Em in basis])

@@ -162,6 +162,25 @@ def test_seed_from_environment(tmp_path, capsys, monkeypatch):
     assert run_command(["solve", "--out", str(out)]) == 1
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "t.csv"
+    for command in (["solve", "--problem", "quadratic:10:3"],
+                    ["invariance", "--problem", "quadratic:10:3"],
+                    ["sparse-demo"]):
+        argv = command + ["--out", str(out)]
+        assert run_command(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --seed must be a non-negative integer, got -1\n"
+        )
+        monkeypatch.setenv("BREGMANQN_SEED", "-3")
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: BREGMANQN_SEED must be a non-negative integer, got -3\n"
+        )
+        monkeypatch.delenv("BREGMANQN_SEED")
+    assert not out.exists()
+
+
 def test_config_file_under_explicit_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -5,9 +5,9 @@ import pytest
 
 from bregmanqn import (
     NotPositiveDefinite,
+    InvalidParameter,
     PDMatrix,
-    SecantManifold,
-    ThetaPoint,
+    SecantPair,
     bounded_potential,
     generic_bregman,
     invert_theta,
@@ -45,9 +45,15 @@ def test_kl_is_v_bregman_with_log():
         n = int(rng.integers(1, 8))
         p = random_pd(rng, n)
         q = random_pd(rng, n)
-        assert kl_divergence(p, q) == pytest.approx(
-            v_bregman_divergence(p, q, log_potential()), rel=1e-12, abs=1e-12
-        )
+        assert kl_divergence(p, q) == v_bregman_divergence(p, q, log_potential())
+    # a dimension mismatch is a library error that is still a ValueError
+    p, q = random_pd(rng, 2), random_pd(rng, 3)
+    for pot in POTENTIALS:
+        with pytest.raises(InvalidParameter):
+            v_bregman_divergence(p, q, pot)
+    with pytest.raises(InvalidParameter):
+        kl_divergence(p, q)
+    assert issubclass(InvalidParameter, ValueError)
 
 
 def test_divergence_nonnegative_zero_iff_equal():
@@ -95,35 +101,31 @@ def test_theta_coordinate_form():
     rng = np.random.default_rng(5)
     for pot in POTENTIALS:
         p = random_pd(rng, 4)
-        tp = theta_coordinate(p, pot)
+        tm = theta_coordinate(p, pot)
         expect = -pot.nu(p.det()) * np.linalg.inv(p.matrix)
-        assert np.abs(tp.matrix - expect).max() < 1e-10 * np.abs(expect).max()
+        assert np.abs(tm - expect).max() < 1e-10 * np.abs(expect).max()
         # theta is symmetric negative definite
-        assert np.all(np.linalg.eigvalsh(tp.matrix) < 0)
+        assert np.array_equal(tm, tm.T)
+        assert np.all(np.linalg.eigvalsh(tm) < 0)
 
 
 def test_theta_coordinate_factors_only_on_use():
     p = random_pd(np.random.default_rng(9), 5)
+    pot = bounded_potential(0.5)
     with mock.patch.object(
         pdlinalg, "cholesky_factorize", wraps=pdlinalg.cholesky_factorize
     ) as spy:
-        tp = theta_coordinate(p, bounded_potential(0.5))
+        tm = theta_coordinate(p, pot)
         assert spy.call_count == 0
-        ld = tp.log_det_neg()
-        tp.log_det_neg()
-        invert_theta(tp)
-    # one factor of -T, shared by both log_det_neg calls and invert_theta,
-    # plus the factor of the returned matrix
+        back = invert_theta(tm, pot)
+    # one factor of -T plus the factor of the returned matrix
     assert spy.call_count == 2
-    assert ld == pytest.approx(np.linalg.slogdet(-tp.matrix)[1], rel=1e-12)
+    assert np.abs(back.matrix - p.matrix).max() < 1e-9 * np.abs(p.matrix).max()
 
 
-def test_theta_point_rejects_non_negative_definite_on_use():
-    tp = ThetaPoint(np.diag([-1.0, 2.0]), log_potential())
+def test_invert_theta_rejects_non_negative_definite():
     with pytest.raises(NotPositiveDefinite):
-        tp.log_det_neg()
-    with pytest.raises(NotPositiveDefinite):
-        invert_theta(tp)
+        invert_theta(np.diag([-1.0, 2.0]), log_potential())
 
 
 def test_invert_theta_round_trip():
@@ -132,7 +134,7 @@ def test_invert_theta_round_trip():
         for _ in range(15):
             n = int(rng.integers(2, 7))
             p = random_pd(rng, n, scale=float(rng.uniform(0.2, 5.0)))
-            back = invert_theta(theta_coordinate(p, pot))
+            back = invert_theta(theta_coordinate(p, pot), pot)
             dev = np.abs(back.matrix - p.matrix).max() / np.abs(p.matrix).max()
             assert dev < 1e-9
 
@@ -145,12 +147,19 @@ def test_solve_neg_theta_det_log_closed_form():
 
 
 def test_solve_neg_theta_det_residual():
-    for pot in POTENTIALS:
+    # the k = n side of the determinant equation, with exact closed forms
+    # for constant nu (ld = t) and the power potential (t / (1 - n gamma))
+    for pot in (*POTENTIALS, bounded_potential(0.0)):
         for n in (2, 3, 6):
             for ld_target in (*np.linspace(-12, 12, 9), -2000.0, 2000.0):
+                t = -float(ld_target)
                 ld = solve_neg_theta_det(float(ld_target), n, pot)
                 resid = n * pot.log_nu_ld(ld) - ld - ld_target
                 assert abs(resid) < 1e-11 * (1 + abs(ld_target))
+                if pot.constant_nu:
+                    assert ld == t
+                elif pot.kind == "power":
+                    assert ld == t / (1.0 - n * pot.params["gamma"])
 
 
 def test_secant_manifold_membership_and_basis():
@@ -161,8 +170,8 @@ def test_secant_manifold_membership_and_basis():
         y = rng.standard_normal(n)
         if s @ y <= 0:
             y = -y
-        man = SecantManifold(s, y)
-        basis = man.tangent_basis()
+        pair = SecantPair(s, y)
+        basis = pair.tangent_basis()
         assert len(basis) == n * (n + 1) // 2 - n
         for e in basis:
             assert np.abs(e - e.T).max() == 0.0
@@ -172,8 +181,8 @@ def test_secant_manifold_membership_and_basis():
             for j in range(len(basis)):
                 g = trace_inner(basis[i], basis[j])
                 assert g == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
-        assert np.abs(man.particular_point() @ s - y).max() < 1e-10 * np.abs(y).max()
-        assert man.contains(man.particular_point())
+        assert np.abs(pair.particular_point() @ s - y).max() < 1e-10 * np.abs(y).max()
+        assert pair.contains(pair.particular_point())
 
 
 def test_pythagorean_residual_zero_for_exact_split():

@@ -21,7 +21,7 @@ def test_log_potential_values():
         assert pot.value(z) == pytest.approx(-np.log(z))
         assert pot.nu(z) == pytest.approx(1.0)
         assert pot.beta(z) == pytest.approx(0.0)
-    assert pot.closed_form_scaling is not None
+    assert pot.constant_nu
 
 
 def test_power_potential_values():

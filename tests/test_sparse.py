@@ -370,8 +370,8 @@ def test_projection_theta_match_and_membership():
             assert pattern.off_pattern_magnitude(out.matrix) < 1e-10 * np.abs(
                 out.matrix
             ).max()
-            tb = theta_coordinate(b, pot).matrix
-            to = theta_coordinate(out, pot).matrix
+            tb = theta_coordinate(b, pot)
+            to = theta_coordinate(out, pot)
             for (i, j) in pattern.pairs:
                 assert to[i, j] == pytest.approx(tb[i, j], rel=1e-9, abs=1e-12)
 
@@ -426,14 +426,14 @@ def test_theta_maps_beyond_exp_range(log_det):
     b = PDMatrix.from_matrix(m)
     assert b.logdet == pytest.approx(log_det, abs=1e-6)
 
-    back = invert_theta(theta_coordinate(b, pot))
+    back = invert_theta(theta_coordinate(b, pot), pot)
     assert np.abs(back.matrix - m).max() < 1e-9 * np.abs(m).max()
 
     pattern = banded_pattern(n, 2)
     out = theta_v_project_sparse(b, is_chordal(pattern), pot)
     assert pattern.off_pattern_magnitude(out.matrix) < 1e-10 * np.abs(out.matrix).max()
-    tb = pattern.restrict(theta_coordinate(b, pot).matrix)
-    to = pattern.restrict(theta_coordinate(out, pot).matrix)
+    tb = pattern.restrict(theta_coordinate(b, pot))
+    to = pattern.restrict(theta_coordinate(out, pot))
     assert np.abs(to - tb).max() < 1e-9 * np.abs(tb).max()
 
 

@@ -27,6 +27,7 @@ from bregmanqn import (
     variational_oracle,
 )
 from bregmanqn._roots import newton_bisect_log
+from bregmanqn.geometry import solve_det_equation
 
 POTS = (log_potential(), power_potential(0.1), power_potential(-0.8),
         bounded_potential(0.4))
@@ -280,6 +281,19 @@ def test_scaling_equation_residual_and_power_closed_form():
             z = solve_scaling_equation(c, pot, n)
             closed = c ** (1.0 / (1.0 - (n - 1) * g))
             assert z == pytest.approx(closed, rel=1e-12)
+    # the k = n - 1 side of the determinant equation up to |log C| = 2000,
+    # with exact closed forms for constant nu (ld = t) and the power
+    # potential (t / (1 - (n-1) gamma))
+    for pot in (*POTS, bounded_potential(0.0)):
+        for n in (2, 4, 8):
+            k = n - 1
+            for t in (*np.linspace(-13.8, 13.8, 7), -2000.0, 2000.0):
+                ld = solve_det_equation(float(t), k, pot)
+                assert abs(ld - k * pot.log_nu_ld(ld) - t) <= 1e-11 * (1 + abs(t))
+                if pot.constant_nu:
+                    assert ld == t
+                elif pot.kind == "power":
+                    assert ld == t / (1.0 - k * pot.params["gamma"])
 
 
 def test_variational_oracle_agrees_with_update():
@@ -302,10 +316,7 @@ def test_update_strictly_decreases_divergence_on_manifold():
         b, pair = random_case(rng, n)
         bp = v_bfgs_update(b, pair, pot)
         d_opt = v_bregman_divergence(bp, b, pot)
-        from bregmanqn import SecantManifold
-
-        man = SecantManifold(pair.s, pair.y)
-        basis = man.tangent_basis()
+        basis = pair.tangent_basis()
         for _ in range(20):
             w = 0.3 * rng.standard_normal(len(basis))
             cand = bp.matrix + sum(wi * e for wi, e in zip(w, basis))
