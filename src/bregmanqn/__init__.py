@@ -15,7 +15,6 @@ from .errors import (
     SingularTransform,
 )
 from .pdlinalg import (
-    CholeskyFactor,
     PDMatrix,
     cholesky_factorize,
     rank_one_update,

@@ -61,6 +61,6 @@ class SingularTransform(BregmanQNError, ValueError):
 
 
 def require_count(name, value):
-    """Raise InvalidParameter unless value is an integer >= 1."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
+    """Raise InvalidParameter unless value is an integer >= 1 (a bool is not)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1):
         raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")

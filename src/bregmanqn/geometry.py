@@ -23,7 +23,6 @@ decompositions (swap the first and last arguments for the dual one).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ._roots import newton_bisect_log
 from .errors import InvalidParameter, NotPositiveDefinite
@@ -45,7 +44,7 @@ def trace_inner(a, b) -> float:
 
 def _tr_qinv_p(P: PDMatrix, Q: PDMatrix) -> float:
     # tr(Q^{-1} P) = ||L_Q^{-1} L_P||_F^2, symmetric-exact and cheap.
-    W = solve_triangular(Q.factor.L, P.factor.L, lower=True)
+    W = Q.solve_factor(P.L)
     return float(np.sum(W * W))
 
 

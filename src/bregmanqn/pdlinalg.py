@@ -1,12 +1,13 @@
 """Dense symmetric / positive definite matrix primitives.
 
 Everything downstream (divergences, updates, projections) manipulates PD
-matrices through a lower-triangular Cholesky factor.  The factor is the
-source of truth; full matrices are reconstructed on demand.  Storage is
-dense and real -- the intended scale is desk-sized (n up to a few hundred).
+matrices as a PDMatrix(L), built from the lower-triangular Cholesky factor
+L of A = L L'.  The factor is the source of truth; full matrices are
+reconstructed on demand.  Storage is dense and real -- the intended scale
+is desk-sized (n up to a few hundred) -- and only this module solves with it.
 
-A factor is modified in one way only: rank_one_update(factor, u, v) returns
-the Cholesky factor of (L + u v')(L + u v')'.  Transposed, L + u v' is a
+A factor is modified in one way only: rank_one_update(B, u, v) returns the
+PDMatrix (L + u v')(L + u v')' for L = B.L.  Transposed, L + u v' is a
 rank-one change of the upper-triangular L', so a QR update re-triangularizes
 it in O(n^2) (Gill, Golub, Murray & Saunders, Math. Comp. 28, 1974) and the
 orthogonal factor drops out of the product.
@@ -34,28 +35,7 @@ def as_symmetric(a) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-class CholeskyFactor:
-    """Lower-triangular factor L with strictly positive diagonal, A = L L'."""
-
-    __slots__ = ("n", "L")
-
-    def __init__(self, L):
-        L = np.asarray(L, dtype=float)
-        self.n = L.shape[0]
-        self.L = L
-
-    def log_det(self) -> float:
-        """log det of the factored matrix, 2 * sum(log diag L)."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.L))))
-
-    def matrix(self) -> np.ndarray:
-        return self.L @ self.L.T
-
-    def __repr__(self):
-        return f"CholeskyFactor(n={self.n})"
-
-
-def cholesky_factorize(a) -> CholeskyFactor:
+def cholesky_factorize(a) -> PDMatrix:
     """Factor a symmetric matrix as L L'.
 
     Raises NotPositiveDefinite when a pivot falls at or below
@@ -78,23 +58,25 @@ def cholesky_factorize(a) -> CholeskyFactor:
         raise NotPositiveDefinite(
             f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * scale:.3e}"
         )
-    return CholeskyFactor(L)
+    return PDMatrix(L)
 
 
-def rank_one_update(factor: CholeskyFactor, u, v) -> CholeskyFactor:
-    """Cholesky factor of (L + u v')(L + u v')' for L = factor.L.
+def rank_one_update(B: PDMatrix, u, v) -> PDMatrix:
+    """The PDMatrix (L + u v')(L + u v')' for L = B.L.
 
-    Runs a QR update of L' + v u' from Q = I and flips the signs of R's rows
-    so that its diagonal is positive; O(n^2).  Raises NotPositiveDefinite
-    when a pivot falls at or below PIVOT_RTOL times the largest pivot, i.e.
-    when L + u v' is numerically singular.
+    Runs a QR update of L' + v u' from Q = I, in place on private copies,
+    and flips the signs of R's rows so that its diagonal is positive; O(n^2).
+    Raises InvalidParameter unless u and v have length n, and
+    NotPositiveDefinite when a pivot falls at or below PIVOT_RTOL times the
+    largest pivot, i.e. when L + u v' is numerically singular.
     """
-    n = factor.n
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    n = B.n
+    u = np.array(u, dtype=float)
+    v = np.array(v, dtype=float)
     if u.shape != (n,) or v.shape != (n,):
-        raise ValueError(f"vector shapes {u.shape}, {v.shape} do not match n={n}")
-    _, R = qr_update(np.eye(n), factor.L.T, v, u, check_finite=False)
+        raise InvalidParameter(f"vector shapes {u.shape}, {v.shape} do not match n={n}")
+    Q, R = np.eye(n, order="F"), np.array(B.L.T, order="F")
+    _, R = qr_update(Q, R, v, u, overwrite_qruv=True, check_finite=False)
     d = np.diag(R)
     pivots = d * d
     # negated so that a NaN pivot fails too
@@ -102,38 +84,42 @@ def rank_one_update(factor: CholeskyFactor, u, v) -> CholeskyFactor:
         raise NotPositiveDefinite(
             f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * np.max(pivots):.3e}"
         )
-    return CholeskyFactor((np.sign(d)[:, None] * R).T)
+    return PDMatrix((np.sign(d)[:, None] * R).T)
 
 
-def _cho_solve(L, b) -> np.ndarray:
-    # (L L') x = b by two triangular solves, for a vector or a block.
-    y = solve_triangular(L, np.asarray(b, dtype=float), lower=True)
-    return solve_triangular(L, y, lower=True, trans="T")
+def _solve_lower(L, b, trans=0) -> np.ndarray:
+    # L x = b, or L' x = b for trans="T", for a vector or a block; a factor
+    # is finite by construction, and a non-finite b gives a non-finite x.
+    return solve_triangular(L, np.asarray(b, dtype=float), lower=True, trans=trans,
+                            check_finite=False)
 
 
 class PDMatrix:
-    """Positive definite matrix held as a Cholesky factor plus cached log-det."""
+    """Positive definite matrix A = L L', built from its lower-triangular
+    Cholesky factor L (strictly positive diagonal), with log det A cached
+    and A itself formed on first use."""
 
-    __slots__ = ("n", "factor", "logdet", "_matrix")
+    __slots__ = ("n", "L", "logdet", "_matrix")
 
-    def __init__(self, factor: CholeskyFactor):
-        self.n = factor.n
-        self.factor = factor
-        self.logdet = factor.log_det()
+    def __init__(self, L):
+        L = np.asarray(L, dtype=float)
+        self.n = L.shape[0]
+        self.L = L
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         self._matrix = None
 
-    @classmethod
-    def from_matrix(cls, a) -> "PDMatrix":
-        return cls(cholesky_factorize(a))
+    @staticmethod
+    def from_matrix(a) -> "PDMatrix":
+        return cholesky_factorize(a)
 
     @classmethod
     def identity(cls, n: int) -> "PDMatrix":
-        return cls(CholeskyFactor(np.eye(n)))
+        return cls(np.eye(n))
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = self.factor.matrix()
+            self._matrix = self.L @ self.L.T
         return self._matrix
 
     def det(self) -> float:
@@ -141,14 +127,17 @@ class PDMatrix:
 
     def solve(self, b) -> np.ndarray:
         """Solve A x = b for one right-hand side or a block of them."""
-        return _cho_solve(self.factor.L, b)
+        return _solve_lower(self.L, _solve_lower(self.L, b), "T")
+
+    def solve_factor(self, b) -> np.ndarray:
+        """Solve L x = b, half of solve: |x|^2 = b' A^{-1} b for a vector."""
+        return _solve_lower(self.L, b)
 
     def inv(self) -> np.ndarray:
-        return _cho_solve(self.factor.L, np.eye(self.n))
+        return _solve_lower(self.L, _solve_lower(self.L, np.eye(self.n)), "T")
 
     def matvec(self, x) -> np.ndarray:
-        L = self.factor.L
-        return L @ (L.T @ np.asarray(x, dtype=float))
+        return self.L @ (self.L.T @ np.asarray(x, dtype=float))
 
     def __repr__(self):
         return f"PDMatrix(n={self.n}, logdet={self.logdet:.6g})"

@@ -191,13 +191,14 @@ def custom_potential(value, derivative, second_derivative, name: str = "custom")
     log nu = log(-z V'(z)) and beta = 1 + z V''(z) / V'(z), evaluated at
     z = exp(ld).  They exponentiate, so extremely large determinants can
     overflow for custom potentials; the builtins do not have this caveat.
-    Where V increases, nu <= 0 and log nu is not finite, which validate
-    rejects.
+    Where V increases, nu <= 0 and log nu is silently nan or -inf, which
+    validate rejects.
     """
 
     def log_nu_ld(ld):
         z = np.exp(ld)
-        return float(np.log(-z * derivative(z)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return float(np.log(-z * derivative(z)))
 
     def beta_ld(ld):
         z = np.exp(ld)

@@ -55,8 +55,7 @@ class Objective:
     name: str = ""
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameter("objective dimension must be at least 1")
+        require_count("objective dimension n", self.n)
         if self.minimizer is not None:
             self.minimizer = np.asarray(self.minimizer, dtype=float)
 
@@ -326,6 +325,8 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (obj.n,):
         raise InvalidParameter(f"x0 shape {x.shape} does not match n={obj.n}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameter("x0 must be finite")
     if B0 is None:
         B0 = PDMatrix.identity(obj.n)
     family = config.update_family

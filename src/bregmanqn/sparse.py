@@ -22,7 +22,7 @@ from .errors import (
     OracleNoConvergence,
     require_count,
 )
-from .pdlinalg import CholeskyFactor, PDMatrix, as_symmetric, cholesky_factorize
+from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize
 from .potentials import log_potential
 from .geometry import (
     _as_pd,
@@ -342,13 +342,13 @@ def clique_factorize(entries, tree):
     for cl, sep in zip(tree.cliques, tree.separators):
         Acc = A[np.ix_(cl, cl)]
         try:
-            ld_cliques += cholesky_factorize(Acc).log_det()
+            ld_cliques += cholesky_factorize(Acc).logdet
         except NotPositiveDefinite:
             raise CliqueBlockNotPD(f"clique {cl} principal block is not positive definite")
         K[np.ix_(cl, cl)] += np.linalg.inv(Acc)
         if sep:
             Ass = A[np.ix_(sep, sep)]
-            ld_separators += cholesky_factorize(Ass).log_det()
+            ld_separators += cholesky_factorize(Ass).logdet
             K[np.ix_(sep, sep)] -= np.linalg.inv(Ass)
     return float(ld_cliques - ld_separators), 0.5 * (K + K.T)
 
@@ -636,9 +636,9 @@ class SparseUpdateFamily:
     def apply(self, state, pair: SecantPair):
         B, unscaled = state
         if unscaled:
-            Ls = B.factor.L.T @ pair.s
+            Ls = B.L.T @ pair.s
             theta = pair.curvature / float(Ls @ Ls)
-            B = PDMatrix(CholeskyFactor(np.sqrt(theta) * B.factor.L))
+            B = PDMatrix(np.sqrt(theta) * B.L)
         return sparse_update(B, pair, self).b_out, False
 
     def det_b(self, state) -> float:

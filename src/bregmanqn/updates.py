@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import CurvatureViolation, InvalidParameter, OracleNoConvergence
 from .geometry import solve_det_equation, theta_coordinate, trace_inner, v_bregman_divergence
-from .pdlinalg import CholeskyFactor, PDMatrix, as_symmetric, rank_one_update
+from .pdlinalg import PDMatrix, as_symmetric, rank_one_update
 from .potentials import Potential, from_string as potential_from_string
 # newton_bisect_log and cholesky_factorize are unused here but stay bound:
 # bench/ traces and checks these module bindings.
@@ -48,8 +48,8 @@ from .pdlinalg import cholesky_factorize  # noqa: F401
 
 
 class SecantPair:
-    """Step/gradient-difference pair with positive curvature s'y, and the
-    secant slice {B symmetric : B s = y}, which then meets the PD cone."""
+    """Step/gradient-difference pair with finite positive curvature s'y, and
+    the secant slice {B symmetric : B s = y}, which then meets the PD cone."""
 
     __slots__ = ("s", "y", "curvature")
 
@@ -58,7 +58,11 @@ class SecantPair:
         y = np.asarray(y, dtype=float)
         if s.ndim != 1 or s.shape != y.shape:
             raise InvalidParameter("s and y must be same-length vectors")
-        sty = float(s @ y)
+        # a non-finite entry of s or y makes s'y non-finite, as does overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            sty = float(s @ y)
+        if not np.isfinite(sty):
+            raise InvalidParameter(f"s, y and s'y must be finite, got s'y = {sty!r}")
         if not sty > 0.0:
             raise CurvatureViolation(f"curvature s'y = {sty:.3e} must be positive")
         self.s = s.copy()
@@ -112,13 +116,13 @@ def _secant_mix(B: PDMatrix, pair: SecantPair, ratio) -> PDMatrix:
 
     ratio maps log det BFGS(B) to the weight r > 0.
     """
-    L = B.factor.L
+    L = B.L
     Ls = L.T @ pair.s
     sBs = float(Ls @ Ls)
     root_r = np.sqrt(ratio(B.logdet + np.log(pair.curvature) - np.log(sBs)))
     q = Ls / np.sqrt(sBs)
     u = pair.y / np.sqrt(pair.curvature) - root_r * (L @ q)
-    return PDMatrix(rank_one_update(CholeskyFactor(root_r * L), u, q))
+    return rank_one_update(PDMatrix(root_r * L), u, q)
 
 
 def bfgs_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:

@@ -20,7 +20,7 @@ def test_factorize_round_trip():
     for n in (1, 2, 3, 5, 11, 30):
         a = random_pd(rng, n)
         f = cholesky_factorize(a)
-        err = np.abs(f.matrix() - a).max() / np.abs(a).max()
+        err = np.abs(f.matrix - a).max() / np.abs(a).max()
         assert err < 1e-12
 
 
@@ -45,7 +45,7 @@ def test_factorize_wants_square_and_symmetrizes():
     # slightly asymmetric input is symmetrized, not rejected
     b = np.array([[1.0, 0.5], [0.4, 1.0]])
     f = cholesky_factorize(b)
-    m = f.matrix()
+    m = f.matrix
     assert m[0, 1] == m[1, 0] == pytest.approx(0.45)
 
 
@@ -56,7 +56,7 @@ def test_log_det_matches_slogdet():
         f = cholesky_factorize(a)
         sign, ld = np.linalg.slogdet(a)
         assert sign == 1.0
-        assert abs(f.log_det() - ld) < 1e-10 * (1 + abs(ld))
+        assert abs(f.logdet - ld) < 1e-10 * (1 + abs(ld))
 
 
 def test_log_det_no_overflow_large_n():
@@ -64,8 +64,8 @@ def test_log_det_no_overflow_large_n():
     n = 60
     a = np.diag(np.full(n, 1e7))
     f = cholesky_factorize(a)
-    assert np.isfinite(f.log_det())
-    assert abs(f.log_det() - n * np.log(1e7)) < 1e-8 * n
+    assert np.isfinite(f.logdet)
+    assert abs(f.logdet - n * np.log(1e7)) < 1e-8 * n
 
 
 def test_solve_matches_numpy():
@@ -93,15 +93,24 @@ def test_rank_one_update_matches_rebuild():
         up = rank_one_update(f, u, v)
         m = f.L + np.outer(u, v)
         ref = cholesky_factorize(m @ m.T)
-        assert np.abs(up.matrix() - ref.matrix()).max() < 1e-9 * np.abs(a).max()
+        assert np.abs(up.matrix - ref.matrix).max() < 1e-9 * np.abs(a).max()
 
 
 def test_update_does_not_mutate_input():
-    a = random_pd(np.random.default_rng(5), 4)
-    f = cholesky_factorize(a)
-    before = f.matrix().copy()
-    rank_one_update(f, np.ones(4), np.ones(4))
-    assert np.array_equal(f.matrix(), before)
+    rng = np.random.default_rng(5)
+    f = cholesky_factorize(random_pd(rng, 4))
+    u, v = rng.standard_normal(4), rng.standard_normal(4)
+    before = f.L.copy(), u.copy(), v.copy()
+    rank_one_update(f, u, v)
+    for arr, old in zip((f.L, u, v), before):
+        assert np.array_equal(arr, old)
+
+
+def test_update_rejects_vectors_of_the_wrong_length():
+    f = cholesky_factorize(np.eye(3))
+    for u, v in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones((3, 1)))):
+        with pytest.raises(InvalidParameter):
+            rank_one_update(f, u, v)
 
 
 def test_pdmatrix_identity_and_inverse():

@@ -132,7 +132,6 @@ def test_custom_potential_matches_builtin():
     pot.require_admissible(4)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
 def test_require_admissible_rejects_increasing_custom():
     # V = log z increases everywhere (nu = -1 although beta = 0); V = |log z|
     # increases beyond z = 1 only, where beta == 0 and the z -> 0+ limit

@@ -121,6 +121,7 @@ def test_line_search_params_validation():
         dict(alpha_init=float("inf")),
         dict(max_trials=0),
         dict(max_trials=2.5),
+        dict(max_trials=True),
         dict(method="golden"),
     ):
         with pytest.raises(InvalidParameter):
@@ -136,6 +137,7 @@ def test_solver_config_validation():
         dict(grad_tol=float("inf")),
         dict(max_iter=0),
         dict(max_iter=2.5),
+        dict(max_iter=True),
     ):
         with pytest.raises(InvalidParameter):
             SolverConfig(fam, **kwargs)
@@ -350,6 +352,57 @@ def test_minimize_validates_start_shape():
     spec = get_problem("rosenbrock")
     with pytest.raises(InvalidParameter):
         minimize(spec.objective, np.zeros(3))
+
+
+def test_objective_dimension_must_be_a_count():
+    f, g = (lambda x: 0.0), (lambda x: x)
+    for n in (0, 2.5, True, "2"):
+        with pytest.raises(InvalidParameter):
+            Objective(n, f, g)
+    assert Objective(np.int64(2), f, g).n == 2
+
+
+def _sqrt_gradient_objective(calls):
+    # f = (2/3) sum x^1.5 with gradient sqrt(x): nan where x < 0
+    def value(x):
+        calls.append("f")
+        return float(np.sum(np.abs(x) ** 1.5)) * 2.0 / 3.0
+
+    def gradient(x):
+        calls.append("g")
+        g = np.sqrt(np.abs(x))
+        g[x < 0.0] = np.nan
+        return g
+
+    return Objective(2, value, gradient)
+
+
+# the five dense kinds and one sparse run
+ALL_KINDS = ("bfgs", "dfp", "vbfgs:bounded:c=0.5", "vdfp:log", "selfscale", "sparse vbfgs:log")
+
+
+def _config_of(label):
+    head, _, family = label.partition(" ")
+    if head == "sparse":
+        return SolverConfig(family, sparsity=(banded_pattern(2, 0), 2, 1))
+    return SolverConfig(label)
+
+
+@pytest.mark.parametrize("label", ALL_KINDS)
+def test_nan_gradient_at_the_start_ends_in_line_search_fail(label):
+    # every family's direction is nan, which the search rejects as not descent
+    trace = minimize(_sqrt_gradient_objective([]), np.array([-1.0, 2.0]), config=_config_of(label))
+    assert trace.status == "LineSearchFail"
+    assert len(trace.records) == 1 and trace.reason
+
+
+@pytest.mark.parametrize("label", ALL_KINDS)
+def test_non_finite_start_is_rejected_before_evaluating(label):
+    calls = []
+    for x0 in ([np.nan, 2.0], [1.0, np.inf]):
+        with pytest.raises(InvalidParameter):
+            minimize(_sqrt_gradient_objective(calls), np.array(x0), config=_config_of(label))
+    assert calls == []
 
 
 def test_record_b_toggle():

@@ -48,6 +48,15 @@ def test_secant_pair_validation():
         SecantPair(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
     with pytest.raises(InvalidParameter):
         SecantPair(np.array([1.0]), np.array([1.0, 2.0]))
+    # non-finite vectors, and finite ones whose s'y overflows to inf or nan
+    for s, y in (
+        ([np.inf, 1.0], [1.0, 1.0]),
+        ([1.0, 1.0], [np.nan, 1.0]),
+        ([1e308, 1.0], [1e308, 1.0]),
+        ([1e308, 1e308], [1e308, -1e308]),
+    ):
+        with pytest.raises(InvalidParameter):
+            SecantPair(np.array(s), np.array(y))
     p = SecantPair(np.array([1.0, 2.0]), np.array([3.0, 1.0]))
     assert p.curvature == pytest.approx(5.0)
     sw = p.swapped()
@@ -183,11 +192,11 @@ def assert_collapse_beyond_exp_range(pot):
     s = rng.standard_normal(n)
     pair = SecantPair(s, 10.0 * s + 0.1 * rng.standard_normal(n))
     assert np.array_equal(
-        v_bfgs_update(b, pair, pot).factor.L, bfgs_update(b, pair).factor.L
+        v_bfgs_update(b, pair, pot).L, bfgs_update(b, pair).L
     )
     assert np.array_equal(
-        v_dfp_update(b, pair, pot).factor.L,
-        bfgs_update(b, pair.swapped()).factor.L,
+        v_dfp_update(b, pair, pot).L,
+        bfgs_update(b, pair.swapped()).L,
     )
 
 
