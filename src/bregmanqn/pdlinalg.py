@@ -35,30 +35,42 @@ def as_symmetric(a) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def cholesky_stack(a) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack of symmetric matrices, shape
+    (m, k, k) with k >= 1, and for each whether it is numerically PD.
+
+    A matrix passes when every pivot of its factor is above PIVOT_RTOL
+    times its largest diagonal entry; the test is negated so that a NaN
+    entry fails too.  The factor of a failing matrix is meaningless.
+    """
+    scale = np.max(np.diagonal(a, axis1=1, axis2=2), axis=1)
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        # LAPACK met a non-positive pivot somewhere; factor one at a time
+        if len(a) == 1:
+            return a, np.zeros(1, dtype=bool)
+        parts = [cholesky_stack(b[None]) for b in a]
+        return np.concatenate([L for L, _ in parts]), np.concatenate([ok for _, ok in parts])
+    pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
+    return L, np.min(pivots, axis=1) > PIVOT_RTOL * scale
+
+
 def cholesky_factorize(a) -> PDMatrix:
     """Factor a symmetric matrix as L L'.
 
     Raises NotPositiveDefinite when a pivot falls at or below
-    PIVOT_RTOL times the largest diagonal entry.
+    PIVOT_RTOL times the largest diagonal entry, or is NaN.
     """
     a = as_symmetric(a)
-    n = a.shape[0]
-    diag = np.diag(a)
-    scale = float(np.max(diag)) if n else 0.0
-    if n == 0 or scale <= 0.0 or not np.isfinite(scale):
-        raise NotPositiveDefinite("matrix has no positive diagonal entry")
-    try:
-        L = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    # LAPACK succeeds for any strictly positive pivot sequence; enforce the
-    # relative tolerance so near-singular inputs are rejected uniformly.
-    pivots = np.diag(L) ** 2
-    if np.min(pivots) <= PIVOT_RTOL * scale:
+    if a.shape[0] == 0:
+        raise NotPositiveDefinite("matrix is empty")
+    L, ok = cholesky_stack(a[None])
+    if not ok[0]:
         raise NotPositiveDefinite(
-            f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * scale:.3e}"
+            f"matrix has a pivot at or below {PIVOT_RTOL} times its largest diagonal entry"
         )
-    return PDMatrix(L)
+    return PDMatrix(L[0])
 
 
 def rank_one_update(B: PDMatrix, u, v) -> PDMatrix:

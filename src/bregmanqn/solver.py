@@ -315,8 +315,9 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     runs out; a failed line search or a library error inside the update
     ends the run with its partial trace, which stops at the last point
     whose B was formed, and the error's message as trace.reason.  The
-    update is config.update_family's, dense or sparse; a B0 it cannot
-    start from, such as one with entries off a sparsity pattern, raises
+    update is config.update_family's, dense or sparse.  B0 must be a
+    PDMatrix of dimension n; one the update cannot start from, such as
+    one with entries off a sparsity pattern, raises InvalidParameter
     before the first evaluation.  record_b stores each B_k densely (n^2
     per iterate) for invariance comparisons.
     """
@@ -329,6 +330,8 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
         raise InvalidParameter("x0 must be finite")
     if B0 is None:
         B0 = PDMatrix.identity(obj.n)
+    elif not (isinstance(B0, PDMatrix) and B0.n == obj.n):
+        raise InvalidParameter(f"B0 must be a PDMatrix of dimension n={obj.n}")
     family = config.update_family
     state = family.initial_state(B0)
     # f and g are evaluated once per accepted point: at x0 here, then by

@@ -39,6 +39,14 @@ def test_factorize_rejects_tiny_pivot():
         cholesky_factorize(a)
 
 
+def test_factorize_rejects_nan_entries():
+    # a NaN pivot fails the tolerance test instead of slipping past it
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_factorize([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_factorize([[np.nan, 0.0], [0.0, 1.0]])
+
+
 def test_factorize_wants_square_and_symmetrizes():
     with pytest.raises(InvalidParameter):
         cholesky_factorize(np.ones((2, 3)))

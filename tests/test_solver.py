@@ -691,6 +691,26 @@ def test_sparse_solver_rejects_a_mismatched_start_before_evaluating():
     assert calls == []
 
 
+def test_minimize_rejects_a_b0_of_the_wrong_kind_before_evaluating():
+    spec = get_problem("rosenbrock")
+    calls = []
+    obj = Objective(
+        2,
+        lambda x: calls.append("f") or spec.objective.value(x),
+        lambda x: calls.append("g") or spec.objective.gradient(x),
+    )
+    sparse = SolverConfig("vbfgs:log", sparsity=(banded_pattern(2, 1), 2, 1))
+    for family in ("bfgs", "dfp", "selfscale", "vbfgs:log", "vdfp:log"):
+        cfg = SolverConfig(family)
+        for B0 in (PDMatrix.identity(3), np.eye(2)):
+            with pytest.raises(InvalidParameter):
+                minimize(obj, spec.start, B0, config=cfg)
+    for B0 in (PDMatrix.identity(3), np.eye(2)):
+        with pytest.raises(InvalidParameter):
+            minimize(obj, spec.start, B0, config=sparse)
+    assert calls == []
+
+
 # -------------------------------------------------------------- invariance
 
 

@@ -187,6 +187,13 @@ def test_larger_hole_witness():
     assert_chordless_cycle(p, ex.value.cycle)
 
 
+def random_dense_pattern(rng, n):
+    density = rng.uniform(0.15, 0.75)
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = rng.random(len(pairs)) < density
+    return SparsityPattern(n, [pair for pair, k in zip(pairs, keep) if k])
+
+
 def brute_force_maximal_cliques(p):
     cliques = [
         c
@@ -213,6 +220,23 @@ def assert_clique_tree(p, tree):
             assert sep and tree.parent[r] < r
             assert sep <= set(tree.cliques[tree.parent[r]])
         covered |= set(clique)
+
+
+def test_random_patterns_give_a_tree_or_a_chordless_cycle():
+    # every failed check must produce a witness from its one search
+    rng = np.random.default_rng(17)
+    outcomes = {"tree": 0, "cycle": 0}
+    for _ in range(500):
+        p = random_dense_pattern(rng, int(rng.integers(4, 13)))
+        try:
+            tree = is_chordal(p)
+        except NotChordal as ex:
+            assert_chordless_cycle(p, ex.cycle)
+            outcomes["cycle"] += 1
+        else:
+            assert_clique_tree(p, tree)
+            outcomes["tree"] += 1
+    assert min(outcomes.values()) > 50
 
 
 def test_chordal_random_interval_graphs():
@@ -313,6 +337,23 @@ def test_factorize_rejects_non_pd_clique():
     entries = np.array([[1.0, 5.0, 0.0], [5.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     tree = is_chordal(banded_pattern(3, 1))
     with pytest.raises(CliqueBlockNotPD):
+        clique_factorize(entries, tree)
+
+
+def test_factorize_rejects_nan_entry_and_names_first_failing_clique():
+    tree = is_chordal(banded_pattern(5, 1))
+    entries = tridiag_entries(np.random.default_rng(2), 5)
+    entries[2, 3] = entries[3, 2] = np.nan
+    with pytest.raises(CliqueBlockNotPD, match=r"\(2, 3\)"):
+        clique_factorize(entries, tree)
+    # cliques (0, 1, 2), (3, 4), (5, 6, 7): the blocks are stacked by size,
+    # and the failure named is still the first in tree order
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (5, 7), (6, 7)]
+    tree = is_chordal(SparsityPattern(8, edges))
+    assert tree.cliques == [(0, 1, 2), (3, 4), (5, 6, 7)]
+    entries = np.eye(8)
+    entries[3, 4] = entries[4, 3] = entries[5, 6] = entries[6, 5] = 2.0
+    with pytest.raises(CliqueBlockNotPD, match=r"\(3, 4\)"):
         clique_factorize(entries, tree)
 
 
