@@ -46,12 +46,10 @@ from .updates import (
     UpdateFamily,
     bfgs_update,
     dfp_update,
-    minimize_divergence_affine,
     self_scaling_update,
     solve_scaling_equation,
     v_bfgs_update,
     v_dfp_update,
-    variational_oracle,
 )
 from .solver import (
     InvarianceReport,
@@ -82,8 +80,6 @@ from .sparse import (
     load_pattern,
     pattern_from_text,
     pattern_to_text,
-    sparse_projection_oracle,
-    sparse_secant_oracle,
     sparse_update,
     theta_v_project_sparse,
 )

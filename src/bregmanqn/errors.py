@@ -33,7 +33,8 @@ class CurvatureViolation(BregmanQNError):
 
 
 class OracleNoConvergence(BregmanQNError):
-    """The variational reference minimizer failed to reach its tolerance."""
+    """The reference minimizer testing.divergence_oracle found no PD point
+    of its constraint set, or its Newton iteration stalled."""
 
 
 class NotChordal(BregmanQNError):

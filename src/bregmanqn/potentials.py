@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, PotentialNotAdmissible
+from .errors import InvalidParameter, PotentialNotAdmissible, require_count
 
 BETA_GRID = np.logspace(-8.0, 8.0, 256)
 LIMIT_GRID = np.logspace(-12.0, 0.0, 256)
@@ -241,10 +241,13 @@ def from_string(spec: str) -> Potential:
     if rest:
         for item in rest.split(","):
             key, eq, val = item.partition("=")
+            key = key.strip()
             if not eq:
                 raise InvalidParameter(f"malformed potential parameter {item!r}")
+            if key in kv:
+                raise InvalidParameter(f"potential parameter {key!r} is given twice")
             try:
-                kv[key.strip()] = float(val)
+                kv[key] = float(val)
             except ValueError as exc:
                 raise InvalidParameter(f"non-numeric potential parameter {item!r}") from exc
     return make_builtin(head, **kv)
@@ -258,8 +261,7 @@ def validate(pot: Potential, n: int) -> PotentialReport:
     monotone growth plus the bound w(z_min) <= w(1) * z_min^(1/n) that
     admissibility implies.
     """
-    if n < 1:
-        raise InvalidParameter(f"dimension must be >= 1, got {n}")
+    require_count("dimension", n)
     cached = pot._reports.get(n)
     if cached is not None:
         return cached

@@ -127,10 +127,11 @@ def get_problem(name, seed=0):
     """Build a catalog problem from its name, e.g. "quadratic:100:6"."""
     parts = name.strip().split(":")
     head = parts[0].lower()
+    most = {"rosenbrock": 0, "quadratic": 2, "extended-powell": 1, "broyden-tridiagonal": 1}
+    if head in most and len(parts) - 1 > most[head]:
+        raise InvalidParameter(f"{head} takes at most {most[head]} parameters, got {name!r}")
     try:
         if head == "rosenbrock":
-            if len(parts) > 1:
-                raise InvalidParameter("rosenbrock takes no parameters")
             return _rosenbrock()
         if head == "quadratic":
             if len(parts) < 2:

@@ -257,14 +257,22 @@ def _exact_line_search(obj, x, d, params, g0):
     d0 = float(g0 @ d)
     if not np.isfinite(d0) or d0 >= 0.0:
         raise LineSearchFail("search direction is not a descent direction")
+    # Double hi while the slope there is negative; where it is not finite,
+    # halve the step back toward the last finite one, as the Wolfe search
+    # does for a non-finite f.
+    lo, bad = 0.0, None
     hi = float(params.alpha_init)
     dhi = dphi(hi)
     trials = 0
-    while dhi < 0.0:
-        hi *= 2.0
+    while not (np.isfinite(dhi) and dhi >= 0.0):
+        if np.isfinite(dhi):
+            lo = hi
+        else:
+            bad = hi
+        hi = 2.0 * hi if bad is None else 0.5 * (lo + bad)
         dhi = dphi(hi)
         trials += 1
-        if trials >= params.max_trials or not np.isfinite(dhi):
+        if trials >= params.max_trials:
             raise LineSearchFail("could not bracket a minimum along the ray")
     if dhi == 0.0:
         alpha = hi
@@ -272,7 +280,10 @@ def _exact_line_search(obj, x, d, params, g0):
         # Imported here so that only the exact search loads scipy.optimize.
         from scipy.optimize import brentq
 
-        alpha = float(brentq(dphi, 0.0, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+        try:
+            alpha = float(brentq(dphi, 0.0, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+        except RuntimeError as exc:  # no convergence within maxiter
+            raise LineSearchFail(f"exact line search: {exc}") from exc
     x_new = x + alpha * d
     g = grads.get(alpha)
     if g is None:

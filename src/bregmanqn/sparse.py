@@ -9,6 +9,7 @@ family that holds their checked configuration and through which the
 solver runs them.
 """
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -18,26 +19,17 @@ from .errors import (
     CliqueBlockNotPD,
     InvalidParameter,
     NotChordal,
-    NotPositiveDefinite,
     OracleNoConvergence,
     require_count,
 )
-from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize, cholesky_stack
+from .pdlinalg import PDMatrix, as_symmetric, cholesky_stack
+# cholesky_factorize is unused here but stays bound: bench/ traces and
+# checks every module binding of it.
+from .pdlinalg import cholesky_factorize  # noqa: F401
 from .potentials import log_potential
-from .geometry import (
-    _as_pd,
-    _from_neg_theta,
-    theta_coordinate,
-    trace_inner,
-    v_bregman_divergence,
-)
-from .updates import (
-    _require_pair_length,
-    SecantPair,
-    dfp_update,
-    minimize_divergence_affine,
-    v_bfgs_update,
-)
+from .geometry import _as_pd, _from_neg_theta, theta_coordinate, v_bregman_divergence
+from .testing import divergence_oracle
+from .updates import _require_pair_length, SecantPair, dfp_update, v_bfgs_update
 
 __all__ = [
     "SparsityPattern",
@@ -53,8 +45,6 @@ __all__ = [
     "is_chordal",
     "clique_factorize",
     "theta_v_project_sparse",
-    "sparse_projection_oracle",
-    "sparse_secant_oracle",
     "sparse_update",
     "SparseUpdateFamily",
 ]
@@ -67,8 +57,7 @@ class SparsityPattern:
         self.n = _require_size("pattern dimension", n, 1)
         cleaned = set()
         for i, j in edges:
-            # negated so that nan fails too; 2.0 is taken as 2, 2.7 is not
-            if not all(v % 1 == 0 and 0 <= v < self.n for v in (i, j)):
+            if not all(_is_whole(v) and 0 <= v < self.n for v in (i, j)):
                 raise InvalidParameter(
                     f"pattern index ({i!r}, {j!r}) is not an integer in [0, {self.n})"
                 )
@@ -131,10 +120,15 @@ class SparsityPattern:
         return f"SparsityPattern(n={self.n}, edges={len(self.edges)})"
 
 
+def _is_whole(value):
+    """Whether value is a real number without a fractional part: 2 and 2.0
+    are, 2.7, nan, inf and "2" are not."""
+    return isinstance(value, numbers.Real) and value % 1 == 0
+
+
 def _require_size(name, value, low):
     """value as an int; InvalidParameter unless it is an integer >= low."""
-    # negated so that nan and inf fail too; 2.0 is taken as 2, 2.7 is not
-    if not (value % 1 == 0 and value >= low):
+    if not (_is_whole(value) and value >= low):
         raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
@@ -383,127 +377,14 @@ def theta_v_project_sparse(Bbar, tree, pot):
     return _from_neg_theta(log_det_x, K, pot)
 
 
-def _pattern_basis(pattern):
-    """Frobenius-orthonormal symmetric basis of the pattern subspace."""
-    n = pattern.n
-    mats = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        mats.append(E)
-    for i, j in pattern.edges:
-        E = np.zeros((n, n))
-        E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-        mats.append(E)
-    return mats
+def sparse_secant_oracle(B, pair, pattern, pot):
+    """The PD minimizer of D_V(X, B) over pattern-supported X with Xs = y,
+    for n <= 6: the limit that algorithm 2's chain approaches.
 
-
-def _raise_lambda_min(base, basis, w):
-    """Push base + sum w_k E_k strictly inside the PD cone if possible."""
-
-    def assemble(wv):
-        X = base.copy()
-        for wk, Ek in zip(wv, basis):
-            X += wk * Ek
-        return X
-
-    w = np.asarray(w, dtype=float).copy()
-    for _ in range(300):
-        X = assemble(w)
-        lam, vecs = np.linalg.eigh(X)
-        scale = 1.0 + float(np.abs(np.diag(X)).max())
-        if lam[0] > 1e-6 * scale:
-            return w
-        if not basis:
-            break
-        v = vecs[:, 0]
-        g = np.array([v @ (Ek @ v) for Ek in basis])
-        gn = float(np.linalg.norm(g))
-        if gn <= 1e-14:
-            break
-        t = scale / gn
-        improved = False
-        while t > 1e-14 * scale / gn:
-            lam_new = np.linalg.eigvalsh(assemble(w + t * g))[0]
-            if lam_new > lam[0]:
-                w = w + t * g
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    raise OracleNoConvergence("no strictly positive definite point found on the constraint set")
-
-
-def sparse_projection_oracle(Bbar, pattern, pot, grad_tol=1e-9, max_iter=500):
-    """Minimize D_V(X, Bbar) over pattern-supported X directly; n <= 6.
-
-    Independent check on theta_v_project_sparse: damped Newton over all
-    pattern coefficients, no clique machinery involved.
+    testing.divergence_oracle computes it; raises OracleNoConvergence
+    when that set holds no PD point.
     """
-    Bbar = _as_pd(Bbar)
-    if Bbar.n > 6:
-        raise ValueError("sparse projection oracle is restricted to n <= 6")
-    if pattern.n != Bbar.n:
-        raise InvalidParameter("pattern dimension does not match the matrix")
-    basis = _pattern_basis(pattern)
-    base = np.zeros((Bbar.n, Bbar.n))
-    restricted = pattern.restrict(Bbar.matrix)
-    try:
-        cholesky_factorize(restricted)
-        u0 = np.array([trace_inner(restricted, E) for E in basis])
-    except NotPositiveDefinite:
-        # fall back to the diagonal part, which is always PD
-        diag_only = np.diag(np.diag(Bbar.matrix))
-        u0 = np.array([trace_inner(diag_only, E) for E in basis])
-    return minimize_divergence_affine(Bbar, base, basis, u0, pot, grad_tol, max_iter)
-
-
-def sparse_secant_oracle(B, pair, pattern, pot, grad_tol=1e-9, max_iter=500):
-    """Minimize D_V(X, B) over pattern-supported X with Xs = y; n <= 6.
-
-    Reference for the limit of the alternating projections.  The secant
-    equation is solved on the pattern coefficients by least squares; a
-    residual there means the pattern cannot carry the pair (some s_i = 0
-    with all its neighbors' too) and the constraint set is empty.
-    """
-    B = _as_pd(B)
-    n = B.n
-    if n > 6:
-        raise ValueError("sparse secant oracle is restricted to n <= 6")
-    if pattern.n != n or pair.n != n:
-        raise InvalidParameter("pattern/pair dimensions do not match the matrix")
-    basis = _pattern_basis(pattern)
-    dim = len(basis)
-    G = np.column_stack([E @ pair.s for E in basis])  # (n, dim)
-    u_p, *_ = np.linalg.lstsq(G, pair.y, rcond=None)
-    if np.linalg.norm(G @ u_p - pair.y) > 1e-10 * (1.0 + np.linalg.norm(pair.y)):
-        raise OracleNoConvergence("secant equation has no solution on the pattern")
-    _, sv, vt = np.linalg.svd(G)
-    rank = int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0)))
-    null = vt[rank:].T  # (dim, dim - rank), orthonormal columns
-
-    base = np.zeros((n, n))
-    for um, Em in zip(u_p, basis):
-        base += um * Em
-    null_basis = []
-    for k in range(null.shape[1]):
-        Ek = np.zeros((n, n))
-        for cm, Em in zip(null[:, k], basis):
-            Ek += cm * Em
-        null_basis.append(Ek)
-
-    # Start from B projected onto the constraint set in coefficient space.
-    u_b = np.array([trace_inner(B.matrix, E) for E in basis])
-    w0 = null.T @ (u_b - u_p)
-    X0 = base.copy()
-    for wk, Ek in zip(w0, null_basis):
-        X0 += wk * Ek
-    try:
-        cholesky_factorize(X0)
-    except NotPositiveDefinite:
-        w0 = _raise_lambda_min(base, null_basis, w0)
-    return minimize_divergence_affine(B, base, null_basis, w0, pot, grad_tol, max_iter)
+    return PDMatrix.from_matrix(divergence_oracle(B, pot, pattern, pair))
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +397,11 @@ class SparseUpdateResult:
 
     trace_kind says what the divergence sequence measures: "eta-gap" is
     D_V(B_t, Bbar_t) per iteration (algorithm 1), "to-limit" is
-    D_V(B*, B_t) for t = 0..T against the oracle limit (algorithm 2,
-    small n), "successive" is D_V(B_{t+1}, B_t) when no limit reference
-    is available.
+    D_V(B*, B_t) for t = 0..T against the limit B* (algorithm 2, n <= 4),
+    "successive" is D_V(B_{t+1}, B_t) when no limit reference is
+    available.  B* is bstar, the minimizer of D_V(X, B_0) over
+    pattern-supported X with Xs = y that sparse_secant_oracle gets from
+    bregmanqn.testing.divergence_oracle, the independent reference.
     """
 
     b_out: PDMatrix
@@ -544,7 +427,10 @@ def sparse_update(B, pair, family):
     Algorithm 1 moves to the DFP point of the current iterate, algorithm
     2 to its theta_V-projection on the secant manifold (the V-BFGS
     point); both then project back onto the pattern.  One round is the
-    plain sparse quasi-Newton update.
+    plain sparse quasi-Newton update.  For algorithm 2 at n <= 4 the
+    limit of the chain comes from sparse_secant_oracle and the trace is
+    measured against it; when the pattern and the secant slice have no
+    PD point in common, the trace is "successive" instead.
     """
     B = _as_pd(B)
     n = B.n

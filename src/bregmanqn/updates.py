@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvatureViolation, InvalidParameter, OracleNoConvergence
-from .geometry import solve_det_equation, theta_coordinate, trace_inner, v_bregman_divergence
-from .pdlinalg import PDMatrix, as_symmetric, rank_one_update
+from .errors import CurvatureViolation, InvalidParameter
+from .geometry import solve_det_equation
+from .pdlinalg import PDMatrix, rank_one_update
 from .potentials import Potential, from_string as potential_from_string
 # newton_bisect_log and cholesky_factorize are unused here but stay bound:
 # bench/ traces and checks these module bindings.
@@ -48,8 +48,8 @@ from .pdlinalg import cholesky_factorize  # noqa: F401
 
 
 class SecantPair:
-    """Step/gradient-difference pair with finite positive curvature s'y, and
-    the secant slice {B symmetric : B s = y}, which then meets the PD cone."""
+    """Step/gradient-difference pair with finite positive curvature s'y, so
+    that the secant slice {B symmetric : B s = y} meets the PD cone."""
 
     __slots__ = ("s", "y", "curvature")
 
@@ -76,31 +76,6 @@ class SecantPair:
     def swapped(self) -> "SecantPair":
         """The pair with s and y exchanged (same curvature)."""
         return SecantPair(self.y, self.s)
-
-    def particular_point(self) -> np.ndarray:
-        """The rank-one member y y' / s'y of the slice {B : B s = y} (PSD)."""
-        return np.outer(self.y, self.y) / self.curvature
-
-    def contains(self, B, tol: float = 1e-10) -> bool:
-        """Whether B s = y, relative to 1 + |y|."""
-        B = as_symmetric(B)
-        return bool(np.linalg.norm(B @ self.s - self.y) <= tol * (1.0 + np.linalg.norm(self.y)))
-
-    def tangent_basis(self) -> list[np.ndarray]:
-        """Frobenius-orthonormal basis of {Delta symmetric : Delta s = 0}."""
-        n = self.n
-        u = self.s / np.linalg.norm(self.s)
-        # Householder reflector mapping e1 -> u; its trailing columns span s-perp.
-        w = u.copy()
-        w[0] += 1.0 if u[0] >= 0.0 else -1.0
-        H = np.eye(n) - 2.0 * np.outer(w, w) / (w @ w)
-        q = [H[:, j] for j in range(1, n)]
-        basis = []
-        for i in range(n - 1):
-            basis.append(np.outer(q[i], q[i]))
-            for j in range(i + 1, n - 1):
-                basis.append((np.outer(q[i], q[j]) + np.outer(q[j], q[i])) / np.sqrt(2.0))
-        return basis
 
     def __repr__(self):
         return f"SecantPair(n={self.n}, curvature={self.curvature:.6g})"
@@ -213,130 +188,6 @@ def self_scaling_update(B: PDMatrix, pair: SecantPair, theta: float | None = Non
     if not theta > 0.0 or not np.isfinite(theta):
         raise InvalidParameter(f"theta must be a positive real, got {theta!r}")
     return _secant_mix(B, pair, lambda ld_bfgs: theta)
-
-
-def minimize_divergence_affine(
-    B: PDMatrix,
-    base: np.ndarray,
-    basis: list,
-    u0: np.ndarray,
-    pot: Potential,
-    grad_tol: float = 1e-9,
-    max_iter: int = 500,
-) -> PDMatrix:
-    """Minimize D_V(X, B) over X = base + sum_m u_m E_m inside the PD cone.
-
-    Damped Newton on the coefficients with the analytic gradient
-    <theta_V(X) - theta_V(B), E_m> and a finite-difference Hessian.  The
-    start u0 must give a PD matrix.  Shared engine for the oracle
-    implementations; cost is quadratic in len(basis).
-    """
-    pot.require_admissible(B.n)
-    dim = len(basis)
-    theta_b = theta_coordinate(B, pot)
-
-    def assemble(u):
-        X = base.copy()
-        for um, Em in zip(u, basis):
-            X += um * Em
-        return X
-
-    def fval(u):
-        X = assemble(u)
-        try:
-            Xpd = PDMatrix.from_matrix(X)
-        except Exception:
-            return None, np.inf
-        return Xpd, v_bregman_divergence(Xpd, B, pot)
-
-    def grad(u):
-        Xpd, f = fval(u)
-        if Xpd is None:
-            raise OracleNoConvergence("iterate left the PD cone")
-        gap = theta_coordinate(Xpd, pot) - theta_b
-        return np.array([trace_inner(gap, Em) for Em in basis]), f
-
-    u = np.asarray(u0, dtype=float).copy()
-    if dim == 0:
-        Xpd, _ = fval(u)
-        if Xpd is None:
-            raise OracleNoConvergence("constraint set has no PD point")
-        return Xpd
-
-    for _ in range(max_iter):
-        g, f = grad(u)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= grad_tol:
-            Xpd, _ = fval(u)
-            return Xpd
-        h = 1e-6 * (1.0 + float(np.linalg.norm(u)))
-        H = np.empty((dim, dim))
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            gp, _ = grad(u + e)
-            gm, _ = grad(u - e)
-            H[i] = (gp - gm) / (2.0 * h)
-        H = 0.5 * (H + H.T)
-        try:
-            step = np.linalg.solve(H + 1e-12 * np.eye(dim), -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        if g @ step >= 0.0:  # not a descent direction; fall back
-            step = -g
-        predicted = -(g @ step)
-        if predicted <= 1e-12 * (1.0 + abs(f)):
-            # Endgame: decreases are below float resolution of f, so Armijo
-            # cannot certify progress; take the damped Newton step on PD
-            # feasibility alone and let the gradient check decide.
-            t = 1.0
-            while t > 1e-14 and fval(u + t * step)[0] is None:
-                t *= 0.5
-            if t <= 1e-14:
-                raise OracleNoConvergence("endgame step left the PD cone")
-            u = u + t * step
-            continue
-        t = 1.0
-        accepted = False
-        while t > 1e-14:
-            _, f_new = fval(u + t * step)
-            if f_new < f + 1e-4 * t * (g @ step):
-                u = u + t * step
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            g, _ = grad(u)
-            if float(np.linalg.norm(g)) <= grad_tol:
-                Xpd, _ = fval(u)
-                return Xpd
-            raise OracleNoConvergence("line search stalled before reaching tolerance")
-    raise OracleNoConvergence(f"no convergence within {max_iter} iterations")
-
-
-def variational_oracle(
-    B: PDMatrix,
-    pair: SecantPair,
-    pot: Potential,
-    grad_tol: float = 1e-9,
-    max_iter: int = 500,
-) -> PDMatrix:
-    """Direct numerical minimizer of D_V(X, B) over {X : Xs = y}, n <= 4.
-
-    Independent of the closed-form update: parameterizes the secant slice
-    as yy'/(s'y) + span{E_m} with a Frobenius-orthonormal tangent basis and
-    hands the coefficients to the damped Newton engine.  Reference
-    implementation for tests.
-    """
-    n = pair.n
-    if n > 4:
-        raise ValueError("variational oracle is restricted to n <= 4")
-    basis = pair.tangent_basis()
-    base = pair.particular_point()
-    # Start from the BFGS point, which already lies on the slice.
-    start_gap = bfgs_update(B, pair).matrix - base
-    u0 = np.array([trace_inner(start_gap, Em) for Em in basis])
-    return minimize_divergence_affine(B, base, basis, u0, pot, grad_tol, max_iter)
 
 
 @dataclass

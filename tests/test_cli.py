@@ -106,6 +106,7 @@ def test_solve_exit_codes(tmp_path):
     out = tmp_path / "t.csv"
     assert run_command(["solve", "--max-iter", "2", "--out", str(out)]) == 2
     assert run_command(["solve", "--problem", "nope", "--out", str(out)]) == 1
+    assert run_command(["solve", "--problem", "quadratic:10:4:junk", "--out", str(out)]) == 1
     assert run_command(["solve", "--family", "what", "--out", str(out)]) == 1
 
 

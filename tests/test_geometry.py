@@ -7,7 +7,6 @@ from bregmanqn import (
     NotPositiveDefinite,
     InvalidParameter,
     PDMatrix,
-    SecantPair,
     bounded_potential,
     generic_bregman,
     invert_theta,
@@ -160,29 +159,6 @@ def test_solve_neg_theta_det_residual():
                     assert ld == t
                 elif pot.kind == "power":
                     assert ld == t / (1.0 - n * pot.params["gamma"])
-
-
-def test_secant_manifold_membership_and_basis():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        s = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        if s @ y <= 0:
-            y = -y
-        pair = SecantPair(s, y)
-        basis = pair.tangent_basis()
-        assert len(basis) == n * (n + 1) // 2 - n
-        for e in basis:
-            assert np.abs(e - e.T).max() == 0.0
-            assert np.abs(e @ s).max() < 1e-12
-        # pairwise orthonormal in the trace inner product
-        for i in range(len(basis)):
-            for j in range(len(basis)):
-                g = trace_inner(basis[i], basis[j])
-                assert g == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
-        assert np.abs(pair.particular_point() @ s - y).max() < 1e-10 * np.abs(y).max()
-        assert pair.contains(pair.particular_point())
 
 
 def test_pythagorean_residual_zero_for_exact_split():

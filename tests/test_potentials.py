@@ -114,6 +114,12 @@ def test_validate_report_fields():
     rep = validate(power_potential(0.5), 3)
     assert not rep.admissible
     assert not rep.beta_bound_ok
+    # a dimension that is not a whole number >= 1 is refused, not cached
+    pot = log_potential()
+    for bad in (2.5, 0, "3"):
+        with pytest.raises(InvalidParameter):
+            validate(pot, bad)
+    assert pot._reports == {}
 
 
 def test_custom_potential_matches_builtin():
@@ -195,7 +201,8 @@ def test_from_string():
     assert p.nu(2.0) == pytest.approx(2.0 ** 0.25)
     b = potential_from_string("bounded:c=0.5")
     assert b.nu(1e9) == pytest.approx(0.5, rel=1e-6)
-    for bad in ("", "nope", "power", "power:g=1", "bounded:c=2", "log:x=1"):
+    for bad in ("", "nope", "power", "power:g=1", "bounded:c=2", "log:x=1",
+                "power:gamma=0.1,gamma=0.2"):
         with pytest.raises(InvalidParameter):
             potential_from_string(bad)
 

@@ -80,6 +80,9 @@ def test_problem_parsing_errors():
         "quadratic:inf:3",
         "extended-powell:6",
         "extended-powell:x",
+        "extended-powell:8:9",
+        "quadratic:10:4:junk",
+        "broyden-tridiagonal:5:zz",
         "broyden-tridiagonal:1",
         "nope",
         "",

@@ -299,6 +299,33 @@ def test_rosenbrock_evaluation_counts(method, iterations, nfev, ngev):
         assert r.grad_norm == float(np.linalg.norm(spec.objective.gradient(r.x)))
 
 
+def test_exact_search_steps_back_from_a_non_finite_slope():
+    # f(x) = -log(1 - x) - 2x is NaN from x = 1 on; from x0 = 0 the first
+    # trial lands there, and the minimum is at x = 0.5
+    def value(x):
+        return float(-np.log1p(-x[0]) - 2.0 * x[0]) if x[0] < 1.0 else np.nan
+
+    def gradient(x):
+        return np.array([1.0 / (1.0 - x[0]) - 2.0 if x[0] < 1.0 else np.nan])
+
+    obj = Objective(1, value, gradient)
+    for method in ("wolfe", "exact"):
+        cfg = SolverConfig("bfgs", line_search=LineSearchParams(method=method))
+        trace = minimize(obj, np.zeros(1), config=cfg)
+        assert trace.status == "Converged", method
+        assert trace.final.x[0] == pytest.approx(0.5, abs=1e-8)
+    exact = SolverConfig("bfgs", line_search=LineSearchParams(method="exact", max_trials=5))
+    # a slope that is NaN at every step ends the run after max_trials halvings
+    nowhere = Objective(1, lambda x: -float(x[0]) if x[0] <= 0.0 else np.nan,
+                        lambda x: np.array([-1.0 if x[0] <= 0.0 else np.nan]))
+    trace = minimize(nowhere, np.zeros(1), config=exact)
+    assert trace.status == "LineSearchFail"
+    # so does a root search that does not converge
+    with mock.patch("scipy.optimize.brentq", side_effect=RuntimeError("no convergence")):
+        trace = minimize(obj, np.array([0.25]), config=exact)
+    assert trace.status == "LineSearchFail" and "no convergence" in trace.reason
+
+
 def test_records_carry_cumulative_evaluation_counts():
     spec = get_problem("extended-powell:8")
     trace = minimize(spec.objective, spec.start,
