@@ -25,7 +25,6 @@ from .potentials import (
     bounded_potential,
     custom_potential,
     log_potential,
-    make_builtin,
     power_potential,
     validate,
 )

@@ -6,10 +6,10 @@ dual-coordinate inversion (k = n) are one equation,
     g(ld) = ld - k * log nu(ld) - t = 0,        ld = log z,
 
 with g' = 1 - k * beta(ld) > 0 for admissible potentials (beta < 1/n,
-k <= n).  geometry.solve_det_equation solves it, and calls this bracketed
-Newton with bisection fallback when the potential has no closed form.  The
-bracket grows outward until g changes sign, so the root is found at any
-log det a float64 factor can represent.
+k <= n).  geometry.solve_det_equation solves it in closed form when beta
+is constant and otherwise calls this bracketed Newton with bisection
+fallback.  The bracket grows outward until g changes sign, so the root is
+found at any log det a float64 factor can represent.
 """
 
 from __future__ import annotations

@@ -96,15 +96,13 @@ def solve_det_equation(t: float, k: int, pot: Potential, ld0: float | None = Non
 
     Its left side is strictly increasing (the derivative 1 - k*beta is
     positive for admissible potentials and k <= n), so the root is unique.
-    Constant nu gives ld = t and the power potential t / (1 - k*gamma);
-    otherwise Newton with a bisection safeguard (_roots.newton_bisect_log)
-    from ld0 (default t) stops when the residual is at most
-    1e-13 * (1 + |t|).
+    A constant beta (nu = z^beta; beta = 0 is the log potential) gives the
+    closed form t / (1 - k*beta), which is exactly t at beta = 0; otherwise
+    Newton with a bisection safeguard (_roots.newton_bisect_log) from ld0
+    (default t) stops when the residual is at most 1e-13 * (1 + |t|).
     """
-    if pot.constant_nu:
-        return t
-    if pot.kind == "power":
-        return t / (1.0 - k * pot.params["gamma"])
+    if pot.constant_beta is not None:
+        return t / (1.0 - k * pot.constant_beta)
 
     def g(ld):
         return ld - k * pot.log_nu_ld(ld) - t

@@ -49,27 +49,21 @@ class PotentialReport:
 
 
 class Potential:
-    """Potential V given by its log-space triple.
+    """Potential V given by its log-space triple and a label.
 
-    ``kind`` is one of "log", "power", "bounded", "custom".  value_ld,
-    log_nu_ld and beta_ld take ld = log z and return V(z), log nu(z) and
-    beta(z).
+    value_ld, log_nu_ld and beta_ld take ld = log z and return V(z),
+    log nu(z) and beta(z).  constant_beta is beta's value when beta is
+    constant -- exactly the power family nu = z^gamma, with gamma = 0 the
+    log potential -- and None otherwise.
     """
 
-    def __init__(self, kind: str, params: dict, value_ld, log_nu_ld, beta_ld):
-        self.kind = kind
-        self.params = dict(params)
+    def __init__(self, label: str, value_ld, log_nu_ld, beta_ld, constant_beta=None):
+        self._label = label
         self.value_ld = value_ld
         self.log_nu_ld = log_nu_ld
         self.beta_ld = beta_ld
+        self.constant_beta = constant_beta
         self._reports: dict[int, PotentialReport] = {}
-
-    @property
-    def constant_nu(self) -> bool:
-        """nu is constant (log, and bounded with c = 0), so the determinant
-        equation ld - k log nu(ld) = t has the root ld = t and the weight
-        ratio of every weighted update is exactly one."""
-        return self.kind == "log" or (self.kind == "bounded" and self.params["c"] == 0.0)
 
     def nu_ld(self, ld: float) -> float:
         return float(np.exp(self.log_nu_ld(ld)))
@@ -92,36 +86,35 @@ class Potential:
         return self.nu(z) * (1.0 - self.beta(z)) / (z * z)
 
     def label(self) -> str:
-        if self.kind == "power":
-            return f"power:gamma={self.params['gamma']!r}"
-        if self.kind == "bounded":
-            return f"bounded:c={self.params['c']!r}"
-        return self.kind
+        return self._label
 
     def __repr__(self):
-        return f"Potential({self.label()})"
+        return f"Potential({self._label})"
 
     def require_admissible(self, n: int) -> None:
         """Validate for dimension n (cached); raise if inadmissible."""
-        report = self._reports.get(n)
-        if report is None:
-            report = validate(self, n)
+        report = validate(self, n)
         if not report.admissible:
             raise PotentialNotAdmissible(
-                f"potential {self.label()} is not admissible for n={n}: "
+                f"potential {self._label} is not admissible for n={n}: "
                 f"beta_bound_ok={report.beta_bound_ok}, limit_ok={report.limit_ok}"
             )
 
 
+def _power_triple(label: str, gamma: float) -> Potential:
+    """nu = z^gamma, beta == gamma; V = (1 - z^gamma)/gamma, or -log z at
+    gamma = 0."""
+    if gamma == 0.0:
+        value_ld, log_nu_ld = (lambda ld: -ld), (lambda ld: 0.0)
+    else:
+        value_ld = lambda ld: (1.0 - np.exp(gamma * ld)) / gamma
+        log_nu_ld = lambda ld: gamma * ld
+    return Potential(label, value_ld, log_nu_ld, lambda ld: gamma, constant_beta=gamma)
+
+
 def log_potential() -> Potential:
     """V(z) = -log z; nu == 1, beta == 0.  The KL seed."""
-    return Potential(
-        kind="log",
-        params={},
-        value_ld=lambda ld: -ld,
-        log_nu_ld=lambda ld: 0.0,
-        beta_ld=lambda ld: 0.0,
-    )
+    return _power_triple("log", 0.0)
 
 
 def power_potential(gamma: float) -> Potential:
@@ -135,13 +128,7 @@ def power_potential(gamma: float) -> Potential:
         raise InvalidParameter("gamma=0 is the logarithmic limit; use the log potential")
     if not np.isfinite(gamma) or gamma >= 1.0:
         raise InvalidParameter(f"power potential needs gamma < 1, got {gamma}")
-    return Potential(
-        kind="power",
-        params={"gamma": gamma},
-        value_ld=lambda ld: (1.0 - np.exp(gamma * ld)) / gamma,
-        log_nu_ld=lambda ld: gamma * ld,
-        beta_ld=lambda ld: gamma,
-    )
+    return _power_triple(f"power:gamma={gamma!r}", gamma)
 
 
 def bounded_potential(c: float) -> Potential:
@@ -149,50 +136,41 @@ def bounded_potential(c: float) -> Potential:
 
     nu(z) = 1 - c + c/(cz + 1) stays inside [1 - c, 1], and
     beta(z) = -c^2 z / ((cz + 1)(c(1 - c)z + 1)) <= 0, so the potential is
-    admissible in every dimension.  c = 0 coincides with the log potential.
+    admissible in every dimension.  c = 0 is the log potential's triple.
     """
     c = float(c)
     if not (0.0 <= c < 1.0) or not np.isfinite(c):
         raise InvalidParameter(f"bounded potential needs 0 <= c < 1, got {c}")
-
+    label = f"bounded:c={c!r}"
     if c == 0.0:
-        value_ld = lambda ld: -ld
-        log_nu_ld = lambda ld: 0.0
-        beta_ld = lambda ld: 0.0
-    else:
-        log_c = np.log(c)
-        # log(c*(1-c)) is finite because 0 < c < 1 here.
-        log_c1c = np.log(c * (1.0 - c))
+        return _power_triple(label, 0.0)
+    log_c = np.log(c)
+    # log(c*(1-c)) is finite because 0 < c < 1 here.
+    log_c1c = np.log(c * (1.0 - c))
 
-        def value_ld(ld):
-            return c * np.logaddexp(log_c + ld, 0.0) - ld
+    def value_ld(ld):
+        return c * np.logaddexp(log_c + ld, 0.0) - ld
 
-        def log_nu_ld(ld):
-            t1 = np.logaddexp(log_c + ld, 0.0)  # log(cz + 1)
-            return float(np.log(1.0 - c + c * np.exp(-t1)))
+    def log_nu_ld(ld):
+        t1 = np.logaddexp(log_c + ld, 0.0)  # log(cz + 1)
+        return float(np.log(1.0 - c + c * np.exp(-t1)))
 
-        def beta_ld(ld):
-            t1 = np.logaddexp(log_c + ld, 0.0)
-            t2 = np.logaddexp(log_c1c + ld, 0.0)  # log(c(1-c)z + 1)
-            return float(-np.exp(2.0 * log_c + ld - t1 - t2))
+    def beta_ld(ld):
+        t1 = np.logaddexp(log_c + ld, 0.0)
+        t2 = np.logaddexp(log_c1c + ld, 0.0)  # log(c(1-c)z + 1)
+        return float(-np.exp(2.0 * log_c + ld - t1 - t2))
 
-    return Potential(
-        kind="bounded",
-        params={"c": c},
-        value_ld=value_ld,
-        log_nu_ld=log_nu_ld,
-        beta_ld=beta_ld,
-    )
+    return Potential(label, value_ld, log_nu_ld, beta_ld)
 
 
 def custom_potential(value, derivative, second_derivative, name: str = "custom") -> Potential:
     """Build the log-space triple from user callables V, V', V''.
 
     log nu = log(-z V'(z)) and beta = 1 + z V''(z) / V'(z), evaluated at
-    z = exp(ld).  They exponentiate, so extremely large determinants can
-    overflow for custom potentials; the builtins do not have this caveat.
-    Where V increases, nu <= 0 and log nu is silently nan or -inf, which
-    validate rejects.
+    z = exp(ld); name is the label.  They exponentiate, so extremely large
+    determinants can overflow for custom potentials; the builtins do not
+    have this caveat.  Where V increases, nu <= 0 and log nu is silently
+    nan or -inf, which validate rejects.
     """
 
     def log_nu_ld(ld):
@@ -204,39 +182,23 @@ def custom_potential(value, derivative, second_derivative, name: str = "custom")
         z = np.exp(ld)
         return float(1.0 + z * second_derivative(z) / derivative(z))
 
-    return Potential(
-        kind="custom",
-        params={"name": name},
-        value_ld=lambda ld: value(np.exp(ld)),
-        log_nu_ld=log_nu_ld,
-        beta_ld=beta_ld,
-    )
+    return Potential(name, lambda ld: value(np.exp(ld)), log_nu_ld, beta_ld)
 
 
-def make_builtin(kind: str, **params) -> Potential:
-    """Construct one of the builtin potentials by name."""
-    kind = kind.lower()
-    if kind == "log":
-        if params:
-            raise InvalidParameter("log potential takes no parameters")
-        return log_potential()
-    if kind == "power":
-        if set(params) != {"gamma"}:
-            raise InvalidParameter("power potential takes exactly gamma=<float>")
-        return power_potential(params["gamma"])
-    if kind == "bounded":
-        if set(params) != {"c"}:
-            raise InvalidParameter("bounded potential takes exactly c=<float>")
-        return bounded_potential(params["c"])
-    raise InvalidParameter(f"unknown potential kind {kind!r}")
+# builder and its required keywords for each name from_string accepts
+_BUILTINS = {
+    "log": (log_potential, ()),
+    "power": (power_potential, ("gamma",)),
+    "bounded": (bounded_potential, ("c",)),
+}
 
 
 def from_string(spec: str) -> Potential:
     """Parse CLI potential syntax: log | power:gamma=<g> | bounded:c=<c>."""
-    spec = spec.strip().lower()
-    if spec == "log":
-        return log_potential()
-    head, _, rest = spec.partition(":")
+    head, _, rest = spec.strip().lower().partition(":")
+    if head not in _BUILTINS:
+        raise InvalidParameter(f"unknown potential kind {head!r}")
+    build, keys = _BUILTINS[head]
     kv = {}
     if rest:
         for item in rest.split(","):
@@ -250,7 +212,10 @@ def from_string(spec: str) -> Potential:
                 kv[key] = float(val)
             except ValueError as exc:
                 raise InvalidParameter(f"non-numeric potential parameter {item!r}") from exc
-    return make_builtin(head, **kv)
+    if set(kv) != set(keys):
+        wants = ", ".join(f"{k}=<float>" for k in keys) or "no parameters"
+        raise InvalidParameter(f"{head} potential takes exactly {wants}")
+    return build(**kv)
 
 
 def validate(pot: Potential, n: int) -> PotentialReport:

@@ -122,8 +122,8 @@ class SparsityPattern:
 
 def _is_whole(value):
     """Whether value is a real number without a fractional part: 2 and 2.0
-    are, 2.7, nan, inf and "2" are not."""
-    return isinstance(value, numbers.Real) and value % 1 == 0
+    are, 2.7, nan, inf, "2" and True are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value % 1 == 0
 
 
 def _require_size(name, value, low):
@@ -199,7 +199,11 @@ def pattern_to_text(pattern):
 
 def load_pattern(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return pattern_from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidParameter(f"pattern file {path} is not UTF-8 text: {exc}") from exc
+    return pattern_from_text(text)
 
 
 # ---------------------------------------------------------------------------

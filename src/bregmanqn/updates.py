@@ -140,9 +140,9 @@ def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
     Solves min D_V(X, B) over {X : Xs = y}; the minimizer mixes BFGS(B)
     with the rank-one secant point, weighted by the nu-ratio at the new and
     old determinants.  The new determinant solves the scaling equation.
-    When nu is constant (the log potential, and bounded with c = 0) that
-    determinant is det BFGS(B) and the ratio is exactly one, so the factor
-    step is bfgs_update's bit for bit.
+    When beta is constant zero (the log potential, and bounded with c = 0),
+    nu is constant, so that determinant is det BFGS(B) and the ratio is
+    exactly one: the factor step is bfgs_update's bit for bit.
     """
     _require_pair_length(B, pair)
     n = pair.n
@@ -210,8 +210,10 @@ class UpdateFamily:
         if self.kind not in self.KINDS:
             raise InvalidParameter(f"unknown update family {self.kind!r}")
         if self.kind in ("vbfgs", "vdfp"):
-            if self.potential is None:
-                raise InvalidParameter(f"{self.kind} requires a potential")
+            if not isinstance(self.potential, Potential):
+                raise InvalidParameter(
+                    f"{self.kind} requires a Potential, got {self.potential!r}"
+                )
         elif self.potential is not None:
             raise InvalidParameter(f"{self.kind} takes no potential")
 

@@ -20,6 +20,7 @@ from bregmanqn import (
     SolverTrace,
     UpdateFamily,
     get_problem,
+    load_pattern,
     minimize,
 )
 from bregmanqn.cli import TRACE_COLUMNS, export_trace, run_command
@@ -202,7 +203,7 @@ def test_config_file_under_explicit_flags(tmp_path, capsys):
     assert "seed=9" in line
 
 
-def test_config_file_rejections(tmp_path):
+def test_config_file_rejections(tmp_path, capsys):
     out = tmp_path / "t.csv"
     missing = tmp_path / "nope.cfg"
     assert run_command(["solve", "--config", str(missing), "--out", str(out)]) == 1
@@ -236,6 +237,13 @@ def test_config_file_rejections(tmp_path):
     nested = tmp_path / "g.cfg"
     nested.write_text(f"config = {bad_key}\n")
     assert run_command(["solve", "--config", str(nested), "--out", str(out)]) == 1
+
+    # bytes that are not UTF-8 end in one usage error, not a traceback
+    binary = tmp_path / "h.cfg"
+    binary.write_bytes(b"tol = 1e-3\n\xff\xfe\x00\x81\n")
+    capsys.readouterr()
+    assert run_command(["solve", "--config", str(binary), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config file")
 
 
 def test_compare_summary(tmp_path):
@@ -286,7 +294,7 @@ def test_sparse_demo_default_pattern(tmp_path, capsys):
     assert vals[-1] <= 1e-6
 
 
-def test_sparse_demo_pattern_file(tmp_path):
+def test_sparse_demo_pattern_file(tmp_path, capsys):
     pat = tmp_path / "band.pat"
     pat.write_text("5\n1 2\n2 3\n3 4\n4 5\n")
     out = tmp_path / "sp.csv"
@@ -301,6 +309,15 @@ def test_sparse_demo_pattern_file(tmp_path):
     bad.write_text("3\nx y\n")
     assert run_command(["sparse-demo", "--pattern", str(bad),
                         "--out", str(out)]) == 1
+    # bytes that are not UTF-8 end in one error line, not a traceback
+    binary = tmp_path / "binary.pat"
+    binary.write_bytes(b"3\n1 2\n\xff\xfe\x00\x81\n")
+    with pytest.raises(InvalidParameter):
+        load_pattern(binary)
+    capsys.readouterr()
+    assert run_command(["sparse-demo", "--pattern", str(binary),
+                        "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: pattern file")
     # only bfgs and vbfgs families run sparse; others are not reinterpreted
     for family in ("selfscale", "dfp", "vdfp:log"):
         assert run_command(["sparse-demo", "--pattern", str(pat),

@@ -142,12 +142,13 @@ def test_solve_neg_theta_det_log_closed_form():
     # log potential: nu == 1, so log z = -ld_target exactly
     pot = log_potential()
     for ld in (-20.0, -1.0, 0.0, 3.5, 30.0):
-        assert solve_neg_theta_det(ld, 4, pot) == pytest.approx(-ld, abs=1e-10)
+        assert solve_neg_theta_det(ld, 4, pot) == -ld
 
 
 def test_solve_neg_theta_det_residual():
-    # the k = n side of the determinant equation, with exact closed forms
-    # for constant nu (ld = t) and the power potential (t / (1 - n gamma))
+    # the k = n side of the determinant equation, with the exact closed
+    # form t / (1 - n beta) for constant beta: ld = t when beta = 0 (log,
+    # bounded with c = 0) and t / (1 - n gamma) for the power potential
     for pot in (*POTENTIALS, bounded_potential(0.0)):
         for n in (2, 3, 6):
             for ld_target in (*np.linspace(-12, 12, 9), -2000.0, 2000.0):
@@ -155,10 +156,10 @@ def test_solve_neg_theta_det_residual():
                 ld = solve_neg_theta_det(float(ld_target), n, pot)
                 resid = n * pot.log_nu_ld(ld) - ld - ld_target
                 assert abs(resid) < 1e-11 * (1 + abs(ld_target))
-                if pot.constant_nu:
+                if pot.constant_beta == 0.0:
                     assert ld == t
-                elif pot.kind == "power":
-                    assert ld == t / (1.0 - n * pot.params["gamma"])
+                if pot.constant_beta is not None:
+                    assert ld == t / (1.0 - n * pot.constant_beta)
 
 
 def test_pythagorean_residual_zero_for_exact_split():

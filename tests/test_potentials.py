@@ -21,7 +21,7 @@ def test_log_potential_values():
         assert pot.value(z) == pytest.approx(-np.log(z))
         assert pot.nu(z) == pytest.approx(1.0)
         assert pot.beta(z) == pytest.approx(0.0)
-    assert pot.constant_nu
+    assert pot.constant_beta == 0.0
 
 
 def test_power_potential_values():
@@ -130,6 +130,9 @@ def test_custom_potential_matches_builtin():
         lambda z: -(g - 1) * z ** (g - 2),
         name="mypower",
     )
+    assert pot.label() == "mypower"
+    assert repr(pot) == "Potential(mypower)"
+    assert pot.constant_beta is None
     ref = power_potential(g)
     for z in (0.4, 1.0, 6.0):
         assert pot.nu(z) == pytest.approx(ref.nu(z))
@@ -185,7 +188,11 @@ def test_derived_derivatives_match_finite_differences():
 
 
 def test_parameter_validation():
-    bounded_potential(0.0)  # coincides with log, allowed
+    # c = 0 coincides with log, allowed, and has log's constant beta
+    assert bounded_potential(0.0).constant_beta == 0.0
+    assert bounded_potential(0.0).label() == "bounded:c=0.0"
+    assert bounded_potential(0.5).constant_beta is None
+    assert power_potential(-0.25).constant_beta == -0.25
     with pytest.raises(InvalidParameter):
         bounded_potential(1.0)
     with pytest.raises(InvalidParameter):

@@ -72,12 +72,13 @@ def test_pattern_rejects_bad_edges():
         SparsityPattern(3, [(0, 3)])
     with pytest.raises(InvalidParameter):
         SparsityPattern(0, [])
-    for n in (2.5, float("nan"), float("inf"), "3"):
+    for n in (2.5, float("nan"), float("inf"), "3", True):
         with pytest.raises(InvalidParameter):
             SparsityPattern(n, [(0, 2)])
     assert SparsityPattern(np.int64(3), [(0, 2)]).n == 3
     # a non-integral index is refused, not truncated onto another entry
-    for bad in (2.7, -0.5, float("nan"), float("inf"), "1"):
+    # True used to stand for index 1 and add edge (1, 2)
+    for bad in (2.7, -0.5, float("nan"), float("inf"), "1", True, False):
         with pytest.raises(InvalidParameter):
             SparsityPattern(3, [(0, bad)])
         with pytest.raises(InvalidParameter):
@@ -90,11 +91,12 @@ def test_pattern_rejects_bad_edges():
     assert SparsityPattern(3, [(1, 1)]).edges == ()
     # the builders take the sizes SparsityPattern takes: a nan bandwidth
     # used to give the full pattern, 2.0 a TypeError from range
-    for bad in (2.5, float("nan"), float("inf"), 0, -1, "3"):
+    # banded_pattern(True, 1) used to be a 1 x 1 pattern
+    for bad in (2.5, float("nan"), float("inf"), 0, -1, "3", True, False):
         for build in (full_pattern, arrow_pattern, lambda n: banded_pattern(n, 1)):
             with pytest.raises(InvalidParameter):
                 build(bad)
-    for bad in (1.5, float("nan"), float("inf"), -1, "1"):
+    for bad in (1.5, float("nan"), float("inf"), -1, "1", True, False):
         with pytest.raises(InvalidParameter):
             banded_pattern(5, bad)
     assert banded_pattern(5.0, 2.0) == banded_pattern(5, 2)

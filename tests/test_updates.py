@@ -15,6 +15,7 @@ from bregmanqn import (
     bfgs_update,
     bounded_potential,
     cholesky_factorize,
+    custom_potential,
     dfp_update,
     log_potential,
     power_potential,
@@ -291,18 +292,18 @@ def test_scaling_equation_residual_and_power_closed_form():
             closed = c ** (1.0 / (1.0 - (n - 1) * g))
             assert z == pytest.approx(closed, rel=1e-12)
     # the k = n - 1 side of the determinant equation up to |log C| = 2000,
-    # with exact closed forms for constant nu (ld = t) and the power
-    # potential (t / (1 - (n-1) gamma))
+    # with the exact closed form t / (1 - (n-1) beta) for constant beta:
+    # ld = t when beta = 0 and t / (1 - (n-1) gamma) for the power potential
     for pot in (*POTS, bounded_potential(0.0)):
         for n in (2, 4, 8):
             k = n - 1
             for t in (*np.linspace(-13.8, 13.8, 7), -2000.0, 2000.0):
                 ld = solve_det_equation(float(t), k, pot)
                 assert abs(ld - k * pot.log_nu_ld(ld) - t) <= 1e-11 * (1 + abs(t))
-                if pot.constant_nu:
+                if pot.constant_beta == 0.0:
                     assert ld == t
-                elif pot.kind == "power":
-                    assert ld == t / (1.0 - k * pot.params["gamma"])
+                if pot.constant_beta is not None:
+                    assert ld == t / (1.0 - k * pot.constant_beta)
 
 
 def test_variational_oracle_agrees_with_update():
@@ -353,3 +354,18 @@ def test_family_labels():
     assert (
         UpdateFamily.from_string("vdfp:bounded:c=0.3").label() == "vdfp:bounded:c=0.3"
     )
+    # a custom potential's name is its label, in the family's label too
+    mine = custom_potential(lambda z: -np.log(z), lambda z: -1.0 / z,
+                            lambda z: 1.0 / z ** 2, name="mine")
+    assert mine.label() == "mine"
+    assert UpdateFamily("vbfgs", mine).label() == "vbfgs:mine"
+
+
+def test_family_rejects_a_potential_that_is_not_one():
+    # a spec string is not a Potential: refused here, not an AttributeError
+    # from the first update
+    for kind in ("vbfgs", "vdfp"):
+        for bad in ("log", None, 0.5):
+            with pytest.raises(InvalidParameter):
+                UpdateFamily(kind, bad)
+    UpdateFamily("vbfgs", log_potential())
