@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,32 +21,13 @@ from .errors import BregmanQNError, InvalidParameter
 from .pdlinalg import PDMatrix
 from .potentials import log_potential
 from .problems import get_problem, list_problems
-from .solver import (
-    LineSearchParams,
-    SolverConfig,
-    invariance_check,
-    minimize,
-)
+from .solver import SolverConfig, invariance_check, minimize
 from .sparse import SparseUpdateFamily, banded_pattern, load_pattern, sparse_update
 from .updates import SecantPair, UpdateFamily
 
-__all__ = ["RunRecord", "export_trace", "run_command", "main"]
+__all__ = ["export_trace", "run_command", "main"]
 
 TRACE_COLUMNS = ("iter", "f", "grad_norm", "alpha", "det_B", "sTy", "skipped")
-
-
-@dataclass
-class RunRecord:
-    """One solve outcome; wall_time goes to stderr, never into a written file."""
-
-    problem: str
-    family: str
-    iterations: int
-    final_grad_norm: float
-    final_f: float
-    wall_time: float
-    status: str
-    seed: int
 
 
 def _fmt(v):
@@ -213,98 +193,74 @@ def _resolve_seed(args):
     return seed
 
 
-def _solve_once(problem_name, family_str, tol, max_iter, seed):
-    spec = get_problem(problem_name, seed=seed)
-    family = UpdateFamily.from_string(family_str)
-    config = SolverConfig(
-        family=family,
-        line_search=LineSearchParams(),
-        grad_tol=tol,
-        max_iter=max_iter,
-    )
+def _solve(spec, family, tol, max_iter):
+    """Run family on spec from B0 = I; (trace, wall seconds)."""
+    config = SolverConfig(family, grad_tol=tol, max_iter=max_iter)
     t0 = time.perf_counter()
     trace = minimize(spec.objective, spec.start, PDMatrix.identity(spec.n), config)
-    wall = time.perf_counter() - t0
-    record = RunRecord(
-        problem=spec.name,
-        family=family.label(),
-        iterations=trace.iterations,
-        final_grad_norm=trace.final.grad_norm,
-        final_f=trace.final.f,
-        wall_time=wall,
-        status=trace.status,
-        seed=seed,
-    )
-    return spec, trace, record
+    return trace, time.perf_counter() - t0
 
 
 def _cmd_solve(args):
     seed = _resolve_seed(args)
-    spec, trace, record = _solve_once(
-        args.problem, args.family, args.tol, args.max_iter, seed
-    )
+    spec = get_problem(args.problem, seed=seed)
+    family = UpdateFamily.from_string(args.family)
+    trace, wall = _solve(spec, family, args.tol, args.max_iter)
     out = args.out or f"trace.{args.format}"
     export_trace(trace, out, args.format)
     print(
-        f"{record.problem} {record.family}: {record.status} "
-        f"iters={record.iterations} nfev={trace.nfev} ngev={trace.ngev} "
-        f"f={record.final_f:.6e} |grad|={record.final_grad_norm:.3e} "
-        f"seed={record.seed} -> {out}"
+        f"{spec.name} {family.label()}: {trace.status} "
+        f"iters={trace.iterations} nfev={trace.nfev} ngev={trace.ngev} "
+        f"f={trace.final.f:.6e} |grad|={trace.final.grad_norm:.3e} "
+        f"seed={seed} -> {out}"
     )
-    print(f"wall time {record.wall_time:.3f}s", file=sys.stderr)
-    return 0 if record.status == "Converged" else 2
-
-
-def _log_bfgs_deviation(spec, tol, max_iter):
-    """Max per-iterate gap between plain BFGS and the log-potential family."""
-    config_b = SolverConfig(UpdateFamily("bfgs"), grad_tol=tol, max_iter=max_iter)
-    config_v = SolverConfig(
-        UpdateFamily("vbfgs", log_potential()), grad_tol=tol, max_iter=max_iter
-    )
-    tr_b = minimize(spec.objective, spec.start, PDMatrix.identity(spec.n), config_b)
-    tr_v = minimize(spec.objective, spec.start, PDMatrix.identity(spec.n), config_v)
-    m = min(len(tr_b.records), len(tr_v.records))
-    dev = 0.0
-    for k in range(m):
-        dev = max(dev, float(np.abs(tr_b.records[k].x - tr_v.records[k].x).max()))
-    if len(tr_b.records) != len(tr_v.records):
-        dev = max(dev, np.inf)
-    return dev
+    print(f"wall time {wall:.3f}s", file=sys.stderr)
+    return 0 if trace.status == "Converged" else 2
 
 
 def _cmd_compare(args):
     seed = _resolve_seed(args)
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    if not families:
+    names = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not names:
         raise _UsageError("no families given")
     spec = get_problem(args.problem, seed=seed)
-    log_dev = _log_bfgs_deviation(spec, args.tol, args.max_iter)
-    rows = []
-    for fam in families:
-        _, trace, record = _solve_once(args.problem, fam, args.tol, args.max_iter, seed)
-        rows.append((record, trace))
-    rows.sort(key=lambda rt: rt[0].family)
+    families = [UpdateFamily.from_string(name) for name in names]
+    # bfgs and vbfgs:log first, for log_bfgs_dev; each label is solved once
+    traces = {}
+    for family in [UpdateFamily("bfgs"), UpdateFamily("vbfgs", log_potential())] + families:
+        if family.label() not in traces:
+            traces[family.label()], _ = _solve(spec, family, args.tol, args.max_iter)
+    # max per-iterate gap between plain BFGS and the log-potential family
+    tr_b, tr_v = traces["bfgs"], traces["vbfgs:log"]
+    log_dev = max([0.0] + [
+        float(np.abs(rb.x - rv.x).max()) for rb, rv in zip(tr_b.records, tr_v.records)
+    ])
+    if len(tr_b.records) != len(tr_v.records):
+        log_dev = np.inf
+    rows = sorted(
+        ((family.label(), traces[family.label()]) for family in families),
+        key=lambda row: row[0],
+    )
     ref_x = rows[0][1].final.x
     out = args.out or f"compare.{args.format}"
     columns = (
         "problem", "family", "status", "iterations", "final_f",
         "final_grad_norm", "x_dev_vs_first", "log_bfgs_dev", "seed",
     )
-    table = []
-    for record, trace in rows:
-        table.append(
-            (
-                record.problem,
-                record.family,
-                record.status,
-                record.iterations,
-                record.final_f,
-                record.final_grad_norm,
-                float(np.abs(trace.final.x - ref_x).max()),
-                log_dev,
-                record.seed,
-            )
+    table = [
+        (
+            spec.name,
+            label,
+            trace.status,
+            trace.iterations,
+            trace.final.f,
+            trace.final.grad_norm,
+            float(np.abs(trace.final.x - ref_x).max()),
+            log_dev,
+            seed,
         )
+        for label, trace in rows
+    ]
     _write_table(out, columns, table, args.format)
     for row in table:
         print(
@@ -312,7 +268,7 @@ def _cmd_compare(args):
             f"|grad|={row[5]:.3e}"
         )
     print(f"summary -> {out}")
-    return 0 if all(r[0].status == "Converged" for r in rows) else 2
+    return 0 if all(trace.status == "Converged" for _, trace in rows) else 2
 
 
 def _seeded_transform(n, seed, det_target):

@@ -123,23 +123,17 @@ def solve_neg_theta_det(ld_target: float, n: int, pot: Potential) -> float:
     return solve_det_equation(-ld_target, n, pot)
 
 
-def _from_neg_theta(log_det_m: float, m_inv: np.ndarray, pot: Potential) -> PDMatrix:
-    """The P with theta_V(P) = -M, given log det M and M^{-1}.
-
-    det M = nu(z)^n / z at z = det P pins the determinant; then
-    P = nu(z) * M^{-1}.
-    """
-    ld_star = solve_neg_theta_det(log_det_m, m_inv.shape[0], pot)
-    return PDMatrix.from_matrix(pot.nu_ld(ld_star) * m_inv)
-
-
 def invert_theta(T, pot: Potential) -> PDMatrix:
-    """Recover P from T = theta_V(P); -T is factored once."""
+    """Recover P from T = theta_V(P); -T = M is factored once.
+
+    det M = nu(z)^n / z pins z = det P; then P = nu(z) * M^{-1}.
+    """
     try:
         neg = PDMatrix.from_matrix(-as_symmetric(T))
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite("theta coordinate must be negative definite") from exc
-    return _from_neg_theta(neg.logdet, neg.inv(), pot)
+    ld_star = solve_neg_theta_det(neg.logdet, neg.n, pot)
+    return PDMatrix.from_matrix(pot.nu_ld(ld_star) * neg.inv())
 
 
 def pythagorean_residual(P, Pstar, Q, pot: Potential) -> float:

@@ -2,7 +2,7 @@
 affine-transformation tooling for invariance experiments."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -319,6 +319,22 @@ def _safe_exp_det(family, state):
         return float(family.det_b(state))
 
 
+def _require_real_values(f, g, n):
+    """Raise InvalidParameter unless f is a real scalar and g a real array
+    of shape (n,); ints and numpy scalars or 0-d arrays count as real."""
+    f_arr, g_arr = np.asarray(f), np.asarray(g)
+    if f_arr.shape != () or f_arr.dtype.kind not in "iuf":
+        raise InvalidParameter(
+            f"f(x0) must be a real scalar, got {type(f).__name__} "
+            f"of shape {f_arr.shape} and dtype {f_arr.dtype}"
+        )
+    if g_arr.shape != (n,) or g_arr.dtype.kind not in "iuf":
+        raise InvalidParameter(
+            f"gradient at x0 must be a real array of shape ({n},), got "
+            f"{type(g).__name__} of shape {g_arr.shape} and dtype {g_arr.dtype}"
+        )
+
+
 def minimize(obj, x0, B0=None, config=None, record_b=False):
     """Quasi-Newton iteration x_{k+1} = x_k - alpha_k B_k^{-1} grad f(x_k).
 
@@ -329,8 +345,10 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     update is config.update_family's, dense or sparse.  B0 must be a
     PDMatrix of dimension n; one the update cannot start from, such as
     one with entries off a sparsity pattern, raises InvalidParameter
-    before the first evaluation.  record_b stores each B_k densely (n^2
-    per iterate) for invariance comparisons.
+    before the first evaluation.  f(x0) must be a real scalar and the
+    gradient at x0 a real array of shape (n,); otherwise InvalidParameter
+    is raised after those two evaluations.  record_b stores each B_k
+    densely (n^2 per iterate) for invariance comparisons.
     """
     if config is None:
         config = SolverConfig(UpdateFamily("bfgs"))
@@ -348,8 +366,9 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     # f and g are evaluated once per accepted point: at x0 here, then by
     # the line search, whose values are carried into the next step
     counted = _CountingObjective(obj)
-    f = float(counted.value(x))
-    g = np.asarray(counted.gradient(x), dtype=float)
+    f, g = counted.value(x), counted.gradient(x)
+    _require_real_values(f, g, obj.n)
+    f, g = float(f), np.asarray(g, dtype=float)
     gn = float(np.linalg.norm(g))
     records = [
         IterationRecord(
@@ -476,8 +495,10 @@ def invariance_check(obj, x0, B0, T, config, k_max=20, tol=1e-6):
 
     The transformed run starts at T x0 with B0 mapped through the
     congruence (T')^{-1} B0 T^{-1}; deviations beyond tol mean the update
-    family is not invariant under this T.
+    family is not invariant under this T.  Only iterates 0..k_max are
+    compared, so both runs stop after at most k_max iterations.
     """
+    require_count("k_max", k_max)
     T = np.asarray(T, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     if B0 is None:
@@ -486,10 +507,11 @@ def invariance_check(obj, x0, B0, T, config, k_max=20, tol=1e-6):
     b0t = np.linalg.solve(T.T, np.linalg.solve(T.T, B0.matrix.T).T)
     B0_t = PDMatrix.from_matrix(0.5 * (b0t + b0t.T))
 
+    config = replace(config, max_iter=min(config.max_iter, k_max))
     trace = minimize(obj, x0, B0, config, record_b=True)
     trace_t = minimize(obj_t, T @ x0, B0_t, config, record_b=True)
 
-    k_used = min(len(trace.records), len(trace_t.records), k_max + 1) - 1
+    k_used = min(len(trace.records), len(trace_t.records)) - 1
     x_dev = 0.0
     b_dev = 0.0
     for k in range(k_used + 1):

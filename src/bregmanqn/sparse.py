@@ -27,7 +27,7 @@ from .pdlinalg import PDMatrix, as_symmetric, cholesky_stack
 # checks every module binding of it.
 from .pdlinalg import cholesky_factorize  # noqa: F401
 from .potentials import log_potential
-from .geometry import _as_pd, _from_neg_theta, theta_coordinate, v_bregman_divergence
+from .geometry import _as_pd, solve_neg_theta_det, v_bregman_divergence
 from .testing import divergence_oracle
 from .updates import _require_pair_length, SecantPair, dfp_update, v_bfgs_update
 
@@ -374,11 +374,19 @@ def theta_v_project_sparse(Bbar, tree, pot):
 
     The projection matches theta_V on the pattern, so it is theta_V^{-1}
     of -X, where X is the maximum-determinant completion of the pattern
-    entries of -theta_V(Bbar), built through the clique tree:
-    B* = nu(z*) X^{-1} with det X = nu(z*)^n / z*.
+    entries of -theta_V(Bbar) = nu(det Bbar) Bbar^{-1}: B* = nu(z*) X^{-1}
+    with det X = nu(z*)^n / z*.  The scalar nu(det Bbar) is kept in log
+    space: X is nu(det Bbar) times the completion X0 of P_F(Bbar^{-1}), so
+    log det X = log det X0 + n log nu(det Bbar) and
+    B* = exp(log nu(z*) - log nu(det Bbar)) X0^{-1}.  This holds at any
+    log det whenever Bbar^{-1} and B* have float64 entries, where
+    theta_V(Bbar) itself may under- or overflow.
     """
-    log_det_x, K = clique_factorize(-theta_coordinate(Bbar, pot), tree)
-    return _from_neg_theta(log_det_x, K, pot)
+    Bbar = _as_pd(Bbar)
+    log_det_x0, K0 = clique_factorize(Bbar.inv(), tree)
+    log_nu_bar = pot.log_nu_ld(Bbar.logdet)
+    ld_star = solve_neg_theta_det(log_det_x0 + Bbar.n * log_nu_bar, Bbar.n, pot)
+    return PDMatrix.from_matrix(np.exp(pot.log_nu_ld(ld_star) - log_nu_bar) * K0)
 
 
 def sparse_secant_oracle(B, pair, pattern, pot):

@@ -263,6 +263,24 @@ def test_compare_summary(tmp_path):
         assert float(r[7]) <= 1e-10  # log potential reproduces plain BFGS
 
 
+@pytest.mark.parametrize("families, solves", [
+    ("bfgs,vbfgs:log", 2),
+    ("vbfgs:log,bfgs,dfp", 3),
+    ("dfp,bfgs,dfp", 3),
+])
+def test_compare_solves_each_family_once(tmp_path, families, solves):
+    # log_bfgs_dev reads the bfgs and vbfgs:log runs it reports, and a
+    # family listed twice is solved once but still gives two rows
+    out = tmp_path / "cmp.csv"
+    with mock.patch("bregmanqn.cli.minimize", wraps=minimize) as spy:
+        assert run_command(["compare", "--families", families, "--out", str(out)]) == 0
+    assert spy.call_count == solves
+    rows = read_csv(out)[1:]
+    assert [r[1] for r in rows] == sorted(families.split(","))
+    if families.count("dfp") == 2:
+        assert rows[1] == rows[2]
+
+
 def test_invariance_command(tmp_path, capsys):
     base = ["invariance", "--problem", "quadratic:10:3", "--tol", "1e-8"]
     assert run_command(base + ["--family", "vbfgs:bounded:c=0.5",

@@ -432,6 +432,31 @@ def test_non_finite_start_is_rejected_before_evaluating(label):
     assert calls == []
 
 
+MALFORMED = {
+    "f of shape (1,)": (lambda x: np.array([x @ x]), lambda x: 2.0 * x),
+    "complex f": (lambda x: complex(x @ x), lambda x: 2.0 * x),
+    "f as text": (lambda x: "1.0", lambda x: 2.0 * x),
+    "short gradient": (lambda x: float(x @ x), lambda x: 2.0 * x[:-1]),
+    "column gradient": (lambda x: float(x @ x), lambda x: (2.0 * x)[:, None]),
+    "complex gradient": (lambda x: float(x @ x), lambda x: 2.0 * x + 1j),
+}
+
+
+@pytest.mark.parametrize("label", ALL_KINDS)
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_objective_is_rejected_after_one_f_and_one_g(label, case):
+    value, gradient = MALFORMED[case]
+    calls = []
+    obj = Objective(
+        2,
+        lambda x: calls.append("f") or value(x),
+        lambda x: calls.append("g") or gradient(x),
+    )
+    with pytest.raises(InvalidParameter, match="real"):
+        minimize(obj, np.array([1.0, 2.0]), config=_config_of(label))
+    assert sorted(calls) == ["f", "g"]
+
+
 def test_record_b_toggle():
     spec = get_problem("rosenbrock")
     cfg = SolverConfig(UpdateFamily("bfgs"), max_iter=5)
@@ -804,6 +829,35 @@ def test_invariance_under_unimodular_transforms():
             T = seeded_transform(3, seed, 1.0)
             rep = invariance_check(spec.objective, spec.start, None, T, cfg)
             assert rep.invariant, (fam, seed, rep.x_dev, rep.b_dev)
+
+
+def test_invariance_check_runs_only_the_compared_iterates():
+    # both runs stop at k_max, and the report is the one the uncapped
+    # runs give over iterates 0..k_max
+    spec = get_problem("quadratic:20:6", seed=2)
+    T = seeded_transform(6, 4, 2.0)
+    cfg = SolverConfig("vbfgs:bounded:c=0.5", grad_tol=1e-10, max_iter=200)
+    k_max = 4
+    with mock.patch.object(bregmanqn.solver, "minimize", wraps=minimize) as spy:
+        rep = invariance_check(spec.objective, spec.start, None, T, cfg, k_max=k_max)
+    assert [c.args[3].max_iter for c in spy.call_args_list] == [k_max, k_max]
+
+    B0 = PDMatrix.identity(6)
+    b0t = np.linalg.solve(T.T, np.linalg.solve(T.T, B0.matrix.T).T)
+    full = minimize(spec.objective, spec.start, B0, cfg, record_b=True)
+    full_t = minimize(transform_problem(spec.objective, T), T @ spec.start,
+                      PDMatrix.from_matrix(0.5 * (b0t + b0t.T)), cfg, record_b=True)
+    assert full.iterations > k_max and full_t.iterations > k_max
+    pairs = list(zip(full.records, full_t.records))[: k_max + 1]
+    x_dev = max(float(np.linalg.norm(rt.x - T @ r.x) / (1.0 + np.linalg.norm(r.x)))
+                for r, rt in pairs)
+    b_dev = max(float(np.linalg.norm(T.T @ rt.b @ T - r.b, "fro")
+                      / (1.0 + np.linalg.norm(r.b, "fro"))) for r, rt in pairs)
+    assert (rep.k_used, rep.x_dev, rep.b_dev) == (k_max, x_dev, b_dev)
+    assert rep.x_dev > 0.0
+
+    with pytest.raises(InvalidParameter, match="k_max"):
+        invariance_check(spec.objective, spec.start, None, T, cfg, k_max=0)
 
 
 def test_invariance_under_scaling_transforms():

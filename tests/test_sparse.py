@@ -480,6 +480,29 @@ def test_theta_maps_beyond_exp_range(log_det):
     assert np.abs(to - tb).max() < 1e-9 * np.abs(tb).max()
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_projection_where_theta_leaves_the_float_range(scale):
+    # for nu = z^-0.25 at n = 8, nu(det Bbar) Bbar^{-1} is about 1e-450 or
+    # 1e450; Bbar is on the band already, so it is its own projection
+    n = 8
+    bbar = PDMatrix(np.sqrt(scale) * np.eye(n))
+    out = theta_v_project_sparse(bbar, is_chordal(banded_pattern(n, 1)), power_potential(-0.25))
+    assert np.abs(out.matrix - scale * np.eye(n)).max() <= 1e-12 * scale
+
+
+def test_log_projection_is_the_theta_formula_bit_for_bit():
+    # nu == 1: completing P_F(Bbar^{-1}) is completing P_F(-theta(Bbar))
+    rng = np.random.default_rng(21)
+    n = 12
+    a = rng.standard_normal((n, n))
+    bbar = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
+    pot = log_potential()
+    for pattern in (banded_pattern(n, 2), arrow_pattern(n)):
+        tree = is_chordal(pattern)
+        expect = PDMatrix.from_matrix(clique_factorize(-theta_coordinate(bbar, pot), tree)[1])
+        assert np.array_equal(theta_v_project_sparse(bbar, tree, pot).L, expect.L)
+
+
 # ------------------------------------------------------------ update chains
 
 
