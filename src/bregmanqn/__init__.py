@@ -46,9 +46,7 @@ from .updates import (
     bfgs_update,
     dfp_update,
     self_scaling_update,
-    solve_scaling_equation,
     v_bfgs_update,
-    v_dfp_update,
 )
 from .solver import (
     InvarianceReport,

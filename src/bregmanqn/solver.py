@@ -62,6 +62,8 @@ class Objective:
 
 def check_gradient(obj, x, h=1e-6):
     """Max relative deviation between the gradient and central differences."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise InvalidParameter(f"h must be finite and positive, got {h!r}")
     x = np.asarray(x, dtype=float)
     g = obj.gradient(x)
     fd = np.empty_like(g)
@@ -107,6 +109,10 @@ class SolverConfig:
         # a bare string uses the same grammar as the CLI --family flag
         if isinstance(self.family, str):
             self.family = UpdateFamily.from_string(self.family)
+        elif not isinstance(self.family, UpdateFamily):
+            raise InvalidParameter(f"family must be an UpdateFamily or a str, got {self.family!r}")
+        if not isinstance(self.line_search, LineSearchParams):
+            raise InvalidParameter(f"line_search is not a LineSearchParams: {self.line_search!r}")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
             raise InvalidParameter(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
         require_count("max_iter", self.max_iter)
@@ -343,11 +349,12 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     ends the run with its partial trace, which stops at the last point
     whose B was formed, and the error's message as trace.reason.  The
     update is config.update_family's, dense or sparse.  B0 must be a
-    PDMatrix of dimension n; one the update cannot start from, such as
-    one with entries off a sparsity pattern, raises InvalidParameter
-    before the first evaluation.  f(x0) must be a real scalar and the
-    gradient at x0 a real array of shape (n,); otherwise InvalidParameter
-    is raised after those two evaluations.  record_b stores each B_k
+    PDMatrix of dimension n with a finite lower-triangular factor of
+    positive diagonal; another B0, or one the update cannot start from,
+    such as one off a sparsity pattern, raises InvalidParameter before
+    the first evaluation.  f(x0) must be a real scalar and the gradient
+    at x0 a real array of shape (n,); otherwise InvalidParameter is
+    raised after those two evaluations.  record_b stores each B_k
     densely (n^2 per iterate) for invariance comparisons.
     """
     if config is None:
@@ -359,8 +366,10 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
         raise InvalidParameter("x0 must be finite")
     if B0 is None:
         B0 = PDMatrix.identity(obj.n)
-    elif not (isinstance(B0, PDMatrix) and B0.n == obj.n):
+    elif not (isinstance(B0, PDMatrix) and B0.L.shape == (obj.n, obj.n)):
         raise InvalidParameter(f"B0 must be a PDMatrix of dimension n={obj.n}")
+    elif not (np.isfinite(B0.L).all() and (np.diag(B0.L) > 0).all() and not np.triu(B0.L, 1).any()):
+        raise InvalidParameter("B0 needs a finite lower-triangular factor with a positive diagonal")
     family = config.update_family
     state = family.initial_state(B0)
     # f and g are evaluated once per accepted point: at x0 here, then by
@@ -455,6 +464,8 @@ def transform_problem(obj, T):
     T = np.asarray(T, dtype=float)
     if T.shape != (obj.n, obj.n):
         raise InvalidParameter(f"transform shape {T.shape} does not match n={obj.n}")
+    if not np.all(np.isfinite(T)):
+        raise InvalidParameter("transform must be finite")
     cond = np.linalg.cond(T)
     if not np.isfinite(cond) or cond >= 1e12:
         raise SingularTransform(f"transform condition number {cond:.3e} too large")

@@ -26,7 +26,6 @@ from .pdlinalg import PDMatrix, as_symmetric, cholesky_stack
 # cholesky_factorize is unused here but stays bound: bench/ traces and
 # checks every module binding of it.
 from .pdlinalg import cholesky_factorize  # noqa: F401
-from .potentials import log_potential
 from .geometry import _as_pd, solve_neg_theta_det, v_bregman_divergence
 from .testing import divergence_oracle
 from .updates import _require_pair_length, SecantPair, dfp_update, v_bfgs_update
@@ -487,10 +486,10 @@ def sparse_update(B, pair, family):
 class SparseUpdateFamily:
     """sparse_update on a chordal pattern, behind UpdateFamily's state protocol.
 
-    Takes a bfgs or vbfgs family, bfgs meaning the log potential, and
-    checks it, the pattern, algorithm (1 or 2) and T once, keeping the
-    clique tree; sparse_update(B, pair, family) reads all of them from
-    here.  The state is (B, unscaled); initial_state raises
+    Takes a bfgs or vbfgs family and its potential, the log potential for
+    bfgs, and checks it, the pattern, algorithm (1 or 2) and T once,
+    keeping the clique tree; sparse_update(B, pair, family) reads all of
+    them from here.  The state is (B, unscaled); initial_state raises
     InvalidParameter for a B0 of the wrong dimension or off the pattern.
 
     The first applied update replaces B by theta B, theta = s'y / s'Bs,
@@ -531,7 +530,7 @@ class SparseUpdateFamily:
         require_count("T", T)
         self.pattern, self.algorithm, self.T = pattern, algorithm, T
         self.tree = is_chordal(pattern)
-        self.potential = family.potential if family.potential is not None else log_potential()
+        self.potential = family.potential
 
     def initial_state(self, B0: PDMatrix):
         _require_on_pattern(B0, self.pattern)

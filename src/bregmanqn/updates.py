@@ -12,8 +12,9 @@ where det B+ is pinned by the scalar scaling equation
     z = C * nu(z)^(n-1),        C = det(BFGS(B)) / nu(det B)^(n-1),
 
 whose left-over log-form zeta(z) = log z - (n-1) log nu(z) is strictly
-increasing for admissible potentials.  The dual rule (v_dfp) applies the
-same machinery to the inverse approximation with the secant roles swapped.
+increasing for admissible potentials.  For the log potential (KL, Fletcher's
+variational problem) nu is constant and r = 1: that is BFGS, and DFP is the
+same step on the inverse approximation with the secant roles swapped.
 
 BFGS (r = 1), the weighted rule and self-scaling (r = theta) are all one
 rank-one modification of the Cholesky factor L of B.  With q = L's/|L's|,
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvatureViolation, InvalidParameter
-from .geometry import solve_det_equation
+from .geometry import _LOG, solve_det_equation
 from .pdlinalg import PDMatrix, rank_one_update
 from .potentials import Potential, from_string as potential_from_string
 # newton_bisect_log and cholesky_factorize are unused here but stay bound:
@@ -121,19 +122,6 @@ def dfp_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     return PDMatrix.from_matrix(A)
 
 
-def solve_scaling_equation(C: float, pot: Potential, n: int) -> float:
-    """Unique positive root of z = C * nu(z)^(n-1).
-
-    In log form this is geometry.solve_det_equation with t = log C and
-    k = n - 1.
-    """
-    C = float(C)
-    if not C > 0.0 or not np.isfinite(C):
-        raise InvalidParameter(f"C must be a positive real, got {C!r}")
-    pot.require_admissible(n)  # raises InvalidParameter for n < 1
-    return float(np.exp(solve_det_equation(np.log(C), n - 1, pot)))
-
-
 def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
     """Potential-weighted BFGS update.
 
@@ -157,48 +145,31 @@ def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
     return _secant_mix(B, pair, ratio)
 
 
-def v_dfp_update(H: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
-    """Potential-weighted DFP update of the inverse approximation H.
+def self_scaling_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
+    """theta * BFGS(B) + (1 - theta) * y y'/(s'y), theta = s'y / s'Bs.
 
-    The DFP side minimizes the divergence between inverses: given the
-    current inverse H, the new B solves min D_V(B^{-1}, H) over {B: Bs=y}.
-    Substituting K = B^{-1} turns this into min D_V(K, H) over {K: Ky=s} --
-    the weighted-BFGS problem with the secant roles swapped -- so the same
-    scalar solve runs on the determinant of the inverse, and the returned
-    matrix is H+ = K = B+^{-1}.  With the log potential this is the
-    classical DFP step expressed on the inverse, bfgs_update(H; y, s).
-    """
-    return v_bfgs_update(H, pair.swapped(), pot)
-
-
-def self_scaling_update(B: PDMatrix, pair: SecantPair, theta: float | None = None) -> PDMatrix:
-    """theta * BFGS(B) + (1 - theta) * y y'/(s'y) for theta > 0.
-
-    theta = 1 reproduces bfgs_update exactly.  theta = None takes the
-    popular adaptive choice theta = s'y / s'Bs = det BFGS(B) / det B, read
-    off the log determinants the factor step computes anyway.  It sits at
-    the boundary of the family: no strictly convex potential generates it,
-    and it is known to over-scale on well-conditioned problems, so treat it
-    as a baseline rather than a default.
+    theta = det BFGS(B) / det B is read off the log determinants the
+    factor step computes anyway.  It sits at the boundary of the family:
+    no strictly convex potential generates it, and it is known to
+    over-scale on well-conditioned problems, so treat it as a baseline
+    rather than a default.
     """
     _require_pair_length(B, pair)
-    if theta is None:
-        return _secant_mix(B, pair, lambda ld_bfgs: float(np.exp(ld_bfgs - B.logdet)))
-    theta = float(theta)
-    if not theta > 0.0 or not np.isfinite(theta):
-        raise InvalidParameter(f"theta must be a positive real, got {theta!r}")
-    return _secant_mix(B, pair, lambda ld_bfgs: theta)
+    return _secant_mix(B, pair, lambda ld_bfgs: float(np.exp(ld_bfgs - B.logdet)))
 
 
 @dataclass
 class UpdateFamily:
-    """Named update rule, optionally carrying a potential.
+    """A side and a ratio rule, named by kind.
 
-    kind is one of "bfgs", "dfp", "vbfgs", "vdfp", "selfscale".  The
-    selfscale rule recomputes theta = s'y / s'Bs at every step.  dfp and
-    vdfp carry the inverse approximation H = B^{-1} and update it as BFGS
-    and V-BFGS with s and y swapped; the solver-facing methods hide which
-    side is stored.
+    Every family steps to r * BFGS(S) + (1 - r) * y y'/(s'y) on a side S.
+    The side is B, or the inverse H = B^{-1} for dfp and vdfp:
+    min D_V(B^{-1}, H) over {B : Bs = y} is, with K = B^{-1}, the problem
+    min D_V(K, H) over {K : Ky = s}, so H steps with s and y swapped.
+    The rule is a potential's scaling-equation root, the log potential's
+    r = 1 for bfgs and dfp, or, for selfscale (potential None),
+    theta = s'y / s'Bs at every step.  The solver-facing methods hide
+    which side is stored.
     """
 
     kind: str
@@ -214,8 +185,12 @@ class UpdateFamily:
                 raise InvalidParameter(
                     f"{self.kind} requires a Potential, got {self.potential!r}"
                 )
-        elif self.potential is not None:
+            return
+        # bfgs and dfp get the log potential; dataclasses.replace passes it back
+        rule = None if self.kind == "selfscale" else _LOG
+        if self.potential not in (None, rule):
             raise InvalidParameter(f"{self.kind} takes no potential")
+        self.potential = rule
 
     @classmethod
     def from_string(cls, spec: str) -> "UpdateFamily":
@@ -231,7 +206,7 @@ class UpdateFamily:
         return cls(head)
 
     def label(self) -> str:
-        if self.potential is not None:
+        if self.kind in ("vbfgs", "vdfp"):
             return f"{self.kind}:{self.potential.label()}"
         return self.kind
 
@@ -259,10 +234,8 @@ class UpdateFamily:
     def apply(self, state: PDMatrix, pair: SecantPair) -> PDMatrix:
         if self.inverse:
             pair = pair.swapped()
-        if self.kind == "selfscale":
-            return self_scaling_update(state, pair)
         if self.potential is None:
-            return bfgs_update(state, pair)
+            return self_scaling_update(state, pair)
         return v_bfgs_update(state, pair, self.potential)
 
     def det_b(self, state: PDMatrix) -> float:

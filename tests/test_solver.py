@@ -128,6 +128,15 @@ def test_line_search_params_validation():
             LineSearchParams(**kwargs)
 
 
+def test_solver_config_rejects_arguments_of_the_wrong_type():
+    # these constructed, and minimize died with an AttributeError
+    for kwargs in (dict(family=3), dict(family=None),
+                   dict(family="bfgs", line_search="wolfe"),
+                   dict(family="bfgs", line_search=None)):
+        with pytest.raises(InvalidParameter):
+            SolverConfig(**kwargs)
+
+
 def test_solver_config_validation():
     fam = UpdateFamily("bfgs")
     # each of these used to fail mid-run or never converge
@@ -222,7 +231,7 @@ def test_vbfgs_log_reproduces_bfgs_iterates():
 
 @pytest.mark.parametrize("name", ["rosenbrock", "quadratic:100:30"])
 def test_dfp_reproduces_vdfp_log_bit_for_bit(name):
-    # both carry H = B^{-1} and take bfgs_update(H; y, s)
+    # both carry H = B^{-1} and take the log potential's step on (y, s)
     spec = get_problem(name, seed=3)
     ta = minimize(spec.objective, spec.start, config=SolverConfig("dfp"), record_b=True)
     tb = minimize(spec.objective, spec.start, config=SolverConfig("vdfp:log"),
@@ -234,6 +243,26 @@ def test_dfp_reproduces_vdfp_log_bit_for_bit(name):
         assert np.array_equal(ra.x, rb.x) and ra.f == rb.f
         assert np.array_equal(ra.b, rb.b)
         assert (ra.nfev, ra.ngev) == (rb.nfev, rb.ngev)
+
+
+@pytest.mark.parametrize("name", ["rosenbrock", "broyden-tridiagonal:300"])
+@pytest.mark.parametrize("head", ["bfgs", "dfp"])
+def test_bfgs_and_dfp_run_as_the_log_potential(head, name):
+    # bfgs is vbfgs:log and dfp is vdfp:log record for record; the n = 300
+    # run reaches log det B > 709, where det B overflows to inf
+    spec = get_problem(name)
+    ta, tb = (minimize(spec.objective, spec.start,
+                       config=SolverConfig(fam, grad_tol=1e-6, max_iter=400))
+              for fam in (head, f"v{head}:log"))
+    assert ta.status == tb.status == "Converged"
+    assert (ta.nfev, ta.ngev) == (tb.nfev, tb.ngev)
+    assert len(ta.records) == len(tb.records)
+    for ra, rb in zip(ta.records, tb.records):
+        assert ra.x.tobytes() == rb.x.tobytes() and ra.f == rb.f
+        assert ra.det_b == rb.det_b
+        assert (ra.nfev, ra.ngev) == (rb.nfev, rb.ngev)
+    if spec.n == 300:
+        assert ta.records[-1].det_b == np.inf
 
 
 def test_dense_dfp_takes_one_rank_one_step_per_update():
@@ -763,6 +792,36 @@ def test_minimize_rejects_a_b0_of_the_wrong_kind_before_evaluating():
     assert calls == []
 
 
+def test_minimize_rejects_a_b0_that_is_not_a_cholesky_factor_before_evaluating():
+    # PDMatrix takes its factor as given: an upper entry was ignored by
+    # B0.solve but not by B0.matrix, and a negative diagonal ran to
+    # Converged with det_b NaN in every record
+    spec = get_problem("rosenbrock")
+    calls = []
+    obj = Objective(
+        2,
+        lambda x: calls.append("f") or spec.objective.value(x),
+        lambda x: calls.append("g") or spec.objective.gradient(x),
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        bad = [
+            PDMatrix(np.array([[1.0, 2.0], [0.0, 1.0]])),
+            PDMatrix(-np.eye(2)),
+            PDMatrix(np.diag([1.0, 0.0])),
+            PDMatrix(np.diag([1.0, np.nan])),
+            PDMatrix(np.diag([np.inf, 1.0])),
+            PDMatrix(np.array([[1.0, 0.0], [np.nan, 1.0]])),
+        ]
+    for family in ("bfgs", "dfp", "selfscale"):
+        for B0 in bad:
+            with pytest.raises(InvalidParameter):
+                minimize(obj, spec.start, B0, config=SolverConfig(family))
+    assert calls == []
+    L = np.array([[1.0, 0.0], [2.0, 1.0]])
+    trace = minimize(obj, spec.start, PDMatrix(L), SolverConfig("bfgs", grad_tol=1e-6))
+    assert trace.status == "Converged"
+
+
 # -------------------------------------------------------------- invariance
 
 
@@ -774,6 +833,15 @@ def test_gradient_check_on_catalog():
         for _ in range(3):
             x = spec.start + 0.1 * rng.standard_normal(spec.n)
             assert check_gradient(spec.objective, x) < 1e-6
+
+
+def test_gradient_check_requires_a_finite_positive_step():
+    # h = 0 raised ZeroDivisionError and h = nan returned nan
+    spec = get_problem("rosenbrock")
+    for h in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(InvalidParameter):
+            check_gradient(spec.objective, spec.start, h=h)
+    assert check_gradient(spec.objective, spec.start, h=1e-5) < 1e-6
 
 
 def test_gradient_check_flags_wrong_gradient():
@@ -807,6 +875,19 @@ def test_transform_problem_rejects_singular():
         transform_problem(spec.objective, T)
     with pytest.raises(InvalidParameter):
         transform_problem(spec.objective, np.eye(2))
+
+
+def test_transform_problem_rejects_a_non_finite_transform():
+    # a NaN entry raised numpy's LinAlgError from the condition number
+    spec = get_problem("quadratic:10:3", seed=1)
+    cfg = SolverConfig("bfgs")
+    for bad in (np.nan, np.inf, -np.inf):
+        T = np.eye(3)
+        T[1, 2] = bad
+        with pytest.raises(InvalidParameter, match="finite"):
+            transform_problem(spec.objective, T)
+        with pytest.raises(InvalidParameter, match="finite"):
+            invariance_check(spec.objective, spec.start, None, T, cfg)
 
 
 def seeded_transform(n, seed, det_target):

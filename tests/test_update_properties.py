@@ -20,7 +20,6 @@ from bregmanqn import (
     bfgs_update,
     cholesky_factorize,
     log_potential,
-    self_scaling_update,
     v_bfgs_update,
 )
 from bregmanqn import updates
@@ -140,8 +139,12 @@ def test_adaptive_self_scaling_takes_theta_from_the_factor_step(n, log_scale):
     # theta = s'y/s'Bs comes from log det BFGS(B) - log det B, so apply
     # makes no product with B; the n = 300 case has log det B near 860
     B, pair = make_case(n, n, log_scale, 1.5, -0.5)
-    theta = pair.curvature / float(pair.s @ B.matrix @ pair.s)
-    ref = self_scaling_update(B, pair, theta).matrix
+    b, s, y, sty = B.matrix, pair.s, pair.y, pair.curvature
+    bs = b @ s
+    sbs = float(s @ bs)
+    theta = sty / sbs
+    yy = np.outer(y, y) / sty
+    ref = theta * (b - np.outer(bs, bs) / sbs + yy) + (1.0 - theta) * yy
     with mock.patch.object(
         updates, "rank_one_update", wraps=updates.rank_one_update
     ) as spy, mock.patch.object(PDMatrix, "matvec") as matvec:

@@ -1,5 +1,7 @@
 """Update formulas: secant feasibility, duality, scaling equation, optimality."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,9 @@ from bregmanqn import (
     log_potential,
     power_potential,
     self_scaling_update,
-    solve_scaling_equation,
     sparse_update,
     v_bfgs_update,
     v_bregman_divergence,
-    v_dfp_update,
 )
 from bregmanqn._roots import newton_bisect_log
 from bregmanqn.geometry import solve_det_equation
@@ -32,6 +32,11 @@ from bregmanqn.testing import divergence_oracle
 
 POTS = (log_potential(), power_potential(0.1), power_potential(-0.8),
         bounded_potential(0.4))
+
+
+def scaling_root(c, pot, n):
+    """The positive root z of z = c * nu(z)^(n-1)."""
+    return float(np.exp(solve_det_equation(np.log(c), n - 1, pot)))
 
 
 def random_case(rng, n, scale=1.0):
@@ -71,10 +76,9 @@ def test_updates_reject_a_pair_of_the_wrong_length():
         bfgs_update,
         dfp_update,
         self_scaling_update,
-        lambda b, pair: self_scaling_update(b, pair, 0.5),
         lambda b, pair: v_bfgs_update(b, pair, log_potential()),
         lambda b, pair: v_bfgs_update(b, pair, power_potential(0.1)),
-        lambda b, pair: v_dfp_update(b, pair, bounded_potential(0.4)),
+        lambda b, pair: v_bfgs_update(b, pair.swapped(), bounded_potential(0.4)),
     )
     for n in (3, 6):
         b, _ = random_case(rng, n)
@@ -167,19 +171,17 @@ def test_v_bfgs_structure_theorem():
 
 
 def test_v_dfp_log_collapse():
-    # with the log potential the inverse-space update is the BFGS formula
-    # applied to H on the swapped pair
+    # with the log potential the inverse-side update is the BFGS step on H
+    # with the swapped pair, bit for bit (its inverse is DFP(B): see
+    # test_bfgs_dfp_duality)
     rng = np.random.default_rng(6)
     pot = log_potential()
     for _ in range(50):
         n = int(rng.integers(2, 8))
         b, pair = random_case(rng, n)
         h = PDMatrix.from_matrix(np.linalg.inv(b.matrix))
-        hp = v_dfp_update(h, pair, pot)
-        ref = bfgs_update(h, pair.swapped())
-        assert np.abs(hp.matrix - ref.matrix).max() < 1e-11 * np.abs(
-            ref.matrix
-        ).max()
+        hp = v_bfgs_update(h, pair.swapped(), pot)
+        assert np.array_equal(hp.L, bfgs_update(h, pair.swapped()).L)
 
 
 def assert_collapse_beyond_exp_range(pot):
@@ -196,7 +198,7 @@ def assert_collapse_beyond_exp_range(pot):
         v_bfgs_update(b, pair, pot).L, bfgs_update(b, pair).L
     )
     assert np.array_equal(
-        v_dfp_update(b, pair, pot).L,
+        v_bfgs_update(b, pair.swapped(), pot).L,
         bfgs_update(b, pair.swapped()).L,
     )
 
@@ -222,7 +224,7 @@ def test_bounded_update_beyond_exp_range():
     bp = v_bfgs_update(b, pair, pot)
     assert np.abs(bp.matrix @ pair.s - pair.y).max() <= 1e-10 * np.abs(pair.y).max()
     cholesky_factorize(bp.matrix)
-    hp = v_dfp_update(b, pair, pot)
+    hp = v_bfgs_update(b, pair.swapped(), pot)
     assert np.abs(hp.matrix @ pair.y - pair.s).max() <= 1e-10 * np.abs(pair.s).max()
     cholesky_factorize(hp.matrix)
 
@@ -246,7 +248,7 @@ def test_v_dfp_secant_all_potentials():
             n = int(rng.integers(2, 9))
             b, pair = random_case(rng, n)
             h = PDMatrix.from_matrix(np.linalg.inv(b.matrix))
-            hp = v_dfp_update(h, pair, pot)
+            hp = v_bfgs_update(h, pair.swapped(), pot)
             # inverse-space secant: H' y = s
             assert np.abs(hp.matrix @ pair.y - pair.s).max() <= 1e-10 * (
                 1 + np.abs(pair.s).max()
@@ -255,9 +257,11 @@ def test_v_dfp_secant_all_potentials():
 
 
 def test_self_scaling_theta_one_is_bfgs():
+    # scale y so that theta = s'y / s'Bs is one
     rng = np.random.default_rng(8)
     b, pair = random_case(rng, 5)
-    out = self_scaling_update(b, pair, 1.0)
+    pair = SecantPair(pair.s, pair.y * (float(pair.s @ b.matvec(pair.s)) / pair.curvature))
+    out = self_scaling_update(b, pair)
     ref = bfgs_update(b, pair)
     assert np.abs(out.matrix - ref.matrix).max() < 1e-12 * np.abs(ref.matrix).max()
 
@@ -266,9 +270,8 @@ def test_self_scaling_secant_and_pd():
     rng = np.random.default_rng(9)
     for _ in range(100):
         n = int(rng.integers(2, 9))
-        b, pair = random_case(rng, n)
-        theta = float(rng.uniform(0.05, 1.0))
-        out = self_scaling_update(b, pair, theta)
+        b, pair = random_case(rng, n, scale=float(rng.uniform(0.3, 3.0)))
+        out = self_scaling_update(b, pair)
         assert np.abs(out.matrix @ pair.s - pair.y).max() <= 1e-10 * (
             1 + np.abs(pair.y).max()
         )
@@ -280,7 +283,7 @@ def test_scaling_equation_residual_and_power_closed_form():
         for n in (2, 4, 8):
             for logc in np.linspace(-13.8, 13.8, 13):
                 c = float(np.exp(logc))
-                z = solve_scaling_equation(c, pot, n)
+                z = scaling_root(c, pot, n)
                 resid = abs(c * pot.nu(z) ** (n - 1) - z)
                 assert resid <= 1e-12 * max(z, 1.0)
     g = 0.1
@@ -288,7 +291,7 @@ def test_scaling_equation_residual_and_power_closed_form():
     for n in (2, 5, 9):
         for logc in np.linspace(-10, 10, 9):
             c = float(np.exp(logc))
-            z = solve_scaling_equation(c, pot, n)
+            z = scaling_root(c, pot, n)
             closed = c ** (1.0 / (1.0 - (n - 1) * g))
             assert z == pytest.approx(closed, rel=1e-12)
     # the k = n - 1 side of the determinant equation up to |log C| = 2000,
@@ -342,15 +345,20 @@ def test_family_from_string():
     fam = UpdateFamily.from_string("vbfgs:power:gamma=0.2")
     assert fam.kind == "vbfgs"
     assert fam.potential.label() == "power:gamma=0.2"
-    assert UpdateFamily.from_string("bfgs").potential is None
+    # bfgs and dfp are the log potential's rule on B and on H = B^{-1}
+    for head, inverse in (("bfgs", False), ("dfp", True)):
+        fam = UpdateFamily.from_string(head)
+        assert fam.potential.label() == "log" and fam.inverse == inverse
     assert UpdateFamily.from_string("selfscale").kind == "selfscale"
+    assert UpdateFamily.from_string("selfscale").potential is None
     for bad in ("", "bfgs:log", "vbfgs", "vbfgs:nope", "what"):
         with pytest.raises(InvalidParameter):
             UpdateFamily.from_string(bad)
 
 
 def test_family_labels():
-    assert UpdateFamily.from_string("bfgs").label() == "bfgs"
+    for spec in ("bfgs", "dfp", "selfscale", "vbfgs:log", "vdfp:log"):
+        assert UpdateFamily.from_string(spec).label() == spec
     assert (
         UpdateFamily.from_string("vdfp:bounded:c=0.3").label() == "vdfp:bounded:c=0.3"
     )
@@ -369,3 +377,8 @@ def test_family_rejects_a_potential_that_is_not_one():
             with pytest.raises(InvalidParameter):
                 UpdateFamily(kind, bad)
     UpdateFamily("vbfgs", log_potential())
+    # bfgs, dfp and selfscale take none; bfgs and dfp carry the log potential
+    for kind in ("bfgs", "dfp", "selfscale"):
+        with pytest.raises(InvalidParameter):
+            UpdateFamily(kind, log_potential())
+        assert replace(UpdateFamily(kind)) == UpdateFamily(kind)
