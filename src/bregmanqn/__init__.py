@@ -30,14 +30,10 @@ from .potentials import (
 )
 from .potentials import from_string as potential_from_string
 from .geometry import (
-    generic_bregman,
     invert_theta,
     kl_divergence,
-    projection_orthogonality_residual,
-    pythagorean_residual,
     solve_neg_theta_det,
     theta_coordinate,
-    trace_inner,
     v_bregman_divergence,
 )
 from .updates import (
@@ -56,7 +52,6 @@ from .solver import (
     Objective,
     SolverConfig,
     SolverTrace,
-    check_gradient,
     invariance_check,
     minimize,
     transform_problem,

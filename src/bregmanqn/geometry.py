@@ -12,12 +12,8 @@ scalar equation in ld = log det,
 
     ld - k * log nu(ld) = t        (k = n for theta_V, n - 1 for scaling),
 
-which solve_det_equation solves.  The three-point identity
-
-    D(P,Q) - D(P,P*) - D(P*,Q) = <theta(Q) - theta(P*), P* - P>
-
-is exposed as a residual so projection tests can assert both Pythagorean
-decompositions (swap the first and last arguments for the dual one).
+which solve_det_equation solves.  Checks of this geometry, such as the
+three-point identity's residual, live in bregmanqn.testing.
 """
 
 from __future__ import annotations
@@ -35,11 +31,6 @@ from .potentials import Potential, log_potential
 def _as_pd(P) -> PDMatrix:
     """P itself if it is a PDMatrix, else its factorization."""
     return P if isinstance(P, PDMatrix) else PDMatrix.from_matrix(P)
-
-
-def trace_inner(a, b) -> float:
-    """Frobenius inner product <A, B> = tr(A'B) for symmetric inputs."""
-    return float(np.tensordot(np.asarray(a, float), np.asarray(b, float)))
 
 
 def _tr_qinv_p(P: PDMatrix, Q: PDMatrix) -> float:
@@ -74,13 +65,6 @@ def kl_divergence(P, Q) -> float:
     """KL(P, Q) = tr(P Q^{-1}) - log det(P Q^{-1}) - n, the V-Bregman
     divergence of the log potential."""
     return v_bregman_divergence(P, Q, _LOG)
-
-
-def generic_bregman(P, Q, phi, grad_phi) -> float:
-    """D_phi(P, Q) = phi(P) - phi(Q) - <grad phi(Q), P - Q> for user phi."""
-    Pm = as_symmetric(P)
-    Qm = as_symmetric(Q)
-    return float(phi(Pm) - phi(Qm) - trace_inner(grad_phi(Qm), Pm - Qm))
 
 
 def theta_coordinate(P, pot: Potential) -> np.ndarray:
@@ -134,37 +118,3 @@ def invert_theta(T, pot: Potential) -> PDMatrix:
         raise NotPositiveDefinite("theta coordinate must be negative definite") from exc
     ld_star = solve_neg_theta_det(neg.logdet, neg.n, pot)
     return PDMatrix.from_matrix(pot.nu_ld(ld_star) * neg.inv())
-
-
-def pythagorean_residual(P, Pstar, Q, pot: Potential) -> float:
-    """Difference of the two sides of the three-point identity.
-
-    [D(P,Q) - D(P,P*) - D(P*,Q)] - <theta(Q) - theta(P*), P* - P>.
-    Near zero always; exactly zero in the generalized Pythagorean setting.
-    """
-    P, Pstar, Q = _as_pd(P), _as_pd(Pstar), _as_pd(Q)
-    lhs = (
-        v_bregman_divergence(P, Q, pot)
-        - v_bregman_divergence(P, Pstar, pot)
-        - v_bregman_divergence(Pstar, Q, pot)
-    )
-    t_q = theta_coordinate(Q, pot)
-    t_star = theta_coordinate(Pstar, pot)
-    rhs = trace_inner(t_q - t_star, Pstar.matrix - P.matrix)
-    return float(lhs - rhs)
-
-
-def projection_orthogonality_residual(Pstar, Q, directions, pot: Potential) -> float:
-    """max_d |<theta(Q) - theta(P*), d>| / (1 + ||theta(Q)||_F).
-
-    directions should span the tangent space of the constraint manifold at
-    P*; a vanishing residual certifies P* as the theta-projection of Q.
-    """
-    Pstar, Q = _as_pd(Pstar), _as_pd(Q)
-    t_q = theta_coordinate(Q, pot)
-    t_star = theta_coordinate(Pstar, pot)
-    gap = t_q - t_star
-    worst = 0.0
-    for d in directions:
-        worst = max(worst, abs(trace_inner(gap, d)))
-    return worst / (1.0 + float(np.linalg.norm(t_q)))

@@ -109,12 +109,15 @@ def _solve_lower(L, b, trans=0) -> np.ndarray:
 class PDMatrix:
     """Positive definite matrix A = L L', built from its lower-triangular
     Cholesky factor L (strictly positive diagonal), with log det A cached
-    and A itself formed on first use."""
+    and A itself formed on first use.  L must be a square n x n array
+    with n >= 1; its entries are taken as given."""
 
     __slots__ = ("n", "L", "logdet", "_matrix")
 
     def __init__(self, L):
         L = np.asarray(L, dtype=float)
+        if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] == 0:
+            raise InvalidParameter(f"factor shape {L.shape} is not n x n with n >= 1")
         self.n = L.shape[0]
         self.L = L
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(L))))

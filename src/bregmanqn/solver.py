@@ -26,7 +26,6 @@ __all__ = [
     "SolverTrace",
     "LineSearchResult",
     "InvarianceReport",
-    "check_gradient",
     "wolfe_line_search",
     "minimize",
     "transform_problem",
@@ -58,21 +57,6 @@ class Objective:
         require_count("objective dimension n", self.n)
         if self.minimizer is not None:
             self.minimizer = np.asarray(self.minimizer, dtype=float)
-
-
-def check_gradient(obj, x, h=1e-6):
-    """Max relative deviation between the gradient and central differences."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise InvalidParameter(f"h must be finite and positive, got {h!r}")
-    x = np.asarray(x, dtype=float)
-    g = obj.gradient(x)
-    fd = np.empty_like(g)
-    for i in range(obj.n):
-        e = np.zeros(obj.n)
-        e[i] = h
-        fd[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
-    scale = np.abs(g) + np.abs(fd) + 1.0
-    return float(np.abs(g - fd).max() / scale.max())
 
 
 @dataclass
@@ -297,12 +281,6 @@ def _exact_line_search(obj, x, d, params, g0):
     return LineSearchResult(alpha, float(obj.value(x_new)), g)
 
 
-def _take_step(obj, x, d, params, f, g, f_prev):
-    if params.method == "exact":
-        return _exact_line_search(obj, x, d, params, g)
-    return wolfe_line_search(obj, x, d, params, f, g, f_prev)
-
-
 class _CountingObjective:
     """Counts the value and gradient calls made through it."""
 
@@ -318,11 +296,6 @@ class _CountingObjective:
     def gradient(self, x):
         self.ngev += 1
         return self._obj.gradient(x)
-
-
-def _safe_exp_det(family, state):
-    with np.errstate(over="ignore"):
-        return float(family.det_b(state))
 
 
 def _require_real_values(f, g, n):
@@ -354,8 +327,9 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     such as one off a sparsity pattern, raises InvalidParameter before
     the first evaluation.  f(x0) must be a real scalar and the gradient
     at x0 a real array of shape (n,); otherwise InvalidParameter is
-    raised after those two evaluations.  record_b stores each B_k
-    densely (n^2 per iterate) for invariance comparisons.
+    raised after those two evaluations.  Each record holds its own
+    iterate x_k, which the run never writes into.  record_b stores each
+    B_k densely (n^2 per iterate) for invariance comparisons.
     """
     if config is None:
         config = SolverConfig(UpdateFamily("bfgs"))
@@ -379,38 +353,46 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     _require_real_values(f, g, obj.n)
     f, g = float(f), np.asarray(g, dtype=float)
     gn = float(np.linalg.norm(g))
-    records = [
-        IterationRecord(
-            k=0,
-            x=x.copy(),
-            f=f,
-            grad_norm=gn,
-            alpha=None,
-            det_b=_safe_exp_det(family, state),
-            sty=None,
-            skipped=False,
-            b=family.b_matrix(state).copy() if record_b else None,
-            nfev=counted.nfev,
-            ngev=counted.ngev,
-        )
-    ]
     # The Wolfe search's first trial is interpolated from the last decrease
     # for the BFGS-side families only: DFP-type updates lack BFGS's
     # self-correction under the shorter inexact steps this gives (Powell
     # 1986; Byrd, Nocedal & Yuan 1987), so they start every search at
     # alpha_init.
     carry_f_prev = not family.inverse
-    f_prev = None
-    status, reason = None, ""
-    for k in range(config.max_iter):
-        if gn <= config.grad_tol:
-            status = "Converged"
+    params = config.line_search
+    records = []
+    f_prev = alpha = sty = None
+    skipped = False
+    reason = ""
+    for k in range(config.max_iter + 1):
+        # x is rebound each step, never written in place, so the record
+        # holds it; b is copied, as a skipped step keeps the state
+        with np.errstate(over="ignore"):
+            det_b = float(family.det_b(state))
+        records.append(
+            IterationRecord(
+                k=k,
+                x=x,
+                f=f,
+                grad_norm=gn,
+                alpha=alpha,
+                det_b=det_b,
+                sty=sty,
+                skipped=skipped,
+                b=family.b_matrix(state).copy() if record_b else None,
+                nfev=counted.nfev,
+                ngev=counted.ngev,
+            )
+        )
+        if gn <= config.grad_tol or k == config.max_iter:
+            status = "Converged" if gn <= config.grad_tol else "MaxIter"
             break
         d = family.direction(state, g)
         try:
-            alpha, f_new, g_new = _take_step(
-                counted, x, d, config.line_search, f, g, f_prev
-            )
+            if params.method == "exact":
+                alpha, f_new, g_new = _exact_line_search(counted, x, d, params, g)
+            else:
+                alpha, f_new, g_new = wolfe_line_search(counted, x, d, params, f, g, f_prev)
         except LineSearchFail as exc:
             status, reason = "LineSearchFail", str(exc)
             break
@@ -429,30 +411,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
         if carry_f_prev:
             f_prev = f
         x, f, g, gn = x_new, f_new, g_new, float(np.linalg.norm(g_new))
-        records.append(
-            IterationRecord(
-                k=k + 1,
-                x=x.copy(),
-                f=f,
-                grad_norm=gn,
-                alpha=float(alpha),
-                det_b=_safe_exp_det(family, state),
-                sty=sty,
-                skipped=skipped,
-                b=family.b_matrix(state).copy() if record_b else None,
-                nfev=counted.nfev,
-                ngev=counted.ngev,
-            )
-        )
-    if status is None:
-        status = "Converged" if gn <= config.grad_tol else "MaxIter"
-    return SolverTrace(
-        records=records,
-        status=status,
-        nfev=counted.nfev,
-        ngev=counted.ngev,
-        reason=reason,
-    )
+    return SolverTrace(records, status, counted.nfev, counted.ngev, reason)
 
 
 def transform_problem(obj, T):
@@ -507,9 +466,12 @@ def invariance_check(obj, x0, B0, T, config, k_max=20, tol=1e-6):
     The transformed run starts at T x0 with B0 mapped through the
     congruence (T')^{-1} B0 T^{-1}; deviations beyond tol mean the update
     family is not invariant under this T.  Only iterates 0..k_max are
-    compared, so both runs stop after at most k_max iterations.
+    compared, so both runs stop after at most k_max iterations.  tol must
+    be finite and >= 0.
     """
     require_count("k_max", k_max)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParameter(f"tol must be finite and >= 0, got {tol!r}")
     T = np.asarray(T, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     if B0 is None:

@@ -27,7 +27,8 @@ from .pdlinalg import PDMatrix, as_symmetric, cholesky_stack
 # checks every module binding of it.
 from .pdlinalg import cholesky_factorize  # noqa: F401
 from .geometry import _as_pd, solve_neg_theta_det, v_bregman_divergence
-from .testing import divergence_oracle
+# algorithm 2's chain is measured against this limit at n <= 4
+from .testing import sparse_secant_oracle
 from .updates import _require_pair_length, SecantPair, dfp_update, v_bfgs_update
 
 __all__ = [
@@ -386,16 +387,6 @@ def theta_v_project_sparse(Bbar, tree, pot):
     log_nu_bar = pot.log_nu_ld(Bbar.logdet)
     ld_star = solve_neg_theta_det(log_det_x0 + Bbar.n * log_nu_bar, Bbar.n, pot)
     return PDMatrix.from_matrix(np.exp(pot.log_nu_ld(ld_star) - log_nu_bar) * K0)
-
-
-def sparse_secant_oracle(B, pair, pattern, pot):
-    """The PD minimizer of D_V(X, B) over pattern-supported X with Xs = y,
-    for n <= 6: the limit that algorithm 2's chain approaches.
-
-    testing.divergence_oracle computes it; raises OracleNoConvergence
-    when that set holds no PD point.
-    """
-    return PDMatrix.from_matrix(divergence_oracle(B, pot, pattern, pair))
 
 
 # ---------------------------------------------------------------------------

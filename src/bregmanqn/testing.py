@@ -1,4 +1,5 @@
-"""Reference minimizer for checking the library's updates and projections.
+"""Checks of the library: a reference minimizer for its updates and
+projections, and residuals of its geometry, none exported at the top level.
 
 Every update here is the minimizer of a Bregman divergence D_V(X, B) over
 an affine set of symmetric X: v_bfgs_update over the secant slice
@@ -8,15 +9,32 @@ divergence_oracle finds that minimizer directly, by Newton's method on
 coordinates of the set, and uses none of the closed forms, scalar solves
 or clique factorizations it is meant to check.  It is dense and meant
 for n <= 6.
+
+The other functions only check the library too.  The three-point identity
+
+    D(P,Q) - D(P,P*) - D(P*,Q) = <theta(Q) - theta(P*), P* - P>
+
+is exposed as a residual so projection tests can assert both Pythagorean
+decompositions (swap the first and last arguments for the dual one).
 """
+
+import math
 
 import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite, OracleNoConvergence
 from .geometry import _as_pd, theta_coordinate, v_bregman_divergence
-from .pdlinalg import PDMatrix
+from .pdlinalg import PDMatrix, as_symmetric
 
-__all__ = ["divergence_oracle"]
+__all__ = [
+    "divergence_oracle",
+    "sparse_secant_oracle",
+    "pythagorean_residual",
+    "projection_orthogonality_residual",
+    "generic_bregman",
+    "trace_inner",
+    "check_gradient",
+]
 
 MAX_N = 6
 
@@ -137,3 +155,80 @@ def divergence_oracle(B, pot, pattern=None, pair=None):
                 raise OracleNoConvergence("Newton line search stalled")
         X, P, f = X + t * D, P_t, f_t
     raise OracleNoConvergence("Newton did not converge in 100 steps")
+
+
+def sparse_secant_oracle(B, pair, pattern, pot):
+    """The PD minimizer of D_V(X, B) over pattern-supported X with Xs = y,
+    for n <= 6: the limit that sparse algorithm 2's chain approaches.
+
+    divergence_oracle computes it; raises OracleNoConvergence when that
+    set holds no PD point.
+    """
+    return PDMatrix.from_matrix(divergence_oracle(B, pot, pattern, pair))
+
+
+def trace_inner(a, b) -> float:
+    """Frobenius inner product <A, B> = tr(A'B) for symmetric inputs."""
+    return float(np.tensordot(np.asarray(a, float), np.asarray(b, float)))
+
+
+def generic_bregman(P, Q, phi, grad_phi) -> float:
+    """D_phi(P, Q) = phi(P) - phi(Q) - <grad phi(Q), P - Q> for user phi."""
+    Pm = as_symmetric(P)
+    Qm = as_symmetric(Q)
+    return float(phi(Pm) - phi(Qm) - trace_inner(grad_phi(Qm), Pm - Qm))
+
+
+def pythagorean_residual(P, Pstar, Q, pot) -> float:
+    """Difference of the two sides of the three-point identity.
+
+    [D(P,Q) - D(P,P*) - D(P*,Q)] - <theta(Q) - theta(P*), P* - P>.
+    Near zero always; exactly zero in the generalized Pythagorean setting.
+    """
+    P, Pstar, Q = _as_pd(P), _as_pd(Pstar), _as_pd(Q)
+    lhs = (
+        v_bregman_divergence(P, Q, pot)
+        - v_bregman_divergence(P, Pstar, pot)
+        - v_bregman_divergence(Pstar, Q, pot)
+    )
+    t_q = theta_coordinate(Q, pot)
+    t_star = theta_coordinate(Pstar, pot)
+    rhs = trace_inner(t_q - t_star, Pstar.matrix - P.matrix)
+    return float(lhs - rhs)
+
+
+def projection_orthogonality_residual(Pstar, Q, directions, pot) -> float:
+    """max_d |<theta(Q) - theta(P*), d>| / (1 + ||theta(Q)||_F).
+
+    directions should span the tangent space of the constraint manifold at
+    P*; a vanishing residual certifies P* as the theta-projection of Q.
+    """
+    Pstar, Q = _as_pd(Pstar), _as_pd(Q)
+    t_q = theta_coordinate(Q, pot)
+    t_star = theta_coordinate(Pstar, pot)
+    gap = t_q - t_star
+    worst = 0.0
+    for d in directions:
+        worst = max(worst, abs(trace_inner(gap, d)))
+    return worst / (1.0 + float(np.linalg.norm(t_q)))
+
+
+def check_gradient(obj, x, h=1e-6):
+    """Max relative deviation between the gradient and central differences.
+
+    Raises InvalidParameter unless h is finite and positive and x has
+    the objective's shape (n,).
+    """
+    if not (math.isfinite(h) and h > 0.0):
+        raise InvalidParameter(f"h must be finite and positive, got {h!r}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (obj.n,):
+        raise InvalidParameter(f"x has shape {x.shape}, the objective needs ({obj.n},)")
+    g = obj.gradient(x)
+    fd = np.empty_like(g)
+    for i in range(obj.n):
+        e = np.zeros(obj.n)
+        e[i] = h
+        fd[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
+    scale = np.abs(g) + np.abs(fd) + 1.0
+    return float(np.abs(g - fd).max() / scale.max())

@@ -1,4 +1,5 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion, with every
+RuntimeWarning an error as pyproject.toml sets for the suite."""
 
 import os
 import subprocess
@@ -21,7 +22,7 @@ def test_demo_exits_zero(script):
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]

@@ -8,19 +8,21 @@ from bregmanqn import (
     InvalidParameter,
     PDMatrix,
     bounded_potential,
-    generic_bregman,
     invert_theta,
     kl_divergence,
     log_potential,
     power_potential,
-    projection_orthogonality_residual,
-    pythagorean_residual,
     solve_neg_theta_det,
     theta_coordinate,
-    trace_inner,
     v_bregman_divergence,
 )
 from bregmanqn import pdlinalg
+from bregmanqn.testing import (
+    generic_bregman,
+    projection_orthogonality_residual,
+    pythagorean_residual,
+    trace_inner,
+)
 
 POTENTIALS = (log_potential(), power_potential(0.12), power_potential(-0.5),
               bounded_potential(0.5))

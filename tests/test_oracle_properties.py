@@ -92,12 +92,18 @@ def test_divergence_oracle_error_contract():
 
 
 def test_oracles_stay_out_of_the_top_level_namespace():
-    gone = {
+    # every check-only name lives in bregmanqn.testing, none at the top level
+    moved = {
         "divergence_oracle",
-        "minimize_divergence_affine",
-        "variational_oracle",
-        "sparse_projection_oracle",
         "sparse_secant_oracle",
+        "trace_inner",
+        "generic_bregman",
+        "pythagorean_residual",
+        "projection_orthogonality_residual",
+        "check_gradient",
     }
+    gone = moved | {"minimize_divergence_affine", "variational_oracle", "sparse_projection_oracle"}
     assert gone.isdisjoint(bregmanqn.__all__)
     assert gone.isdisjoint(vars(bregmanqn))
+    assert moved <= set(bregmanqn.testing.__all__)
+    assert all(callable(getattr(bregmanqn.testing, name)) for name in moved)

@@ -139,3 +139,13 @@ def test_pdmatrix_rejects_nonsquare_and_indefinite():
         PDMatrix.from_matrix(np.ones((2, 3)))
     with pytest.raises(NotPositiveDefinite):
         PDMatrix.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_pdmatrix_rejects_a_factor_that_is_not_square():
+    # a 1-D factor warned "divide by zero" and got log det -inf, a 2 x 3
+    # one built with n = 2 and failed later in solve, and a 0 x 0 one
+    # built an empty matrix
+    for L in (np.ones(3), np.ones((2, 3)), np.zeros((0, 0)), np.ones((1, 1, 1)), 2.0):
+        with pytest.raises(InvalidParameter, match="not n x n"):
+            PDMatrix(L)
+    assert PDMatrix(np.array([[2.0]])).logdet == pytest.approx(2.0 * np.log(2.0))

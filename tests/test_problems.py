@@ -3,10 +3,10 @@ import pytest
 
 from bregmanqn import (
     InvalidParameter,
-    check_gradient,
     get_problem,
     list_problems,
 )
+from bregmanqn.testing import check_gradient
 
 
 def test_catalog_listing():

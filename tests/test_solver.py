@@ -25,7 +25,6 @@ from bregmanqn import (
     UpdateFamily,
     banded_pattern,
     bfgs_update,
-    check_gradient,
     get_problem,
     invariance_check,
     minimize,
@@ -33,6 +32,7 @@ from bregmanqn import (
     transform_problem,
     wolfe_line_search,
 )
+from bregmanqn.testing import check_gradient
 
 
 def quadratic_objective(A, name="quad"):
@@ -707,6 +707,22 @@ def test_dense_run_does_not_scale_b0():
     np.testing.assert_allclose(trace.records[1].b, expected, rtol=1e-12, atol=1e-14)
 
 
+def test_records_own_their_x():
+    # each record holds the loop's x for its step, so no two share an
+    # array; writing into one leaves the others as they were
+    spec = get_problem("rosenbrock")
+    trace = minimize(spec.objective, spec.start, config=SolverConfig("bfgs", grad_tol=1e-6))
+    assert trace.status == "Converged" and trace.iterations > 10
+    xs = [r.x for r in trace.records]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(xs) for b in xs[i + 1:])
+    assert not any(np.shares_memory(spec.start, x) for x in xs)
+    before = [x.copy() for x in xs]
+    trace.records[0].x[:] = np.nan
+    for x, x_before in zip(xs[1:], before[1:]):
+        assert np.array_equal(x, x_before)
+    assert np.array_equal(spec.start, before[0])
+
+
 # ---------------------------------------------------------- skipped updates
 
 
@@ -730,10 +746,12 @@ def skip_trigger_objective():
 def test_skip_policy_skip_keeps_b():
     obj = skip_trigger_objective()
     cfg = SolverConfig(UpdateFamily("bfgs"), max_iter=1)
-    trace = minimize(obj, np.array([-1.0, 0.0]), config=cfg)
-    rec = trace.records[1]
+    trace = minimize(obj, np.array([-1.0, 0.0]), config=cfg, record_b=True)
+    before, rec = trace.records
     assert rec.skipped
     assert rec.det_b == 1.0  # update suppressed, B still the identity
+    # the two records hold equal B but not the same array
+    assert np.array_equal(rec.b, before.b) and not np.shares_memory(rec.b, before.b)
 
 
 # ------------------------------------------------------------- sparse chain
@@ -844,6 +862,14 @@ def test_gradient_check_requires_a_finite_positive_step():
     assert check_gradient(spec.objective, spec.start, h=1e-5) < 1e-6
 
 
+def test_gradient_check_rejects_a_point_of_the_wrong_shape():
+    # an x of the wrong length raised numpy's broadcasting ValueError
+    spec = get_problem("rosenbrock")
+    for x in (np.zeros(3), np.zeros((2, 1)), 1.0):
+        with pytest.raises(InvalidParameter, match=r"shape .*\(2,\)"):
+            check_gradient(spec.objective, x)
+
+
 def test_gradient_check_flags_wrong_gradient():
     obj = Objective(2, lambda x: float(x @ x),
                     lambda x: 1.5 * x)  # true gradient is 2x
@@ -939,6 +965,17 @@ def test_invariance_check_runs_only_the_compared_iterates():
 
     with pytest.raises(InvalidParameter, match="k_max"):
         invariance_check(spec.objective, spec.start, None, T, cfg, k_max=0)
+
+
+def test_invariance_check_requires_a_finite_nonnegative_tol():
+    # tol = nan or -1 reported "NOT invariant" for an invariant family
+    spec = get_problem("quadratic:20:3", seed=3)
+    T = seeded_transform(3, 0, 1.0)
+    cfg = SolverConfig("bfgs", grad_tol=1e-8)
+    for tol in (np.nan, -1.0, np.inf, -np.inf):
+        with pytest.raises(InvalidParameter, match="tol"):
+            invariance_check(spec.objective, spec.start, None, T, cfg, tol=tol)
+    assert invariance_check(spec.objective, spec.start, None, T, cfg, tol=1e-6).invariant
 
 
 def test_invariance_under_scaling_transforms():

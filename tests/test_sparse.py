@@ -33,8 +33,7 @@ from bregmanqn import (
     theta_coordinate,
     v_bregman_divergence,
 )
-from bregmanqn.sparse import sparse_secant_oracle
-from bregmanqn.testing import divergence_oracle
+from bregmanqn.testing import divergence_oracle, sparse_secant_oracle
 
 
 def sparse_family(pattern, pot, algorithm, T):
