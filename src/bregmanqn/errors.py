@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the count check that
-raises one."""
+"""Exception types shared across the package, and the two checks that
+every count and every real parameter of the library goes through."""
 
 import numbers
+from math import inf
 
 
 class BregmanQNError(Exception):
@@ -61,7 +62,23 @@ class SingularTransform(BregmanQNError, ValueError):
     """Change-of-variables matrix is singular or too ill-conditioned."""
 
 
-def require_count(name, value):
-    """Raise InvalidParameter unless value is an integer >= 1 (a bool is not)."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1):
-        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
+def _finite_real(value):
+    """Whether value is a finite real number; a bool or a str is not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and -inf < value < inf
+
+
+def require_count(name, value, low=1):
+    """value as an int; InvalidParameter unless it is a whole real >= low:
+    2, 2.0 and np.float64(2.0) pass; 2.5, nan, inf, "2" and a bool do not."""
+    if not (_finite_real(value) and value % 1 == 0 and value >= low):
+        raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def require_real(name, value, low=-inf, closed=False):
+    """value as a float; InvalidParameter unless it is a finite real above
+    low, or at low when closed."""
+    if not (_finite_real(value) and (value >= low if closed else value > low)):
+        bound = "" if low == -inf else f" {'>=' if closed else '>'} {low:g}"
+        raise InvalidParameter(f"{name} must be a finite real number{bound}, got {value!r}")
+    return float(value)

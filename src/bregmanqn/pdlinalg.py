@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import qr_update, solve_triangular
 
-from .errors import InvalidParameter, NotPositiveDefinite
+from .errors import InvalidParameter, NotPositiveDefinite, require_count
 
 # Relative pivot tolerance: a factorization pivot at or below this fraction
 # of the largest diagonal entry is treated as a PD failure.
@@ -129,7 +129,7 @@ class PDMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "PDMatrix":
-        return cls(np.eye(n))
+        return cls(np.eye(require_count("PDMatrix dimension n", n)))
 
     @property
     def matrix(self) -> np.ndarray:

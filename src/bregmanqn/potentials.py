@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, PotentialNotAdmissible, require_count
+from .errors import InvalidParameter, PotentialNotAdmissible, require_count, require_real
 
 BETA_GRID = np.logspace(-8.0, 8.0, 256)
 LIMIT_GRID = np.logspace(-12.0, 0.0, 256)
@@ -123,10 +123,10 @@ def power_potential(gamma: float) -> Potential:
     gamma = 0 is the log potential's limit and is rejected: use "log".
     Admissibility additionally needs gamma < 1/n, checked by validate.
     """
-    gamma = float(gamma)
+    gamma = require_real("gamma", gamma)
     if gamma == 0.0:
         raise InvalidParameter("gamma=0 is the logarithmic limit; use the log potential")
-    if not np.isfinite(gamma) or gamma >= 1.0:
+    if gamma >= 1.0:
         raise InvalidParameter(f"power potential needs gamma < 1, got {gamma}")
     return _power_triple(f"power:gamma={gamma!r}", gamma)
 
@@ -138,8 +138,8 @@ def bounded_potential(c: float) -> Potential:
     beta(z) = -c^2 z / ((cz + 1)(c(1 - c)z + 1)) <= 0, so the potential is
     admissible in every dimension.  c = 0 is the log potential's triple.
     """
-    c = float(c)
-    if not (0.0 <= c < 1.0) or not np.isfinite(c):
+    c = require_real("c", c, 0.0, closed=True)
+    if c >= 1.0:
         raise InvalidParameter(f"bounded potential needs 0 <= c < 1, got {c}")
     label = f"bounded:c={c!r}"
     if c == 0.0:
@@ -195,6 +195,8 @@ _BUILTINS = {
 
 def from_string(spec: str) -> Potential:
     """Parse CLI potential syntax: log | power:gamma=<g> | bounded:c=<c>."""
+    if not isinstance(spec, str):
+        raise InvalidParameter(f"potential spec must be a str, got {type(spec).__name__}")
     head, _, rest = spec.strip().lower().partition(":")
     if head not in _BUILTINS:
         raise InvalidParameter(f"unknown potential kind {head!r}")
@@ -226,7 +228,7 @@ def validate(pot: Potential, n: int) -> PotentialReport:
     monotone growth plus the bound w(z_min) <= w(1) * z_min^(1/n) that
     admissibility implies.
     """
-    require_count("dimension", n)
+    n = require_count("dimension", n)
     cached = pot._reports.get(n)
     if cached is not None:
         return cached

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, require_count, require_real
 from .solver import Objective
 from .sparse import SparsityPattern, banded_pattern
 
@@ -49,8 +49,7 @@ def _rosenbrock():
 
 
 def _quadratic(cond, n, seed):
-    if not (np.isfinite(cond) and cond >= 1.0):
-        raise InvalidParameter("quadratic condition number must be finite and >= 1")
+    cond = require_real("quadratic condition number", cond, 1.0, closed=True)
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.logspace(0.0, np.log10(cond), n)
@@ -98,8 +97,7 @@ def _extended_powell(n):
 
 
 def _broyden_tridiagonal(n):
-    if n < 2:
-        raise InvalidParameter("broyden-tridiagonal needs n >= 2")
+    n = require_count("broyden-tridiagonal n", n, 2)
 
     def residuals(x):
         r = (3.0 - 2.0 * x) * x + 1.0
@@ -125,6 +123,8 @@ def _broyden_tridiagonal(n):
 
 def get_problem(name, seed=0):
     """Build a catalog problem from its name, e.g. "quadratic:100:6"."""
+    if not isinstance(name, str):
+        raise InvalidParameter(f"problem name must be a str, got {type(name).__name__}")
     parts = name.strip().split(":")
     head = parts[0].lower()
     most = {"rosenbrock": 0, "quadratic": 2, "extended-powell": 1, "broyden-tridiagonal": 1}

@@ -1,7 +1,6 @@
 """Quasi-Newton driver: line searches, the iteration loop, and
 affine-transformation tooling for invariance experiments."""
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -13,6 +12,7 @@ from .errors import (
     LineSearchFail,
     SingularTransform,
     require_count,
+    require_real,
 )
 from .pdlinalg import PDMatrix
 from .updates import SecantPair, UpdateFamily
@@ -54,7 +54,7 @@ class Objective:
     name: str = ""
 
     def __post_init__(self):
-        require_count("objective dimension n", self.n)
+        self.n = require_count("objective dimension n", self.n)
         if self.minimizer is not None:
             self.minimizer = np.asarray(self.minimizer, dtype=float)
 
@@ -70,11 +70,12 @@ class LineSearchParams:
     method: str = "wolfe"
 
     def __post_init__(self):
+        self.c1 = require_real("c1", self.c1)
+        self.c2 = require_real("c2", self.c2)
         if not (0.0 < self.c1 < self.c2 < 1.0):
             raise InvalidParameter("need 0 < c1 < c2 < 1")
-        if not (math.isfinite(self.alpha_init) and self.alpha_init > 0.0):
-            raise InvalidParameter(f"alpha_init must be finite and positive, got {self.alpha_init!r}")
-        require_count("max_trials", self.max_trials)
+        self.alpha_init = require_real("alpha_init", self.alpha_init, 0.0)
+        self.max_trials = require_count("max_trials", self.max_trials)
         if self.method not in ("wolfe", "exact"):
             raise InvalidParameter(f"unknown line search method {self.method!r}")
 
@@ -97,12 +98,11 @@ class SolverConfig:
             raise InvalidParameter(f"family must be an UpdateFamily or a str, got {self.family!r}")
         if not isinstance(self.line_search, LineSearchParams):
             raise InvalidParameter(f"line_search is not a LineSearchParams: {self.line_search!r}")
-        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
-            raise InvalidParameter(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
-        require_count("max_iter", self.max_iter)
+        self.grad_tol = require_real("grad_tol", self.grad_tol, 0.0)
+        self.max_iter = require_count("max_iter", self.max_iter)
         self.update_family = self.family
         if self.sparsity is not None:
-            if len(self.sparsity) != 3:
+            if not (isinstance(self.sparsity, (tuple, list)) and len(self.sparsity) == 3):
                 raise InvalidParameter(
                     f"sparsity must be (pattern, algorithm, T), got {self.sparsity!r}"
                 )
@@ -204,8 +204,7 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
     if not np.isfinite(g0d) or g0d >= 0.0:
         raise LineSearchFail("search direction is not a descent direction")
 
-    alpha_init = float(params.alpha_init)
-    t = alpha_init
+    t = alpha_init = params.alpha_init
     if f_prev is not None:
         # in Python floats, so an overflow or inf - inf gives inf or nan
         # without a RuntimeWarning
@@ -251,7 +250,7 @@ def _exact_line_search(obj, x, d, params, g0):
     # halve the step back toward the last finite one, as the Wolfe search
     # does for a non-finite f.
     lo, bad = 0.0, None
-    hi = float(params.alpha_init)
+    hi = params.alpha_init
     dhi = dphi(hi)
     trials = 0
     while not (np.isfinite(dhi) and dhi >= 0.0):
@@ -469,9 +468,8 @@ def invariance_check(obj, x0, B0, T, config, k_max=20, tol=1e-6):
     compared, so both runs stop after at most k_max iterations.  tol must
     be finite and >= 0.
     """
-    require_count("k_max", k_max)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidParameter(f"tol must be finite and >= 0, got {tol!r}")
+    k_max = require_count("k_max", k_max)
+    tol = require_real("tol", tol, 0.0, closed=True)
     T = np.asarray(T, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     if B0 is None:

@@ -9,8 +9,8 @@ family that holds their checked configuration and through which the
 solver runs them.
 """
 
-import numbers
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +54,18 @@ class SparsityPattern:
     """Symmetric index set F on an n x n matrix; the diagonal is always in."""
 
     def __init__(self, n, edges=()):
-        self.n = _require_size("pattern dimension", n, 1)
+        self.n = require_count("pattern dimension", n)
+        if not isinstance(edges, Iterable):
+            raise InvalidParameter(f"pattern edges must be pairs (i, j), got {edges!r}")
         cleaned = set()
-        for i, j in edges:
-            if not all(_is_whole(v) and 0 <= v < self.n for v in (i, j)):
-                raise InvalidParameter(
-                    f"pattern index ({i!r}, {j!r}) is not an integer in [0, {self.n})"
-                )
-            i, j = int(i), int(j)
+        for edge in edges:
+            try:
+                i, j = edge
+            except (TypeError, ValueError):
+                raise InvalidParameter(f"pattern edge {edge!r} is not a pair (i, j)") from None
+            i, j = (require_count("pattern index", v, 0) for v in (i, j))
+            if max(i, j) >= self.n:
+                raise InvalidParameter(f"pattern edge {edge!r} has an index >= n={self.n}")
             if i == j:
                 continue  # diagonal is implied
             cleaned.add((min(i, j), max(i, j)))
@@ -120,22 +124,8 @@ class SparsityPattern:
         return f"SparsityPattern(n={self.n}, edges={len(self.edges)})"
 
 
-def _is_whole(value):
-    """Whether value is a real number without a fractional part: 2 and 2.0
-    are, 2.7, nan, inf, "2" and True are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value % 1 == 0
-
-
-def _require_size(name, value, low):
-    """value as an int; InvalidParameter unless it is an integer >= low."""
-    if not (_is_whole(value) and value >= low):
-        raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 def full_pattern(n):
-    n = _require_size("pattern dimension", n, 1)
-    return SparsityPattern(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return banded_pattern(n, require_count("pattern dimension", n) - 1)
 
 
 def diagonal_pattern(n):
@@ -144,8 +134,8 @@ def diagonal_pattern(n):
 
 def banded_pattern(n, bandwidth):
     """Band |i - j| <= bandwidth; bandwidth 1 is tridiagonal."""
-    n = _require_size("pattern dimension", n, 1)
-    bandwidth = _require_size("bandwidth", bandwidth, 0)
+    n = require_count("pattern dimension", n)
+    bandwidth = require_count("bandwidth", bandwidth, 0)
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, min(n, i + bandwidth + 1))
     ]
@@ -154,7 +144,7 @@ def banded_pattern(n, bandwidth):
 
 def arrow_pattern(n):
     """Dense first row/column plus the diagonal."""
-    n = _require_size("pattern dimension", n, 1)
+    n = require_count("pattern dimension", n)
     return SparsityPattern(n, [(0, j) for j in range(1, n)])
 
 
@@ -165,11 +155,10 @@ def pattern_from_text(text):
     indices in the upper triangle.  The diagonal is implied and lines
     starting with '#' are skipped.
     """
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    if not isinstance(text, str):
+        raise InvalidParameter(f"pattern text must be a str, got {type(text).__name__}")
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise InvalidParameter("empty pattern text")
     try:
@@ -178,13 +167,10 @@ def pattern_from_text(text):
         raise InvalidParameter(f"first pattern line must be the dimension, got {lines[0]!r}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidParameter(f"pattern line must be 'i j', got {ln!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = (int(v) for v in ln.split())
         except ValueError:
-            raise InvalidParameter(f"pattern indices must be integers, got {ln!r}")
+            raise InvalidParameter(f"pattern line must be two integers 'i j', got {ln!r}") from None
         if not (1 <= i <= n and 1 <= j <= n):
             raise InvalidParameter(f"pattern entry ({i}, {j}) out of range for n={n}")
         edges.append((i - 1, j - 1))
@@ -516,10 +502,10 @@ class SparseUpdateFamily:
             raise InvalidParameter("sparse updates maintain B directly; use a bfgs or vbfgs family")
         if not isinstance(pattern, SparsityPattern):
             raise InvalidParameter(f"sparsity pattern must be a SparsityPattern, got {pattern!r}")
+        algorithm = require_count("algorithm", algorithm)
         if algorithm not in (1, 2):
             raise InvalidParameter(f"algorithm must be 1 or 2, got {algorithm!r}")
-        require_count("T", T)
-        self.pattern, self.algorithm, self.T = pattern, algorithm, T
+        self.pattern, self.algorithm, self.T = pattern, algorithm, require_count("T", T)
         self.tree = is_chordal(pattern)
         self.potential = family.potential
 

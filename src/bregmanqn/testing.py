@@ -18,11 +18,9 @@ is exposed as a residual so projection tests can assert both Pythagorean
 decompositions (swap the first and last arguments for the dual one).
 """
 
-import math
-
 import numpy as np
 
-from .errors import InvalidParameter, NotPositiveDefinite, OracleNoConvergence
+from .errors import InvalidParameter, NotPositiveDefinite, OracleNoConvergence, require_real
 from .geometry import _as_pd, theta_coordinate, v_bregman_divergence
 from .pdlinalg import PDMatrix, as_symmetric
 
@@ -219,8 +217,7 @@ def check_gradient(obj, x, h=1e-6):
     Raises InvalidParameter unless h is finite and positive and x has
     the objective's shape (n,).
     """
-    if not (math.isfinite(h) and h > 0.0):
-        raise InvalidParameter(f"h must be finite and positive, got {h!r}")
+    h = require_real("h", h, 0.0)
     x = np.asarray(x, dtype=float)
     if x.shape != (obj.n,):
         raise InvalidParameter(f"x has shape {x.shape}, the objective needs ({obj.n},)")

@@ -92,6 +92,7 @@ def _secant_mix(B: PDMatrix, pair: SecantPair, ratio) -> PDMatrix:
 
     ratio maps log det BFGS(B) to the weight r > 0.
     """
+    _require_pair_length(B, pair)
     L = B.L
     Ls = L.T @ pair.s
     sBs = float(Ls @ Ls)
@@ -103,7 +104,6 @@ def _secant_mix(B: PDMatrix, pair: SecantPair, ratio) -> PDMatrix:
 
 def bfgs_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     """BFGS: B - Bss'B/(s'Bs) + yy'/(s'y), computed on the factor."""
-    _require_pair_length(B, pair)
     return _secant_mix(B, pair, lambda ld_bfgs: 1.0)
 
 
@@ -132,8 +132,7 @@ def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
     nu is constant, so that determinant is det BFGS(B) and the ratio is
     exactly one: the factor step is bfgs_update's bit for bit.
     """
-    _require_pair_length(B, pair)
-    n = pair.n
+    n = B.n
     pot.require_admissible(n)
     log_nu_b = pot.log_nu_ld(B.logdet)
 
@@ -154,7 +153,6 @@ def self_scaling_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     over-scale on well-conditioned problems, so treat it as a baseline
     rather than a default.
     """
-    _require_pair_length(B, pair)
     return _secant_mix(B, pair, lambda ld_bfgs: float(np.exp(ld_bfgs - B.logdet)))
 
 
@@ -195,8 +193,9 @@ class UpdateFamily:
     @classmethod
     def from_string(cls, spec: str) -> "UpdateFamily":
         """Parse CLI family syntax, e.g. "bfgs" or "vbfgs:power:gamma=0.2"."""
-        spec = spec.strip().lower()
-        head, _, rest = spec.partition(":")
+        if not isinstance(spec, str):
+            raise InvalidParameter(f"family spec must be a str, got {type(spec).__name__}")
+        head, _, rest = spec.strip().lower().partition(":")
         if head in ("vbfgs", "vdfp"):
             if not rest:
                 raise InvalidParameter(f"{head} needs a potential, e.g. {head}:log")

@@ -162,6 +162,9 @@ def test_solver_config_validation():
     for sparsity in ((pat, 2, 1.5), (pat, 2), (None, 2, 1)):
         with pytest.raises(InvalidParameter):
             SolverConfig(UpdateFamily.from_string("vbfgs:log"), sparsity=sparsity)
+    # a sparsity that is not a sequence raised TypeError from len()
+    with pytest.raises(InvalidParameter, match=r"must be \(pattern, algorithm, T\), got 5"):
+        SolverConfig("bfgs", sparsity=5)
     cycle = SparsityPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     with pytest.raises(NotChordal):
         SolverConfig(fam, sparsity=(cycle, 2, 1))

@@ -86,6 +86,11 @@ def test_pattern_rejects_bad_edges():
         (0, 2),
         (1, 2),
     )
+    # each of these raised TypeError or ValueError
+    for edges, entry in ((5, "5"), ([5], "5"), ([(0, 1, 2)], r"\(0, 1, 2\)"),
+                         ([(0, (1, 2))], r"got \(1, 2\)")):
+        with pytest.raises(InvalidParameter, match=entry):
+            SparsityPattern(3, edges)
     # self loops fold into the implied diagonal
     assert SparsityPattern(3, [(1, 1)]).edges == ()
     # the builders take the sizes SparsityPattern takes: a nan bandwidth
