@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import BregmanQNError, InvalidParameter
 from .pdlinalg import PDMatrix
-from .potentials import log_potential
 from .problems import get_problem, list_problems
 from .solver import SolverConfig, invariance_check, minimize
 from .sparse import SparseUpdateFamily, banded_pattern, load_pattern, sparse_update
@@ -225,27 +224,17 @@ def _cmd_compare(args):
         raise _UsageError("no families given")
     spec = get_problem(args.problem, seed=seed)
     families = [UpdateFamily.from_string(name) for name in names]
-    # bfgs and vbfgs:log first, for log_bfgs_dev; each label is solved once
+    # one solve per distinct label; a label listed twice gives two rows
     traces = {}
-    for family in [UpdateFamily("bfgs"), UpdateFamily("vbfgs", log_potential())] + families:
+    for family in families:
         if family.label() not in traces:
             traces[family.label()], _ = _solve(spec, family, args.tol, args.max_iter)
-    # max per-iterate gap between plain BFGS and the log-potential family
-    tr_b, tr_v = traces["bfgs"], traces["vbfgs:log"]
-    log_dev = max([0.0] + [
-        float(np.abs(rb.x - rv.x).max()) for rb, rv in zip(tr_b.records, tr_v.records)
-    ])
-    if len(tr_b.records) != len(tr_v.records):
-        log_dev = np.inf
-    rows = sorted(
-        ((family.label(), traces[family.label()]) for family in families),
-        key=lambda row: row[0],
-    )
+    rows = [(label, traces[label]) for label in sorted(f.label() for f in families)]
     ref_x = rows[0][1].final.x
     out = args.out or f"compare.{args.format}"
     columns = (
         "problem", "family", "status", "iterations", "final_f",
-        "final_grad_norm", "x_dev_vs_first", "log_bfgs_dev", "seed",
+        "final_grad_norm", "x_dev_vs_first", "seed",
     )
     table = [
         (
@@ -256,7 +245,6 @@ def _cmd_compare(args):
             trace.final.f,
             trace.final.grad_norm,
             float(np.abs(trace.final.x - ref_x).max()),
-            log_dev,
             seed,
         )
         for label, trace in rows

@@ -2,6 +2,7 @@
 every count and every real parameter of the library goes through."""
 
 import numbers
+import sys
 from math import inf
 
 
@@ -63,16 +64,26 @@ class SingularTransform(BregmanQNError, ValueError):
 
 
 def _finite_real(value):
-    """Whether value is a finite real number; a bool or a str is not."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and -inf < value < inf
+    """Whether value is a real number that a finite float can hold; a
+    bool, a str and an int such as 10**400 are not."""
+    try:
+        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and -inf < float(value) < inf)
+    except OverflowError:
+        return False
 
 
 def require_count(name, value, low=1):
-    """value as an int; InvalidParameter unless it is a whole real >= low:
-    2, 2.0 and np.float64(2.0) pass; 2.5, nan, inf, "2" and a bool do not."""
-    if not (_finite_real(value) and value % 1 == 0 and value >= low):
-        raise InvalidParameter(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
+    """value as an int; InvalidParameter unless it is a whole real from low
+    to sys.maxsize: 2, 2.0 and np.float64(2.0) pass; 2.5, nan, inf, "2",
+    a bool and 10**400 do not."""
+    whole = not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or (_finite_real(value) and value % 1 == 0))
+    count = int(value) if whole else None
+    if count is None or not low <= count <= sys.maxsize:
+        top = " and <= sys.maxsize" if count is not None and count > sys.maxsize else ""
+        raise InvalidParameter(f"{name} must be an integer >= {low}{top}, got {value!r}")
+    return count
 
 
 def require_real(name, value, low=-inf, closed=False):

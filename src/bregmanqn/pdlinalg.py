@@ -16,7 +16,8 @@ orthogonal factor drops out of the product.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import qr_update, solve_triangular
+from scipy.linalg import qr_update
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import InvalidParameter, NotPositiveDefinite, require_count
 
@@ -99,11 +100,17 @@ def rank_one_update(B: PDMatrix, u, v) -> PDMatrix:
     return PDMatrix((np.sign(d)[:, None] * R).T)
 
 
-def _solve_lower(L, b, trans=0) -> np.ndarray:
-    # L x = b, or L' x = b for trans="T", for a vector or a block; a factor
-    # is finite by construction, and a non-finite b gives a non-finite x.
-    return solve_triangular(L, np.asarray(b, dtype=float), lower=True, trans=trans,
-                            check_finite=False)
+def _solve_lower(L, b, transposed=False) -> np.ndarray:
+    # L x = b, or L' x = b, for a vector or an n-row block: trtrs on the upper
+    # L', as solve_triangular does for a C-ordered L.  A factor is finite by
+    # construction, and a non-finite b gives a non-finite x.
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != L.shape[0]:
+        raise InvalidParameter(f"right-hand side shape {b.shape} does not match n={L.shape[0]}")
+    x, info = dtrtrs(L.T, b, lower=0, trans=0 if transposed else 1)
+    if info != 0:
+        raise NotPositiveDefinite(f"factor has a zero pivot at diagonal {info - 1}")
+    return x
 
 
 class PDMatrix:
@@ -142,14 +149,14 @@ class PDMatrix:
 
     def solve(self, b) -> np.ndarray:
         """Solve A x = b for one right-hand side or a block of them."""
-        return _solve_lower(self.L, _solve_lower(self.L, b), "T")
+        return _solve_lower(self.L, _solve_lower(self.L, b), transposed=True)
 
     def solve_factor(self, b) -> np.ndarray:
         """Solve L x = b, half of solve: |x|^2 = b' A^{-1} b for a vector."""
         return _solve_lower(self.L, b)
 
     def inv(self) -> np.ndarray:
-        return _solve_lower(self.L, _solve_lower(self.L, np.eye(self.n)), "T")
+        return _solve_lower(self.L, _solve_lower(self.L, np.eye(self.n)), transposed=True)
 
     def matvec(self, x) -> np.ndarray:
         return self.L @ (self.L.T @ np.asarray(x, dtype=float))

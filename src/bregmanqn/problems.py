@@ -44,7 +44,7 @@ def _rosenbrock():
             ]
         )
 
-    obj = Objective(2, value, gradient, minimizer=np.array([1.0, 1.0]), name="rosenbrock")
+    obj = Objective(2, value, gradient, name="rosenbrock")
     return ProblemSpec("rosenbrock", obj, np.array([-1.2, 1.0]))
 
 
@@ -63,7 +63,7 @@ def _quadratic(cond, n, seed):
         return A @ x
 
     name = f"quadratic:{cond:g}:{n}"
-    obj = Objective(n, value, gradient, minimizer=np.zeros(n), name=name)
+    obj = Objective(n, value, gradient, name=name)
     return ProblemSpec(name, obj, np.ones(n), seed=seed)
 
 
@@ -91,7 +91,7 @@ def _extended_powell(n):
         return g
 
     name = f"extended-powell:{n}"
-    obj = Objective(n, value, gradient, minimizer=np.zeros(n), name=name)
+    obj = Objective(n, value, gradient, name=name)
     start = np.tile(np.array([3.0, -1.0, 0.0, 1.0]), n // 4)
     return ProblemSpec(name, obj, start)
 

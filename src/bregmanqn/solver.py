@@ -41,22 +41,16 @@ BACKTRACK_MAX_FRAC = 0.5
 
 @dataclass
 class Objective:
-    """Smooth function with its gradient.
-
-    minimizer, when known analytically, is carried for tests and result
-    reporting only; nothing in the solver reads it.
-    """
+    """Smooth function of x in R^n, value(x) -> float, with its gradient,
+    gradient(x) -> array of shape (n,); name labels it in reports."""
 
     n: int
     value: callable
     gradient: callable
-    minimizer: np.ndarray | None = None
     name: str = ""
 
     def __post_init__(self):
         self.n = require_count("objective dimension n", self.n)
-        if self.minimizer is not None:
-            self.minimizer = np.asarray(self.minimizer, dtype=float)
 
 
 @dataclass
@@ -313,6 +307,22 @@ def _require_real_values(f, g, n):
         )
 
 
+def _check_start(obj, B0, config):
+    """(B0, config) as minimize's docstring states them, None giving I and
+    the default config; InvalidParameter for anything else."""
+    if config is None:
+        config = SolverConfig(UpdateFamily("bfgs"))
+    elif not isinstance(config, SolverConfig):
+        raise InvalidParameter(f"config must be a SolverConfig, got {config!r}")
+    if B0 is None:
+        return PDMatrix.identity(obj.n), config
+    if not (isinstance(B0, PDMatrix) and B0.L.shape == (obj.n, obj.n)):
+        raise InvalidParameter(f"B0 must be a PDMatrix of dimension n={obj.n}")
+    if not (np.isfinite(B0.L).all() and (np.diag(B0.L) > 0).all() and not np.triu(B0.L, 1).any()):
+        raise InvalidParameter("B0 needs a finite lower-triangular factor with a positive diagonal")
+    return B0, config
+
+
 def minimize(obj, x0, B0=None, config=None, record_b=False):
     """Quasi-Newton iteration x_{k+1} = x_k - alpha_k B_k^{-1} grad f(x_k).
 
@@ -320,29 +330,23 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     runs out; a failed line search or a library error inside the update
     ends the run with its partial trace, which stops at the last point
     whose B was formed, and the error's message as trace.reason.  The
-    update is config.update_family's, dense or sparse.  B0 must be a
-    PDMatrix of dimension n with a finite lower-triangular factor of
-    positive diagonal; another B0, or one the update cannot start from,
-    such as one off a sparsity pattern, raises InvalidParameter before
-    the first evaluation.  f(x0) must be a real scalar and the gradient
+    update is config.update_family's, dense or sparse.  config (None for
+    the default) must be a SolverConfig and B0 (None for I) a PDMatrix of
+    dimension n with a finite lower-triangular factor of positive
+    diagonal; anything else, or a B0 the update cannot start from, such
+    as one off a sparsity pattern, raises InvalidParameter before the
+    first evaluation.  f(x0) must be a real scalar and the gradient
     at x0 a real array of shape (n,); otherwise InvalidParameter is
     raised after those two evaluations.  Each record holds its own
     iterate x_k, which the run never writes into.  record_b stores each
     B_k densely (n^2 per iterate) for invariance comparisons.
     """
-    if config is None:
-        config = SolverConfig(UpdateFamily("bfgs"))
+    B0, config = _check_start(obj, B0, config)
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (obj.n,):
         raise InvalidParameter(f"x0 shape {x.shape} does not match n={obj.n}")
     if not np.all(np.isfinite(x)):
         raise InvalidParameter("x0 must be finite")
-    if B0 is None:
-        B0 = PDMatrix.identity(obj.n)
-    elif not (isinstance(B0, PDMatrix) and B0.L.shape == (obj.n, obj.n)):
-        raise InvalidParameter(f"B0 must be a PDMatrix of dimension n={obj.n}")
-    elif not (np.isfinite(B0.L).all() and (np.diag(B0.L) > 0).all() and not np.triu(B0.L, 1).any()):
-        raise InvalidParameter("B0 needs a finite lower-triangular factor with a positive diagonal")
     family = config.update_family
     state = family.initial_state(B0)
     # f and g are evaluated once per accepted point: at x0 here, then by
@@ -435,9 +439,8 @@ def transform_problem(obj, T):
         gx = obj.gradient(np.linalg.solve(T, np.asarray(xt, dtype=float)))
         return np.linalg.solve(T.T, gx)
 
-    minimizer = None if obj.minimizer is None else T @ obj.minimizer
     name = f"{obj.name}~" if obj.name else ""
-    return Objective(obj.n, value, gradient, minimizer=minimizer, name=name)
+    return Objective(obj.n, value, gradient, name=name)
 
 
 @dataclass
@@ -466,14 +469,14 @@ def invariance_check(obj, x0, B0, T, config, k_max=20, tol=1e-6):
     congruence (T')^{-1} B0 T^{-1}; deviations beyond tol mean the update
     family is not invariant under this T.  Only iterates 0..k_max are
     compared, so both runs stop after at most k_max iterations.  tol must
-    be finite and >= 0.
+    be finite and >= 0.  B0 and config take minimize's rule, checked
+    before any evaluation.
     """
+    B0, config = _check_start(obj, B0, config)
     k_max = require_count("k_max", k_max)
     tol = require_real("tol", tol, 0.0, closed=True)
     T = np.asarray(T, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    if B0 is None:
-        B0 = PDMatrix.identity(obj.n)
     obj_t = transform_problem(obj, T)
     b0t = np.linalg.solve(T.T, np.linalg.solve(T.T, B0.matrix.T).T)
     B0_t = PDMatrix.from_matrix(0.5 * (b0t + b0t.T))
@@ -483,20 +486,9 @@ def invariance_check(obj, x0, B0, T, config, k_max=20, tol=1e-6):
     trace_t = minimize(obj_t, T @ x0, B0_t, config, record_b=True)
 
     k_used = min(len(trace.records), len(trace_t.records)) - 1
-    x_dev = 0.0
-    b_dev = 0.0
-    for k in range(k_used + 1):
-        r, rt = trace.records[k], trace_t.records[k]
-        x_dev = max(
-            x_dev,
-            float(np.linalg.norm(rt.x - T @ r.x) / (1.0 + np.linalg.norm(r.x))),
-        )
-        pulled = T.T @ rt.b @ T
-        b_dev = max(
-            b_dev,
-            float(
-                np.linalg.norm(pulled - r.b, "fro")
-                / (1.0 + np.linalg.norm(r.b, "fro"))
-            ),
-        )
+    x_dev = b_dev = 0.0
+    for r, rt in zip(trace.records, trace_t.records):
+        x_dev = max(x_dev, float(np.linalg.norm(rt.x - T @ r.x) / (1.0 + np.linalg.norm(r.x))))
+        b_dev = max(b_dev, float(np.linalg.norm(T.T @ rt.b @ T - r.b, "fro")
+                                 / (1.0 + np.linalg.norm(r.b, "fro"))))
     return InvarianceReport(x_dev=x_dev, b_dev=b_dev, k_used=k_used, tol=tol)

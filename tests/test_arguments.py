@@ -78,11 +78,12 @@ PARAMETERS = [
     ("quadratic condition number", lambda v: _quadratic(v, 3, 0), 0.5),
 ]
 
-BAD_VALUES = ["1", None, 1j, True, math.nan, math.inf]
+BAD_VALUES = ["1", None, 1j, True, math.nan, math.inf, 10**400]
 
 
 @pytest.mark.parametrize("name, call, out_of_range", PARAMETERS, ids=[p[0] for p in PARAMETERS])
-@pytest.mark.parametrize("value", BAD_VALUES + ["out of range"], ids=repr)
+@pytest.mark.parametrize("value", BAD_VALUES + ["out of range"],
+                         ids=lambda v: "10**400" if v == 10**400 else repr(v))
 def test_every_scalar_parameter_rejects_what_is_not_a_value_of_it(name, call, out_of_range, value):
     # a str, None, 1j and nan raised TypeError or ValueError for the reals,
     # and True stood for 1 in grad_tol and the sparse algorithm

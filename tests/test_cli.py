@@ -255,22 +255,22 @@ def test_compare_summary(tmp_path):
     rows = read_csv(out)
     assert rows[0] == [
         "problem", "family", "status", "iterations", "final_f",
-        "final_grad_norm", "x_dev_vs_first", "log_bfgs_dev", "seed",
+        "final_grad_norm", "x_dev_vs_first", "seed",
     ]
     assert [r[1] for r in rows[1:]] == ["bfgs", "dfp", "vbfgs:log"]
     for r in rows[1:]:
         assert r[2] == "Converged"
-        assert float(r[7]) <= 1e-10  # log potential reproduces plain BFGS
 
 
 @pytest.mark.parametrize("families, solves", [
+    ("dfp", 1),
     ("bfgs,vbfgs:log", 2),
     ("vbfgs:log,bfgs,dfp", 3),
-    ("dfp,bfgs,dfp", 3),
+    ("dfp,bfgs,dfp", 2),
 ])
 def test_compare_solves_each_family_once(tmp_path, families, solves):
-    # log_bfgs_dev reads the bfgs and vbfgs:log runs it reports, and a
-    # family listed twice is solved once but still gives two rows
+    # one solve per distinct label, and nothing else; a family listed
+    # twice is solved once but still gives two rows
     out = tmp_path / "cmp.csv"
     with mock.patch("bregmanqn.cli.minimize", wraps=minimize) as spy:
         assert run_command(["compare", "--families", families, "--out", str(out)]) == 0

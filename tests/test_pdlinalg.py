@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from bregmanqn import (
     InvalidParameter,
@@ -8,6 +9,7 @@ from bregmanqn import (
     cholesky_factorize,
     rank_one_update,
 )
+from bregmanqn.pdlinalg import _solve_lower
 
 
 def random_pd(rng, n, scale=1.0):
@@ -149,3 +151,37 @@ def test_pdmatrix_rejects_a_factor_that_is_not_square():
         with pytest.raises(InvalidParameter, match="not n x n"):
             PDMatrix(L)
     assert PDMatrix(np.array([[2.0]])).logdet == pytest.approx(2.0 * np.log(2.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 300])
+def test_triangular_solves_give_solve_triangulars_bytes(n):
+    # the solves call LAPACK trtrs on L' directly, as solve_triangular does
+    # for the C-ordered factors the library builds
+    rng = np.random.default_rng(n)
+    A = cholesky_factorize(random_pd(rng, n))
+    factors = [A, rank_one_update(A, 0.1 * rng.standard_normal(n), rng.standard_normal(n))]
+    for B in factors:
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            for trans in (0, 1):
+                got = _solve_lower(B.L, b, transposed=bool(trans))
+                want = solve_triangular(B.L, b, lower=True, trans=trans, check_finite=False)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        b = rng.standard_normal(n)
+        x = solve_triangular(B.L, b, lower=True)
+        want = solve_triangular(B.L, x, lower=True, trans=1)
+        assert B.solve(b).tobytes() == want.tobytes()
+
+
+def test_triangular_solve_rejects_a_zero_pivot_and_a_mismatched_rhs():
+    with np.errstate(divide="ignore"):
+        B = PDMatrix(np.diag([1.0, 0.0, 2.0]))
+    for solve in (B.solve, B.solve_factor):
+        with pytest.raises(NotPositiveDefinite):
+            solve(np.ones(3))
+    with pytest.raises(NotPositiveDefinite):
+        B.inv()
+    A = PDMatrix.identity(3)
+    for b in (np.ones(4), np.ones((2, 3)), np.ones((3, 2, 2)), 1.0):
+        with pytest.raises(InvalidParameter):
+            A.solve(b)

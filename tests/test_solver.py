@@ -44,8 +44,7 @@ def quadratic_objective(A, name="quad"):
     def gradient(x):
         return A @ x
 
-    return Objective(A.shape[0], value, gradient,
-                     minimizer=np.zeros(A.shape[0]), name=name)
+    return Objective(A.shape[0], value, gradient, name=name)
 
 
 # -------------------------------------------------------------- line search
@@ -217,7 +216,7 @@ def test_rosenbrock_all_families():
         trace = minimize(spec.objective, spec.start, config=cfg)
         assert trace.status == "Converged", fam
         assert trace.iterations <= 200
-        assert np.abs(trace.final.x - spec.objective.minimizer).max() < 1e-5
+        assert np.abs(trace.final.x - [1.0, 1.0]).max() < 1e-5
 
 
 def test_vbfgs_log_reproduces_bfgs_iterates():
@@ -843,6 +842,35 @@ def test_minimize_rejects_a_b0_that_is_not_a_cholesky_factor_before_evaluating()
     assert trace.status == "Converged"
 
 
+def test_minimize_and_invariance_check_share_one_start_check():
+    # invariance_check read B0.matrix first: an ndarray B0 and config="bfgs"
+    # raised AttributeError, and a B0 of the wrong n a numpy ValueError; so
+    # did minimize for config="bfgs" or 5
+    spec = get_problem("rosenbrock")
+    calls = []
+    obj = Objective(
+        2,
+        lambda x: calls.append("f") or spec.objective.value(x),
+        lambda x: calls.append("g") or spec.objective.gradient(x),
+    )
+    runs = (
+        lambda B0, config: minimize(obj, spec.start, B0, config),
+        lambda B0, config: invariance_check(obj, spec.start, B0, np.eye(2), config),
+    )
+    bad = [
+        (np.eye(2), SolverConfig("bfgs")),
+        (PDMatrix.identity(3), SolverConfig("bfgs")),
+        (None, "bfgs"),
+        (None, 5),
+    ]
+    for run in runs:
+        for B0, config in bad:
+            with pytest.raises(InvalidParameter):
+                run(B0, config)
+    assert calls == []
+    assert invariance_check(obj, spec.start, None, np.eye(2), None).invariant
+
+
 # -------------------------------------------------------------- invariance
 
 
@@ -892,7 +920,6 @@ def test_transform_problem_chain_rule():
         assert np.abs(obj_t.gradient(xt) - expected).max() < 1e-10 * (
             1 + np.abs(expected).max()
         )
-    assert np.allclose(obj_t.minimizer, T @ spec.objective.minimizer)
     assert check_gradient(obj_t, rng.standard_normal(4)) < 1e-6
 
 
