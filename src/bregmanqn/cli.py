@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .errors import BregmanQNError, InvalidParameter
+from .errors import BregmanQNError, InvalidParameter, require_real
 from .pdlinalg import PDMatrix
 from .problems import get_problem, list_problems
 from .solver import SolverConfig, invariance_check, minimize
@@ -77,22 +77,16 @@ def _write_table(path, columns, rows, fmt, single=False):
 
 
 def export_trace(trace, path, fmt):
-    """Write a solver trace or a divergence sequence to csv or json.
+    """Write a solver trace to csv or json.
 
-    Solver traces carry the iter/f/grad_norm/alpha/det_B/sTy/skipped
-    columns, iterate 0 included with empty alpha and sTy; a bare
-    sequence is written as (iter, divergence) rows.
+    The columns are iter/f/grad_norm/alpha/det_B/sTy/skipped, iterate 0
+    included with empty alpha and sTy.
     """
-    if hasattr(trace, "records"):
-        columns = TRACE_COLUMNS
-        rows = [
-            (r.k, r.f, r.grad_norm, r.alpha, r.det_b, r.sty, r.skipped)
-            for r in trace.records
-        ]
-    else:
-        columns = ("iter", "divergence")
-        rows = [(k, float(v)) for k, v in enumerate(trace)]
-    _write_table(path, columns, rows, fmt)
+    rows = [
+        (r.k, r.f, r.grad_norm, r.alpha, r.det_b, r.sty, r.skipped)
+        for r in trace.records
+    ]
+    _write_table(path, TRACE_COLUMNS, rows, fmt)
 
 
 class _UsageError(Exception):
@@ -105,18 +99,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    # abbreviation off so explicit flags can be recognized verbatim in argv
+    # abbreviation off: a flag is accepted only under its full name
     p = _Parser(prog="bregmanqn", description=__doc__.splitlines()[0],
                 allow_abbrev=False)
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
 
-    def common(sp, problem=True):
+    def common(sp, run, problem=True):
+        sp.set_defaults(run=run)
+        # sparse-demo solves no problem, so it takes neither flag
         if problem:
-            sp.add_argument("--problem", required=False, default="rosenbrock")
+            sp.add_argument("--problem", default="rosenbrock")
+            sp.add_argument("--max-iter", type=int, default=200)
         sp.add_argument("--family", default="bfgs",
                         help="update family, potential inline: vbfgs:power:gamma=0.25")
         sp.add_argument("--tol", type=float, default=1e-6)
-        sp.add_argument("--max-iter", type=int, default=200)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -124,35 +120,40 @@ def _build_parser():
                         help="key=value file; command-line flags win")
 
     sp = sub.add_parser("solve", allow_abbrev=False, help="run one problem/family and write the trace")
-    common(sp)
+    common(sp, _cmd_solve)
     sp = sub.add_parser("compare", allow_abbrev=False, help="run a family grid on one problem")
-    common(sp)
+    common(sp, _cmd_compare)
     sp.add_argument("--families", default="bfgs,vbfgs:log",
                     help="comma-separated family strings")
     sp = sub.add_parser("invariance", allow_abbrev=False, help="compare a run against its affine image")
-    common(sp)
+    common(sp, _cmd_invariance)
     sp.add_argument("--transform", choices=("sl", "gl"), default="sl",
                     help="seeded random transform: det 1 (sl) or det 2 (gl)")
     sp = sub.add_parser("sparse-demo", allow_abbrev=False, help="run sparse update chains on a pattern")
-    common(sp, problem=False)
+    common(sp, _cmd_sparse_demo, problem=False)
     sp.add_argument("--pattern", default=None, help="pattern file; default tridiagonal n=10")
     sp.add_argument("--algorithm", type=int, choices=(1, 2), default=2)
     sp.add_argument("--T", type=int, default=150)
-    sub.add_parser("list-problems", allow_abbrev=False, help="print the problem catalog")
+    sp = sub.add_parser("list-problems", allow_abbrev=False, help="print the problem catalog")
+    sp.set_defaults(run=_cmd_list_problems)
     return p
 
 
 def _apply_config_file(parser, args, argv):
-    """Overlay key=value file entries under explicit command-line flags.
+    """Reparse argv under the key=value entries of the file args.config.
 
-    Each entry is parsed as the flag --key=value of the same subcommand,
-    so it gets the flag's type and choices.
+    Each entry is first parsed on its own as the flag --key=value of the
+    same subcommand, so it gets the flag's type and choices and an error
+    names its line.  The entries then go before the command-line flags in
+    one parse; argparse keeps the last value given, so a command-line
+    flag wins.
     """
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config file {args.config}: {exc}")
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -163,17 +164,13 @@ def _apply_config_file(parser, args, argv):
             raise _UsageError(f"config line {lineno} is not key=value: {raw!r}")
         if key == "config":
             raise _UsageError(f"config line {lineno}: a config file cannot name another")
-        option = "--" + key
+        flag = f"--{key}={value}"
         try:
-            parsed = parser.parse_args([args.command, f"{option}={value}"])
+            parser.parse_args([args.command, flag])
         except _UsageError as exc:
             raise _UsageError(f"config line {lineno}: {exc}")
-        # flags explicitly given on the command line take precedence;
-        # abbreviation is disabled so the option string appears verbatim
-        if not any(tok == option or tok.startswith(option + "=") for tok in argv):
-            attr = key.replace("-", "_")
-            setattr(args, attr, getattr(parsed, attr))
-    return args
+        flags.append(flag)
+    return parser.parse_args([args.command, *flags, *argv[1:]])
 
 
 def _resolve_seed(args):
@@ -201,8 +198,7 @@ def _solve(spec, family, tol, max_iter):
 
 
 def _cmd_solve(args):
-    seed = _resolve_seed(args)
-    spec = get_problem(args.problem, seed=seed)
+    spec = get_problem(args.problem, seed=args.seed)
     family = UpdateFamily.from_string(args.family)
     trace, wall = _solve(spec, family, args.tol, args.max_iter)
     out = args.out or f"trace.{args.format}"
@@ -211,18 +207,17 @@ def _cmd_solve(args):
         f"{spec.name} {family.label()}: {trace.status} "
         f"iters={trace.iterations} nfev={trace.nfev} ngev={trace.ngev} "
         f"f={trace.final.f:.6e} |grad|={trace.final.grad_norm:.3e} "
-        f"seed={seed} -> {out}"
+        f"seed={args.seed} -> {out}"
     )
     print(f"wall time {wall:.3f}s", file=sys.stderr)
     return 0 if trace.status == "Converged" else 2
 
 
 def _cmd_compare(args):
-    seed = _resolve_seed(args)
     names = [f.strip() for f in args.families.split(",") if f.strip()]
     if not names:
         raise _UsageError("no families given")
-    spec = get_problem(args.problem, seed=seed)
+    spec = get_problem(args.problem, seed=args.seed)
     families = [UpdateFamily.from_string(name) for name in names]
     # one solve per distinct label; a label listed twice gives two rows
     traces = {}
@@ -245,7 +240,7 @@ def _cmd_compare(args):
             trace.final.f,
             trace.final.grad_norm,
             float(np.abs(trace.final.x - ref_x).max()),
-            seed,
+            args.seed,
         )
         for label, trace in rows
     ]
@@ -272,12 +267,11 @@ def _seeded_transform(n, seed, det_target):
 
 
 def _cmd_invariance(args):
-    seed = _resolve_seed(args)
-    spec = get_problem(args.problem, seed=seed)
+    spec = get_problem(args.problem, seed=args.seed)
     family = UpdateFamily.from_string(args.family)
     config = SolverConfig(family=family, grad_tol=args.tol, max_iter=args.max_iter)
     det_target = 1.0 if args.transform == "sl" else 2.0
-    T = _seeded_transform(spec.n, seed, det_target)
+    T = _seeded_transform(spec.n, args.seed, det_target)
     report = invariance_check(
         spec.objective, spec.start, PDMatrix.identity(spec.n), T, config,
         k_max=min(args.max_iter, 20), tol=1e-6,
@@ -297,7 +291,7 @@ def _cmd_invariance(args):
             "k_used": report.k_used,
             "tol": report.tol,
             "invariant": report.invariant,
-            "seed": seed,
+            "seed": args.seed,
         }
         _write_table(
             args.out, list(payload), [list(payload.values())], args.format, single=True
@@ -306,17 +300,14 @@ def _cmd_invariance(args):
 
 
 def _cmd_sparse_demo(args):
-    seed = _resolve_seed(args)
-    if args.pattern is not None:
-        pattern = load_pattern(args.pattern)
-    else:
-        pattern = banded_pattern(10, 1)
+    tol = require_real("tol", args.tol, 0.0, closed=True)
+    pattern = banded_pattern(10, 1) if args.pattern is None else load_pattern(args.pattern)
     n = pattern.n
     family = SparseUpdateFamily(
         UpdateFamily.from_string(args.family), pattern, args.algorithm, args.T
     )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     base = rng.standard_normal((n, n))
     feasible = pattern.restrict(base @ base.T + n * np.eye(n))
     s = rng.standard_normal(n)
@@ -324,15 +315,15 @@ def _cmd_sparse_demo(args):
     B0 = PDMatrix.identity(n)
     result = sparse_update(B0, SecantPair(s, y), family)
     out = args.out or f"sparse-trace.{args.format}"
-    export_trace(result.trace, out, args.format)
+    _write_table(out, ("iter", "divergence"), enumerate(result.trace), args.format)
     slack = np.diff(result.trace) <= 1e-9 if len(result.trace) > 1 else np.array([True])
     final = float(result.trace[-1])
     print(
         f"pattern n={n} algorithm={args.algorithm} T={args.T} "
         f"potential={family.potential.label()} trace={result.trace_kind} "
-        f"final={final:.3e} monotone={bool(slack.all())} seed={seed} -> {out}"
+        f"final={final:.3e} monotone={bool(slack.all())} seed={args.seed} -> {out}"
     )
-    return 0 if final <= args.tol else 2
+    return 0 if final <= tol else 2
 
 
 def _cmd_list_problems(_args):
@@ -345,29 +336,16 @@ def run_command(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help and friends
-        return int(exc.code or 0)
-    if args.command is None:
-        print("error: a subcommand is required (see --help)", file=sys.stderr)
-        return 1
-    handlers = {
-        "solve": _cmd_solve,
-        "compare": _cmd_compare,
-        "invariance": _cmd_invariance,
-        "sparse-demo": _cmd_sparse_demo,
-        "list-problems": _cmd_list_problems,
-    }
-    try:
+        if args.command is None:
+            raise _UsageError("a subcommand is required (see --help)")
         if getattr(args, "config", None) is not None:
             args = _apply_config_file(parser, args, argv)
-        return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (BregmanQNError, OSError) as exc:
+        if "seed" in args:
+            args.seed = _resolve_seed(args)
+        return args.run(args)
+    except SystemExit as exc:  # --help and friends
+        return int(exc.code or 0)
+    except (_UsageError, BregmanQNError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

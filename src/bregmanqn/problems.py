@@ -17,7 +17,6 @@ class ProblemSpec:
     objective: Objective
     start: np.ndarray
     pattern: SparsityPattern | None = None
-    seed: int | None = None
 
     @property
     def n(self):
@@ -50,6 +49,7 @@ def _rosenbrock():
 
 def _quadratic(cond, n, seed):
     cond = require_real("quadratic condition number", cond, 1.0, closed=True)
+    n = require_count("quadratic n", n)
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.logspace(0.0, np.log10(cond), n)
@@ -64,7 +64,7 @@ def _quadratic(cond, n, seed):
 
     name = f"quadratic:{cond:g}:{n}"
     obj = Objective(n, value, gradient, name=name)
-    return ProblemSpec(name, obj, np.ones(n), seed=seed)
+    return ProblemSpec(name, obj, np.ones(n))
 
 
 def _extended_powell(n):
@@ -122,9 +122,13 @@ def _broyden_tridiagonal(n):
 
 
 def get_problem(name, seed=0):
-    """Build a catalog problem from its name, e.g. "quadratic:100:6"."""
+    """Build a catalog problem from its name, e.g. "quadratic:100:6".
+
+    seed, a count from 0, draws the quadratic's random rotation.
+    """
     if not isinstance(name, str):
         raise InvalidParameter(f"problem name must be a str, got {type(name).__name__}")
+    seed = require_count("seed", seed, 0)
     parts = name.strip().split(":")
     head = parts[0].lower()
     most = {"rosenbrock": 0, "quadratic": 2, "extended-powell": 1, "broyden-tridiagonal": 1}

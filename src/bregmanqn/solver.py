@@ -188,6 +188,8 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
     the returned f and g are the values the conditions were tested with
     at the accepted point, so a caller can carry them to the next step.
     """
+    if not isinstance(params, LineSearchParams):
+        raise InvalidParameter(f"params must be a LineSearchParams, got {type(params).__name__}")
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if f0 is None:

@@ -100,14 +100,19 @@ class SparsityPattern:
             m[i, j] = m[j, i] = True
         return m
 
+    def _square(self, matrix):
+        a = np.asarray(matrix, dtype=float)
+        if a.shape != (self.n, self.n):
+            raise InvalidParameter(
+                f"matrix of shape {a.shape} does not match the pattern's ({self.n}, {self.n})")
+        return a
+
     def restrict(self, matrix):
         """Zero the entries outside the pattern."""
-        a = np.asarray(matrix, dtype=float)
-        return np.where(self.mask(), a, 0.0)
+        return np.where(self.mask(), self._square(matrix), 0.0)
 
     def off_pattern_magnitude(self, matrix):
-        a = np.asarray(matrix, dtype=float)
-        off = np.where(self.mask(), 0.0, a)
+        off = np.where(self.mask(), 0.0, self._square(matrix))
         return float(np.abs(off).max()) if self.n > 1 else 0.0
 
     def __eq__(self, other):
@@ -329,6 +334,8 @@ def clique_factorize(entries, tree):
     Optimization, 2015).  The blocks are factored and inverted as
     stacks, one per block size, then summed in tree order.
     """
+    if not isinstance(tree, CliqueTree):
+        raise InvalidParameter(f"tree must be a CliqueTree, got {type(tree).__name__}")
     A = as_symmetric(entries)
     n = tree.pattern.n
     if A.shape != (n, n):
@@ -399,9 +406,8 @@ class SparseUpdateResult:
 
 
 def _require_on_pattern(B, pattern):
-    """Raise InvalidParameter unless the PDMatrix B is supported on pattern."""
-    if pattern.n != B.n:
-        raise InvalidParameter("pattern dimension does not match the matrix")
+    """Raise InvalidParameter unless the PDMatrix B is supported on pattern;
+    off_pattern_magnitude checks the dimension."""
     scale = float(np.abs(B.matrix).max())
     if pattern.off_pattern_magnitude(B.matrix) > 1e-8 * (1.0 + scale):
         raise InvalidParameter("B has entries outside the sparsity pattern")
@@ -420,6 +426,8 @@ def sparse_update(B, pair, family):
     measured against it; when the pattern and the secant slice have no
     PD point in common, the trace is "successive" instead.
     """
+    if not isinstance(family, SparseUpdateFamily):
+        raise InvalidParameter(f"family must be a SparseUpdateFamily, got {type(family).__name__}")
     B = _as_pd(B)
     n = B.n
     _require_pair_length(B, pair)

@@ -11,6 +11,7 @@ from bregmanqn import (
     LineSearchParams,
     Objective,
     PDMatrix,
+    SecantPair,
     SolverConfig,
     SparseUpdateFamily,
     SparsityPattern,
@@ -18,6 +19,7 @@ from bregmanqn import (
     arrow_pattern,
     banded_pattern,
     bounded_potential,
+    clique_factorize,
     diagonal_pattern,
     full_pattern,
     get_problem,
@@ -26,7 +28,10 @@ from bregmanqn import (
     pattern_from_text,
     potential_from_string,
     power_potential,
+    sparse_update,
+    theta_v_project_sparse,
     validate,
+    wolfe_line_search,
 )
 from bregmanqn.errors import require_count, require_real
 from bregmanqn.problems import _broyden_tridiagonal, _quadratic
@@ -52,6 +57,8 @@ PARAMETERS = [
     ("Objective.n", lambda v: Objective(v, _F, _G), 0),
     ("PDMatrix.identity(n)", PDMatrix.identity, 0),
     ("broyden-tridiagonal n", _broyden_tridiagonal, 1),
+    ("quadratic n", lambda v: _quadratic(10.0, v, 0), 0),
+    ("get_problem seed", lambda v: get_problem("rosenbrock", seed=v), -1),
     ("LineSearchParams.max_trials", lambda v: LineSearchParams(max_trials=v), 0),
     ("SolverConfig.max_iter", lambda v: SolverConfig("bfgs", max_iter=v), 0),
     ("SparseUpdateFamily.T", lambda v: _sparse_family(T=v), 0),
@@ -112,6 +119,16 @@ def test_counts_take_whole_reals_and_store_the_int():
     assert type(fam.algorithm) is int and type(fam.T) is int
     assert type(LineSearchParams(max_trials=5.0).max_trials) is int
     assert banded_pattern(5.0, 2.0) == banded_pattern(5, 2)
+    # seed 2.0 raised numpy's TypeError for the quadratic
+    x = np.arange(3.0)
+    assert (get_problem("quadratic:10:3", seed=2.0).objective.value(x)
+            == get_problem("quadratic:10:3", seed=2).objective.value(x))
+
+
+def test_a_negative_quadratic_dimension_is_reported_as_a_count():
+    # it reported numpy's "negative dimensions are not allowed"
+    with pytest.raises(InvalidParameter, match=r"quadratic n must be an integer >= 1, got -3"):
+        get_problem("quadratic:10:-3")
 
 
 def test_reals_are_stored_as_floats():
@@ -150,3 +167,31 @@ def test_spec_parsers_name_a_type_that_is_not_a_str(parse, value, type_name):
     # each raised AttributeError or TypeError from a str method
     with pytest.raises(InvalidParameter, match=rf"must be a str, got {type_name}$"):
         parse(value)
+
+
+_PATTERN = banded_pattern(3, 1)
+_PAIR = SecantPair(np.ones(3), np.full(3, 2.0))
+
+
+@pytest.mark.parametrize(
+    "call, type_name",
+    [
+        (lambda: sparse_update(PDMatrix.identity(3), _PAIR, UpdateFamily("bfgs")),
+         "UpdateFamily"),
+        (lambda: clique_factorize(np.eye(3), _PATTERN), "SparsityPattern"),
+        (lambda: theta_v_project_sparse(PDMatrix.identity(3), _PATTERN, log_potential()),
+         "SparsityPattern"),
+        (lambda: wolfe_line_search(_SPEC.objective, _SPEC.start, -_SPEC.start, None),
+         "NoneType"),
+        (lambda: wolfe_line_search(_SPEC.objective, _SPEC.start, -_SPEC.start, "wolfe"),
+         "str"),
+        (lambda: wolfe_line_search(_SPEC.objective, _SPEC.start, -_SPEC.start,
+                                   {"alpha_init": 1.0}), "dict"),
+    ],
+    ids=["sparse_update", "clique_factorize", "theta_v_project_sparse",
+         "wolfe_line_search-None", "wolfe_line_search-str", "wolfe_line_search-dict"],
+)
+def test_a_handle_of_the_wrong_type_is_named(call, type_name):
+    # each raised AttributeError for the attribute it went on to read
+    with pytest.raises(InvalidParameter, match=rf"got {type_name}$"):
+        call()

@@ -133,11 +133,40 @@ def test_update_failure_exits_2_with_trace(tmp_path, capsys):
     assert len(read_csv(out)) == 2
 
 
-def test_parser_error_paths():
+def test_parser_error_paths(capsys):
     assert run_command([]) == 1
+    assert capsys.readouterr().err == "error: a subcommand is required (see --help)\n"
     assert run_command(["frobnicate"]) == 1
     assert run_command(["--help"]) == 0
+    assert run_command(["sparse-demo", "--help"]) == 0
     assert run_command(["solve", "--format", "xml"]) == 1
+
+
+def test_sparse_demo_takes_no_max_iter(tmp_path, capsys):
+    # sparse-demo runs T rounds and never read --max-iter
+    out = tmp_path / "sp.csv"
+    assert run_command(["sparse-demo", "--max-iter", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: --max-iter")
+    assert err.count("\n") == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max-iter = 5\n")
+    assert run_command(["sparse-demo", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config line 1: unrecognized arguments: --max-iter=5")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_sparse_demo_tol_follows_the_argument_rule(tmp_path, capsys, tol):
+    # a NaN or negative --tol ran the whole chain and exited 2
+    out = tmp_path / "sp.csv"
+    assert run_command(["sparse-demo", "--tol", tol, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tol must be a finite real number >= 0, got ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -201,6 +230,21 @@ def test_config_file_under_explicit_flags(tmp_path, capsys):
     # problem came from the command line, family and seed from the file
     assert line.startswith("rosenbrock vbfgs:log:")
     assert "seed=9" in line
+
+
+def test_config_file_keeps_its_last_entry_and_the_command_line_wins(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 4\nfamily = dfp\nseed = 5\n")
+    out = tmp_path / "t.csv"
+    base = ["solve", "--config", str(cfg), "--out", str(out)]
+    assert run_command(base) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("rosenbrock dfp:") and "seed=5" in line
+    # either spelling of a flag overrides the file, before or after --config
+    for argv in (base + ["--seed=6"], ["solve", "--seed", "6"] + base[1:]):
+        assert run_command(argv) == 0
+        line = capsys.readouterr().out
+        assert line.startswith("rosenbrock dfp:") and "seed=6" in line
 
 
 def test_config_file_rejections(tmp_path, capsys):
@@ -397,16 +441,21 @@ def test_wolfe_solve_leaves_scipy_optimize_unloaded():
 
 
 def test_export_trace_rejects_unknown_format(tmp_path):
+    trace = minimize(get_problem("rosenbrock").objective, np.array([-1.2, 1.0]),
+                     config=SolverConfig("bfgs", max_iter=1))
     with pytest.raises(InvalidParameter):
-        export_trace([0.5, 0.1], str(tmp_path / "x.xml"), "xml")
+        export_trace(trace, str(tmp_path / "x.xml"), "xml")
 
 
 def test_export_trace_divergence_json(tmp_path):
+    # export_trace writes solver traces only; sparse-demo writes its
+    # (iter, divergence) rows itself, also when five rounds miss --tol
     path = tmp_path / "d.json"
-    export_trace([1.0, 0.25, 0.0625], str(path), "json")
+    assert run_command(["sparse-demo", "--algorithm", "1", "--T", "5",
+                        "--format", "json", "--out", str(path)]) == 2
     data = json.loads(path.read_text())
-    assert data == [
-        {"iter": 0, "divergence": 1.0},
-        {"iter": 1, "divergence": 0.25},
-        {"iter": 2, "divergence": 0.0625},
-    ]
+    assert [list(row) for row in data] == [["iter", "divergence"]] * 5
+    assert [row["iter"] for row in data] == list(range(5))
+    divergences = [row["divergence"] for row in data]
+    assert all(type(v) is float for v in divergences)
+    assert np.all(np.diff(divergences) <= 1e-9)

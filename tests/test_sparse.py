@@ -1,6 +1,7 @@
 """Chordal patterns, max-determinant completion, and sparse update chains."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,16 @@ def test_pattern_restrict_and_off_pattern():
     assert p.off_pattern_magnitude(a) == pytest.approx(
         max(abs(a[0, 2]), abs(a[0, 3]), abs(a[1, 3]))
     )
+
+
+def test_pattern_restrict_and_off_pattern_check_the_shape():
+    # a matrix of another shape raised numpy's broadcast ValueError
+    p = banded_pattern(4, 1)
+    for a in (np.ones((3, 3)), np.ones((4, 5)), np.ones(4)):
+        message = re.escape(f"{a.shape} does not match the pattern's (4, 4)")
+        for method in (p.restrict, p.off_pattern_magnitude):
+            with pytest.raises(InvalidParameter, match=message):
+                method(a)
 
 
 def test_pattern_text_round_trip(tmp_path):
