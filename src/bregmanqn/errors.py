@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the two checks that
-every count and every real parameter of the library goes through."""
+"""Exception types shared across the package, and the three checks that
+every count, every real parameter and every handle of the library goes
+through."""
 
 import numbers
 import sys
@@ -93,3 +94,13 @@ def require_real(name, value, low=-inf, closed=False):
         bound = "" if low == -inf else f" {'>=' if closed else '>'} {low:g}"
         raise InvalidParameter(f"{name} must be a finite real number{bound}, got {value!r}")
     return float(value)
+
+
+def require_type(name, value, cls):
+    """value itself; InvalidParameter, naming the type it got, unless it is
+    an instance of cls."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise InvalidParameter(
+            f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+    return value

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._roots import newton_bisect_log
-from .errors import InvalidParameter, NotPositiveDefinite
+from .errors import InvalidParameter, NotPositiveDefinite, require_type
 # cholesky_factorize is unused here but stays bound: bench/ traces and
 # checks every module binding of it.
 from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize  # noqa: F401
@@ -49,7 +49,7 @@ def v_bregman_divergence(P, Q, pot: Potential) -> float:
     P, Q = _as_pd(P), _as_pd(Q)
     if P.n != Q.n:
         raise InvalidParameter(f"dimension mismatch: n={P.n} and n={Q.n}")
-    pot.require_admissible(P.n)
+    require_type("pot", pot, Potential).require_admissible(P.n)
     nu_q = pot.nu_ld(Q.logdet)
     return (
         float(pot.value_ld(P.logdet))
@@ -70,7 +70,7 @@ def kl_divergence(P, Q) -> float:
 def theta_coordinate(P, pot: Potential) -> np.ndarray:
     """theta_V(P) = -nu(det P) * P^{-1}, exactly symmetric."""
     P = _as_pd(P)
-    pot.require_admissible(P.n)
+    require_type("pot", pot, Potential).require_admissible(P.n)
     nu_p = pot.nu_ld(P.logdet)
     return as_symmetric(-nu_p * P.inv())
 
@@ -103,7 +103,7 @@ def solve_neg_theta_det(ld_target: float, n: int, pot: Potential) -> float:
     ld_target is log det(-T) for a theta coordinate T, and the equation is
     solve_det_equation with t = -ld_target and k = n.
     """
-    pot.require_admissible(n)
+    require_type("pot", pot, Potential).require_admissible(n)
     return solve_det_equation(-ld_target, n, pot)
 
 

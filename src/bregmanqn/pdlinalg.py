@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import qr_update
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import InvalidParameter, NotPositiveDefinite, require_count
+from .errors import InvalidParameter, NotPositiveDefinite, require_count, require_type
 
 # Relative pivot tolerance: a factorization pivot at or below this fraction
 # of the largest diagonal entry is treated as a PD failure.
@@ -83,7 +83,7 @@ def rank_one_update(B: PDMatrix, u, v) -> PDMatrix:
     NotPositiveDefinite when a pivot falls at or below PIVOT_RTOL times the
     largest pivot, i.e. when L + u v' is numerically singular.
     """
-    n = B.n
+    n = require_type("B", B, PDMatrix).n
     u = np.array(u, dtype=float)
     v = np.array(v, dtype=float)
     if u.shape != (n,) or v.shape != (n,):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, PotentialNotAdmissible, require_count, require_real
+from .errors import require_type
 
 BETA_GRID = np.logspace(-8.0, 8.0, 256)
 LIMIT_GRID = np.logspace(-12.0, 0.0, 256)
@@ -195,9 +196,7 @@ _BUILTINS = {
 
 def from_string(spec: str) -> Potential:
     """Parse CLI potential syntax: log | power:gamma=<g> | bounded:c=<c>."""
-    if not isinstance(spec, str):
-        raise InvalidParameter(f"potential spec must be a str, got {type(spec).__name__}")
-    head, _, rest = spec.strip().lower().partition(":")
+    head, _, rest = require_type("potential spec", spec, str).strip().lower().partition(":")
     if head not in _BUILTINS:
         raise InvalidParameter(f"unknown potential kind {head!r}")
     build, keys = _BUILTINS[head]
@@ -229,7 +228,7 @@ def validate(pot: Potential, n: int) -> PotentialReport:
     admissibility implies.
     """
     n = require_count("dimension", n)
-    cached = pot._reports.get(n)
+    cached = require_type("pot", pot, Potential)._reports.get(n)
     if cached is not None:
         return cached
 

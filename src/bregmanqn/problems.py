@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, require_count, require_real
+from .errors import InvalidParameter, require_count, require_real, require_type
 from .solver import Objective
 from .sparse import SparsityPattern, banded_pattern
 
@@ -27,7 +27,9 @@ CATALOG = [
     ("rosenbrock", "classic 2-d banana valley, start (-1.2, 1), minimum at (1, 1)"),
     ("quadratic:<cond>[:<n>]", "seeded random SPD quadratic with the given condition number (default n=10)"),
     ("extended-powell[:<n>]", "singular-Hessian sum of fourth powers, n a multiple of 4 (default 8)"),
-    ("broyden-tridiagonal[:<n>]", "tridiagonal nonlinear least squares, carries the band pattern (default 10)"),
+    ("broyden-tridiagonal[:<n>]",
+     "tridiagonal nonlinear least squares, carries its Jacobian's tridiagonal pattern; "
+     "the Hessian is pentadiagonal (default 10)"),
 ]
 
 
@@ -126,10 +128,8 @@ def get_problem(name, seed=0):
 
     seed, a count from 0, draws the quadratic's random rotation.
     """
-    if not isinstance(name, str):
-        raise InvalidParameter(f"problem name must be a str, got {type(name).__name__}")
+    parts = require_type("problem name", name, str).strip().split(":")
     seed = require_count("seed", seed, 0)
-    parts = name.strip().split(":")
     head = parts[0].lower()
     most = {"rosenbrock": 0, "quadratic": 2, "extended-powell": 1, "broyden-tridiagonal": 1}
     if head in most and len(parts) - 1 > most[head]:

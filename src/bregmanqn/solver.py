@@ -1,6 +1,7 @@
 """Quasi-Newton driver: line searches, the iteration loop, and
 affine-transformation tooling for invariance experiments."""
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -13,6 +14,7 @@ from .errors import (
     SingularTransform,
     require_count,
     require_real,
+    require_type,
 )
 from .pdlinalg import PDMatrix
 from .updates import SecantPair, UpdateFamily
@@ -51,6 +53,8 @@ class Objective:
 
     def __post_init__(self):
         self.n = require_count("objective dimension n", self.n)
+        for name in ("value", "gradient"):
+            require_type(f"Objective.{name}", getattr(self, name), Callable)
 
 
 @dataclass
@@ -88,10 +92,8 @@ class SolverConfig:
         # a bare string uses the same grammar as the CLI --family flag
         if isinstance(self.family, str):
             self.family = UpdateFamily.from_string(self.family)
-        elif not isinstance(self.family, UpdateFamily):
-            raise InvalidParameter(f"family must be an UpdateFamily or a str, got {self.family!r}")
-        if not isinstance(self.line_search, LineSearchParams):
-            raise InvalidParameter(f"line_search is not a LineSearchParams: {self.line_search!r}")
+        require_type("family", self.family, UpdateFamily)
+        require_type("line_search", self.line_search, LineSearchParams)
         self.grad_tol = require_real("grad_tol", self.grad_tol, 0.0)
         self.max_iter = require_count("max_iter", self.max_iter)
         self.update_family = self.family
@@ -188,8 +190,7 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
     the returned f and g are the values the conditions were tested with
     at the accepted point, so a caller can carry them to the next step.
     """
-    if not isinstance(params, LineSearchParams):
-        raise InvalidParameter(f"params must be a LineSearchParams, got {type(params).__name__}")
+    require_type("params", params, LineSearchParams)
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if f0 is None:
@@ -314,8 +315,7 @@ def _check_start(obj, B0, config):
     the default config; InvalidParameter for anything else."""
     if config is None:
         config = SolverConfig(UpdateFamily("bfgs"))
-    elif not isinstance(config, SolverConfig):
-        raise InvalidParameter(f"config must be a SolverConfig, got {config!r}")
+    require_type("config", config, SolverConfig)
     if B0 is None:
         return PDMatrix.identity(obj.n), config
     if not (isinstance(B0, PDMatrix) and B0.L.shape == (obj.n, obj.n)):

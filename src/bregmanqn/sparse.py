@@ -21,15 +21,17 @@ from .errors import (
     NotChordal,
     OracleNoConvergence,
     require_count,
+    require_type,
 )
 from .pdlinalg import PDMatrix, as_symmetric, cholesky_stack
 # cholesky_factorize is unused here but stays bound: bench/ traces and
 # checks every module binding of it.
 from .pdlinalg import cholesky_factorize  # noqa: F401
 from .geometry import _as_pd, solve_neg_theta_det, v_bregman_divergence
+from .potentials import Potential
 # algorithm 2's chain is measured against this limit at n <= 4
 from .testing import sparse_secant_oracle
-from .updates import _require_pair_length, SecantPair, dfp_update, v_bfgs_update
+from .updates import _require_pair_length, SecantPair, UpdateFamily, dfp_update, v_bfgs_update
 
 __all__ = [
     "SparsityPattern",
@@ -160,9 +162,7 @@ def pattern_from_text(text):
     indices in the upper triangle.  The diagonal is implied and lines
     starting with '#' are skipped.
     """
-    if not isinstance(text, str):
-        raise InvalidParameter(f"pattern text must be a str, got {type(text).__name__}")
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln.strip() for ln in require_type("pattern text", text, str).splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise InvalidParameter("empty pattern text")
@@ -183,7 +183,7 @@ def pattern_from_text(text):
 
 
 def pattern_to_text(pattern):
-    lines = [str(pattern.n)]
+    lines = [str(require_type("pattern", pattern, SparsityPattern).n)]
     lines += [f"{i + 1} {j + 1}" for i, j in pattern.edges]
     return "\n".join(lines) + "\n"
 
@@ -259,7 +259,7 @@ def is_chordal(pattern):
     of them; any other vertex joins the newest clique.  The cliques come
     out in running-intersection order.
     """
-    n = pattern.n
+    n = require_type("pattern", pattern, SparsityPattern).n
     weights = np.zeros(n, dtype=int)  # visited neighbors; -1 once visited
     visit_step = [None] * n
     clique_of = [None] * n
@@ -334,28 +334,23 @@ def clique_factorize(entries, tree):
     Optimization, 2015).  The blocks are factored and inverted as
     stacks, one per block size, then summed in tree order.
     """
-    if not isinstance(tree, CliqueTree):
-        raise InvalidParameter(f"tree must be a CliqueTree, got {type(tree).__name__}")
     A = as_symmetric(entries)
-    n = tree.pattern.n
+    n = require_type("tree", tree, CliqueTree).pattern.n
     if A.shape != (n, n):
         raise InvalidParameter(f"entries shape {A.shape} does not match pattern n={n}")
 
     # each clique, then its separator if it has one: the order of the PD
-    # checks and of the sums
-    blocks = [b for pair in zip(tree.cliques, tree.separators) for b in pair if b]
-    factored = iter(_factor_blocks(A, blocks))
-    ld_cliques = ld_separators = 0.0
+    # checks and of the sums.  A clique adds its inverse block and a
+    # separator subtracts its own; the two log det sums are kept apart and
+    # subtracted last, which fixes the rounding of log det X.
+    signed = [(sign, b) for pair in zip(tree.cliques, tree.separators)
+              for sign, b in zip((1, -1), pair) if b]
+    ld_sum = {1: 0.0, -1: 0.0}
     K = np.zeros((n, n))
-    for cl, sep in zip(tree.cliques, tree.separators):
-        ld, inv = next(factored)
-        ld_cliques += ld
-        K[np.ix_(cl, cl)] += inv
-        if sep:
-            ld, inv = next(factored)
-            ld_separators += ld
-            K[np.ix_(sep, sep)] -= inv
-    return float(ld_cliques - ld_separators), 0.5 * (K + K.T)
+    for (sign, b), (ld, inv) in zip(signed, _factor_blocks(A, [b for _, b in signed])):
+        ld_sum[sign] += ld
+        K[np.ix_(b, b)] += sign * inv
+    return float(ld_sum[1] - ld_sum[-1]), 0.5 * (K + K.T)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +370,7 @@ def theta_v_project_sparse(Bbar, tree, pot):
     log det whenever Bbar^{-1} and B* have float64 entries, where
     theta_V(Bbar) itself may under- or overflow.
     """
+    require_type("pot", pot, Potential)
     Bbar = _as_pd(Bbar)
     log_det_x0, K0 = clique_factorize(Bbar.inv(), tree)
     log_nu_bar = pot.log_nu_ld(Bbar.logdet)
@@ -390,12 +386,13 @@ def theta_v_project_sparse(Bbar, tree, pot):
 class SparseUpdateResult:
     """Output of sparse_update.
 
-    trace_kind says what the divergence sequence measures: "eta-gap" is
-    D_V(B_t, Bbar_t) per iteration (algorithm 1), "to-limit" is
-    D_V(B*, B_t) for t = 0..T against the limit B* (algorithm 2, n <= 4),
-    "successive" is D_V(B_{t+1}, B_t) when no limit reference is
-    available.  B* is bstar, the minimizer of D_V(X, B_0) over
-    pattern-supported X with Xs = y that sparse_secant_oracle gets from
+    trace_kind names the divergence that trace records, by one of three
+    rules: "eta-gap" (algorithm 1), D_V(B_t, Bbar_t) for t = 0..T-1, from
+    each iterate to its secant point; "to-limit" (algorithm 2 with a
+    limit), D_V(B*, B_t) for t = 0..T, T + 1 entries; "successive"
+    (algorithm 2 without one), D_V(B_{t+1}, B_t) for t = 0..T-1.  B* is
+    bstar, the minimizer of D_V(X, B_0) over pattern-supported X with
+    Xs = y that sparse_secant_oracle gets from
     bregmanqn.testing.divergence_oracle, the independent reference.
     """
 
@@ -417,55 +414,46 @@ def sparse_update(B, pair, family):
     """Alternate a secant-manifold update with the sparse projection.
 
     family is the SparseUpdateFamily that names the pattern, its clique
-    tree, the potential, the algorithm and the number of rounds T.
-    Algorithm 1 moves to the DFP point of the current iterate, algorithm
-    2 to its theta_V-projection on the secant manifold (the V-BFGS
-    point); both then project back onto the pattern.  One round is the
-    plain sparse quasi-Newton update.  For algorithm 2 at n <= 4 the
-    limit of the chain comes from sparse_secant_oracle and the trace is
-    measured against it; when the pattern and the secant slice have no
-    PD point in common, the trace is "successive" instead.
+    tree, the potential, the algorithm and the number of rounds T.  Each
+    round moves the current iterate B_t to its secant point Bbar_t, the
+    DFP point for algorithm 1 and the theta_V-projection on the secant
+    manifold (the V-BFGS point) for algorithm 2, then projects Bbar_t
+    back onto the pattern to give B_{t+1}.  One round is the plain sparse
+    quasi-Newton update.  The trace records one divergence per round:
+    D_V(B_t, Bbar_t) ("eta-gap", algorithm 1); D_V(B*, B_t) against the
+    limit B* that sparse_secant_oracle gives for algorithm 2 at n <= 4,
+    with D_V(B*, B_T) appended ("to-limit"); otherwise D_V(B_{t+1}, B_t)
+    ("successive"), also when the pattern and the secant slice have no PD
+    point in common.
     """
-    if not isinstance(family, SparseUpdateFamily):
-        raise InvalidParameter(f"family must be a SparseUpdateFamily, got {type(family).__name__}")
+    require_type("family", family, SparseUpdateFamily)
     B = _as_pd(B)
-    n = B.n
     _require_pair_length(B, pair)
     _require_on_pattern(B, family.pattern)
     pot, tree, algorithm = family.potential, family.tree, family.algorithm
-    pot.require_admissible(n)
+    pot.require_admissible(B.n)
 
+    # stays on the solver path: bench/selftest.py requires its traced
+    # sparse-band solve to reach sparse.sparse_secant_oracle (ROADMAP 1, 3)
     bstar = None
-    if algorithm == 2 and n <= 4:
+    if algorithm == 2 and B.n <= 4:
         try:
             bstar = sparse_secant_oracle(B, pair, family.pattern, pot)
         except OracleNoConvergence:
             bstar = None  # constraint sets may not intersect; run the chain anyway
+    kind = "eta-gap" if algorithm == 1 else "successive" if bstar is None else "to-limit"
 
     trace = []
     cur = B
     for _ in range(family.T):
-        if algorithm == 1:
-            bar = dfp_update(cur, pair)
-            trace.append(v_bregman_divergence(cur, bar, pot))
-        else:
-            bar = v_bfgs_update(cur, pair, pot)
-            if bstar is not None:
-                trace.append(v_bregman_divergence(bstar, cur, pot))
+        bar = dfp_update(cur, pair) if algorithm == 1 else v_bfgs_update(cur, pair, pot)
         nxt = theta_v_project_sparse(bar, tree, pot)
-        if algorithm == 2 and bstar is None:
-            trace.append(v_bregman_divergence(nxt, cur, pot))
+        p, q = {"eta-gap": (cur, bar), "to-limit": (bstar, cur), "successive": (nxt, cur)}[kind]
+        trace.append(v_bregman_divergence(p, q, pot))
         cur = nxt
-    if algorithm == 1:
-        kind = "eta-gap"
-    elif bstar is not None:
+    if kind == "to-limit":
         trace.append(v_bregman_divergence(bstar, cur, pot))
-        kind = "to-limit"
-    else:
-        kind = "successive"
-    return SparseUpdateResult(
-        b_out=cur, trace=np.array(trace), trace_kind=kind, bstar=bstar
-    )
+    return SparseUpdateResult(b_out=cur, trace=np.array(trace), trace_kind=kind, bstar=bstar)
 
 
 class SparseUpdateFamily:
@@ -506,10 +494,9 @@ class SparseUpdateFamily:
     inverse = False
 
     def __init__(self, family, pattern, algorithm, T):
-        if family.kind not in ("bfgs", "vbfgs"):
+        if require_type("family", family, UpdateFamily).kind not in ("bfgs", "vbfgs"):
             raise InvalidParameter("sparse updates maintain B directly; use a bfgs or vbfgs family")
-        if not isinstance(pattern, SparsityPattern):
-            raise InvalidParameter(f"sparsity pattern must be a SparsityPattern, got {pattern!r}")
+        require_type("sparsity pattern", pattern, SparsityPattern)
         algorithm = require_count("algorithm", algorithm)
         if algorithm not in (1, 2):
             raise InvalidParameter(f"algorithm must be 1 or 2, got {algorithm!r}")

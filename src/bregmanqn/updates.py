@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvatureViolation, InvalidParameter
+from .errors import CurvatureViolation, InvalidParameter, require_type
 from .geometry import _LOG, solve_det_equation
 from .pdlinalg import PDMatrix, rank_one_update
 from .potentials import Potential, from_string as potential_from_string
@@ -83,7 +83,9 @@ class SecantPair:
 
 
 def _require_pair_length(B: PDMatrix, pair: SecantPair) -> None:
-    if pair.n != B.n:
+    """Raise InvalidParameter unless B is a PDMatrix and pair a SecantPair
+    of its length."""
+    if require_type("pair", pair, SecantPair).n != require_type("B", B, PDMatrix).n:
         raise InvalidParameter(f"secant pair of length {pair.n} does not fit an n={B.n} matrix")
 
 
@@ -132,11 +134,12 @@ def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
     nu is constant, so that determinant is det BFGS(B) and the ratio is
     exactly one: the factor step is bfgs_update's bit for bit.
     """
-    n = B.n
-    pot.require_admissible(n)
-    log_nu_b = pot.log_nu_ld(B.logdet)
+    require_type("pot", pot, Potential)
 
     def ratio(ld_bfgs):
+        n = B.n
+        pot.require_admissible(n)
+        log_nu_b = pot.log_nu_ld(B.logdet)
         log_c = ld_bfgs - (n - 1) * log_nu_b
         ld_star = solve_det_equation(log_c, n - 1, pot, log_c + (n - 1) * log_nu_b)
         return float(np.exp(pot.log_nu_ld(ld_star) - log_nu_b))
@@ -179,10 +182,7 @@ class UpdateFamily:
         if self.kind not in self.KINDS:
             raise InvalidParameter(f"unknown update family {self.kind!r}")
         if self.kind in ("vbfgs", "vdfp"):
-            if not isinstance(self.potential, Potential):
-                raise InvalidParameter(
-                    f"{self.kind} requires a Potential, got {self.potential!r}"
-                )
+            require_type(f"the potential of {self.kind}", self.potential, Potential)
             return
         # bfgs and dfp get the log potential; dataclasses.replace passes it back
         rule = None if self.kind == "selfscale" else _LOG
@@ -193,9 +193,7 @@ class UpdateFamily:
     @classmethod
     def from_string(cls, spec: str) -> "UpdateFamily":
         """Parse CLI family syntax, e.g. "bfgs" or "vbfgs:power:gamma=0.2"."""
-        if not isinstance(spec, str):
-            raise InvalidParameter(f"family spec must be a str, got {type(spec).__name__}")
-        head, _, rest = spec.strip().lower().partition(":")
+        head, _, rest = require_type("family spec", spec, str).strip().lower().partition(":")
         if head in ("vbfgs", "vdfp"):
             if not rest:
                 raise InvalidParameter(f"{head} needs a potential, e.g. {head}:log")

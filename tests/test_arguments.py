@@ -1,5 +1,6 @@
-"""The argument rule: every count and every real parameter of the public
-API goes through errors.require_count or errors.require_real."""
+"""The argument rule: every count, every real parameter and every handle
+of the public API goes through errors.require_count, errors.require_real
+or errors.require_type."""
 
 import math
 
@@ -18,18 +19,30 @@ from bregmanqn import (
     UpdateFamily,
     arrow_pattern,
     banded_pattern,
+    bfgs_update,
     bounded_potential,
     clique_factorize,
+    dfp_update,
     diagonal_pattern,
     full_pattern,
     get_problem,
     invariance_check,
+    invert_theta,
+    is_chordal,
     log_potential,
+    minimize,
     pattern_from_text,
+    pattern_to_text,
     potential_from_string,
     power_potential,
+    rank_one_update,
+    self_scaling_update,
+    solve_neg_theta_det,
     sparse_update,
+    theta_coordinate,
     theta_v_project_sparse,
+    v_bfgs_update,
+    v_bregman_divergence,
     validate,
     wolfe_line_search,
 )
@@ -171,27 +184,56 @@ def test_spec_parsers_name_a_type_that_is_not_a_str(parse, value, type_name):
 
 _PATTERN = banded_pattern(3, 1)
 _PAIR = SecantPair(np.ones(3), np.full(3, 2.0))
+_I3 = PDMatrix.identity(3)
+
+# (id, call, the type name the message ends with)
+HANDLES = [
+    ("sparse_update", lambda: sparse_update(_I3, _PAIR, UpdateFamily("bfgs")), "UpdateFamily"),
+    ("sparse_update-pair",
+     lambda: sparse_update(PDMatrix.identity(4), (np.ones(4), np.ones(4)), _sparse_family()),
+     "tuple"),
+    ("clique_factorize", lambda: clique_factorize(np.eye(3), _PATTERN), "SparsityPattern"),
+    ("theta_v_project_sparse",
+     lambda: theta_v_project_sparse(_I3, _PATTERN, log_potential()), "SparsityPattern"),
+    ("theta_v_project_sparse-pot",
+     lambda: theta_v_project_sparse(_I3, is_chordal(_PATTERN), "log"), "str"),
+    ("wolfe_line_search-None",
+     lambda: wolfe_line_search(_SPEC.objective, _SPEC.start, -_SPEC.start, None), "NoneType"),
+    ("wolfe_line_search-str",
+     lambda: wolfe_line_search(_SPEC.objective, _SPEC.start, -_SPEC.start, "wolfe"), "str"),
+    ("wolfe_line_search-dict",
+     lambda: wolfe_line_search(_SPEC.objective, _SPEC.start, -_SPEC.start, {"alpha_init": 1.0}),
+     "dict"),
+    ("bfgs_update-B", lambda: bfgs_update(np.eye(3), _PAIR), "ndarray"),
+    ("dfp_update-pair", lambda: dfp_update(_I3, (np.ones(3), np.ones(3))), "tuple"),
+    ("self_scaling_update-B", lambda: self_scaling_update(np.eye(3), _PAIR), "ndarray"),
+    ("v_bfgs_update-pot", lambda: v_bfgs_update(_I3, _PAIR, "log"), "str"),
+    ("rank_one_update-B", lambda: rank_one_update(np.eye(3), np.ones(3), np.ones(3)), "ndarray"),
+    ("v_bregman_divergence-pot", lambda: v_bregman_divergence(_I3, _I3, "log"), "str"),
+    ("theta_coordinate-pot", lambda: theta_coordinate(_I3, None), "NoneType"),
+    ("solve_neg_theta_det-pot", lambda: solve_neg_theta_det(0.0, 3, "log"), "str"),
+    ("invert_theta-pot", lambda: invert_theta(-np.eye(3), "log"), "str"),
+    ("validate-pot", lambda: validate("log", 3), "str"),
+    ("is_chordal", lambda: is_chordal(np.eye(3)), "ndarray"),
+    ("pattern_to_text", lambda: pattern_to_text([(0, 1)]), "list"),
+    ("SparseUpdateFamily-family",
+     lambda: SparseUpdateFamily("bfgs", _PATTERN, 2, 1), "str"),
+    ("SparseUpdateFamily-pattern",
+     lambda: SparseUpdateFamily(UpdateFamily("bfgs"), np.eye(3), 2, 1), "ndarray"),
+    ("UpdateFamily-potential", lambda: UpdateFamily("vbfgs", "log"), "str"),
+    ("SolverConfig-family", lambda: SolverConfig(5), "int"),
+    ("SolverConfig-line_search", lambda: SolverConfig("bfgs", line_search="wolfe"), "str"),
+    ("minimize-config",
+     lambda: minimize(_SPEC.objective, _SPEC.start, config="bfgs"), "str"),
+    ("Objective-value", lambda: Objective(2, 5, _G), "int"),
+    ("Objective-gradient", lambda: Objective(2, _F, None), "NoneType"),
+]
 
 
-@pytest.mark.parametrize(
-    "call, type_name",
-    [
-        (lambda: sparse_update(PDMatrix.identity(3), _PAIR, UpdateFamily("bfgs")),
-         "UpdateFamily"),
-        (lambda: clique_factorize(np.eye(3), _PATTERN), "SparsityPattern"),
-        (lambda: theta_v_project_sparse(PDMatrix.identity(3), _PATTERN, log_potential()),
-         "SparsityPattern"),
-        (lambda: wolfe_line_search(_SPEC.objective, _SPEC.start, -_SPEC.start, None),
-         "NoneType"),
-        (lambda: wolfe_line_search(_SPEC.objective, _SPEC.start, -_SPEC.start, "wolfe"),
-         "str"),
-        (lambda: wolfe_line_search(_SPEC.objective, _SPEC.start, -_SPEC.start,
-                                   {"alpha_init": 1.0}), "dict"),
-    ],
-    ids=["sparse_update", "clique_factorize", "theta_v_project_sparse",
-         "wolfe_line_search-None", "wolfe_line_search-str", "wolfe_line_search-dict"],
-)
+@pytest.mark.parametrize("call, type_name", [h[1:] for h in HANDLES], ids=[h[0] for h in HANDLES])
 def test_a_handle_of_the_wrong_type_is_named(call, type_name):
-    # each raised AttributeError for the attribute it went on to read
+    # each raised AttributeError or TypeError for the attribute it went on
+    # to read, or named the value's repr instead of its type
     with pytest.raises(InvalidParameter, match=rf"got {type_name}$"):
         call()
+

@@ -19,6 +19,7 @@ from bregmanqn import (
     banded_pattern,
     bfgs_update,
     clique_factorize,
+    dfp_update,
     diagonal_pattern,
     full_pattern,
     invert_theta,
@@ -32,6 +33,7 @@ from bregmanqn import (
     sparse_update,
     theta_v_project_sparse,
     theta_coordinate,
+    v_bfgs_update,
     v_bregman_divergence,
 )
 from bregmanqn.testing import divergence_oracle, sparse_secant_oracle
@@ -624,6 +626,34 @@ def test_sparse_update_larger_n_successive():
     assert res.trace_kind == "successive"
     assert res.trace[-1] <= 1e-9
     assert np.all(np.diff(res.trace) <= 1e-9)
+
+
+def test_sparse_update_trace_is_the_chain_rebuilt_by_hand():
+    # pins each trace rule bit for bit, with its length: T for eta-gap and
+    # successive, T + 1 for to-limit
+    rng = np.random.default_rng(17)
+    pot, T = power_potential(-0.2), 5
+    for n, algorithm, kind in ((4, 1, "eta-gap"), (4, 2, "to-limit"), (6, 2, "successive")):
+        pattern = banded_pattern(n, 1)
+        pair = feasible_instance(rng, n, pattern)
+        family = sparse_family(pattern, pot, algorithm, T)
+        res = sparse_update(PDMatrix.identity(n), pair, family)
+        chain, bars = [PDMatrix.identity(n)], []
+        for _ in range(T):
+            cur = chain[-1]
+            bars.append(dfp_update(cur, pair) if algorithm == 1 else v_bfgs_update(cur, pair, pot))
+            chain.append(theta_v_project_sparse(bars[-1], family.tree, pot))
+        if kind == "eta-gap":
+            want = [v_bregman_divergence(b, bar, pot) for b, bar in zip(chain, bars)]
+        elif kind == "to-limit":
+            bstar = sparse_secant_oracle(chain[0], pair, pattern, pot)
+            want = [v_bregman_divergence(bstar, b, pot) for b in chain]
+        else:
+            want = [v_bregman_divergence(b1, b0, pot) for b0, b1 in zip(chain, chain[1:])]
+        assert res.trace_kind == kind
+        assert len(want) == T + (kind == "to-limit")
+        assert res.trace.tolist() == want
+        assert np.array_equal(res.b_out.L, chain[-1].L)
 
 
 def test_sparse_update_validates_inputs():
