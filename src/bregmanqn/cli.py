@@ -17,10 +17,10 @@ import time
 
 import numpy as np
 
-from .errors import BregmanQNError, InvalidParameter, require_real
+from .errors import BregmanQNError, InvalidParameter, require_real, require_type
 from .pdlinalg import PDMatrix
 from .problems import get_problem, list_problems
-from .solver import SolverConfig, invariance_check, minimize
+from .solver import SolverConfig, SolverTrace, invariance_check, minimize
 from .sparse import SparseUpdateFamily, banded_pattern, load_pattern, sparse_update
 from .updates import SecantPair, UpdateFamily
 
@@ -84,7 +84,7 @@ def export_trace(trace, path, fmt):
     """
     rows = [
         (r.k, r.f, r.grad_norm, r.alpha, r.det_b, r.sty, r.skipped)
-        for r in trace.records
+        for r in require_type("trace", trace, SolverTrace).records
     ]
     _write_table(path, TRACE_COLUMNS, rows, fmt)
 

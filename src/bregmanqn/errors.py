@@ -1,10 +1,14 @@
-"""Exception types shared across the package, and the three checks that
-every count, every real parameter and every handle of the library goes
-through."""
+"""Exception types shared across the package, and the four checks that
+every count, every real parameter, every handle and every array of the
+library goes through."""
 
 import numbers
 import sys
 from math import inf
+
+import numpy as np
+
+_FLOAT = np.dtype(float)
 
 
 class BregmanQNError(Exception):
@@ -104,3 +108,27 @@ def require_type(name, value, cls):
         raise InvalidParameter(
             f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def require_array(name, value, shape, finite=False):
+    """value as a float array, with no copy when it already is one;
+    InvalidParameter unless it holds real numbers (no bool, complex, str,
+    object or ragged nesting) in shape, None matching any length and a
+    shape of None any shape, and, under finite, only finite ones."""
+    # the hot case, a float64 array of the exact shape, returns at one test
+    if type(value) is np.ndarray and value.dtype is _FLOAT and value.shape == shape and not finite:
+        return value
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        a = None
+    if a is not None and a.dtype.kind in "iuf" and (shape is None or a.shape == shape or (
+            len(a.shape) == len(shape) and all(w in (None, g) for w, g in zip(shape, a.shape)))):
+        a = np.asarray(a, dtype=float)
+        if not finite or np.isfinite(a).all():
+            return a
+    want = "" if shape is None else f" of shape {shape}".replace("None", "*")
+    got = (f"ragged {type(value).__name__}" if a is None
+           else f"{type(value).__name__} of shape {a.shape} and dtype {a.dtype}")
+    raise InvalidParameter(
+        f"{name} must be a {'finite ' if finite else ''}real array{want}, got {got}")

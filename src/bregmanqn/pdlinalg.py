@@ -19,20 +19,28 @@ import numpy as np
 from scipy.linalg import qr_update
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import InvalidParameter, NotPositiveDefinite, require_count, require_type
+from .errors import NotPositiveDefinite, require_array, require_count, require_type
 
 # Relative pivot tolerance: a factorization pivot at or below this fraction
 # of the largest diagonal entry is treated as a PD failure.
 PIVOT_RTOL = 1e-13
 
 
+def _require_square(name, a) -> np.ndarray:
+    """a as a real n x n array with n >= 1, n its length; InvalidParameter
+    otherwise, naming the n x n shape (1 x 1 for no length) and a's."""
+    try:
+        n = max(len(a), 1)
+    except TypeError:  # a scalar has no length
+        n = 1
+    return require_array(name, a, (n, n))
+
+
 def as_symmetric(a) -> np.ndarray:
     """Coerce to an exactly symmetric ndarray."""
     if isinstance(a, PDMatrix):
         return a.matrix
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidParameter(f"expected a square matrix, got shape {a.shape}")
+    a = _require_square("matrix", a)
     return 0.5 * (a + a.T)
 
 
@@ -64,8 +72,6 @@ def cholesky_factorize(a) -> PDMatrix:
     PIVOT_RTOL times the largest diagonal entry, or is NaN.
     """
     a = as_symmetric(a)
-    if a.shape[0] == 0:
-        raise NotPositiveDefinite("matrix is empty")
     L, ok = cholesky_stack(a[None])
     if not ok[0]:
         raise NotPositiveDefinite(
@@ -79,15 +85,13 @@ def rank_one_update(B: PDMatrix, u, v) -> PDMatrix:
 
     Runs a QR update of L' + v u' from Q = I, in place on private copies,
     and flips the signs of R's rows so that its diagonal is positive; O(n^2).
-    Raises InvalidParameter unless u and v have length n, and
+    Raises InvalidParameter unless u and v are real arrays of length n, and
     NotPositiveDefinite when a pivot falls at or below PIVOT_RTOL times the
     largest pivot, i.e. when L + u v' is numerically singular.
     """
     n = require_type("B", B, PDMatrix).n
-    u = np.array(u, dtype=float)
-    v = np.array(v, dtype=float)
-    if u.shape != (n,) or v.shape != (n,):
-        raise InvalidParameter(f"vector shapes {u.shape}, {v.shape} do not match n={n}")
+    u = require_array("u", u, (n,)).copy()
+    v = require_array("v", v, (n,)).copy()
     Q, R = np.eye(n, order="F"), np.array(B.L.T, order="F")
     _, R = qr_update(Q, R, v, u, overwrite_qruv=True, check_finite=False)
     d = np.diag(R)
@@ -104,9 +108,9 @@ def _solve_lower(L, b, transposed=False) -> np.ndarray:
     # L x = b, or L' x = b, for a vector or an n-row block: trtrs on the upper
     # L', as solve_triangular does for a C-ordered L.  A factor is finite by
     # construction, and a non-finite b gives a non-finite x.
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != L.shape[0]:
-        raise InvalidParameter(f"right-hand side shape {b.shape} does not match n={L.shape[0]}")
+    if not isinstance(b, np.ndarray):
+        b = require_array("b", b, None)
+    b = require_array("b", b, (len(L),) + b.shape[1:2])
     x, info = dtrtrs(L.T, b, lower=0, trans=0 if transposed else 1)
     if info != 0:
         raise NotPositiveDefinite(f"factor has a zero pivot at diagonal {info - 1}")
@@ -116,15 +120,13 @@ def _solve_lower(L, b, transposed=False) -> np.ndarray:
 class PDMatrix:
     """Positive definite matrix A = L L', built from its lower-triangular
     Cholesky factor L (strictly positive diagonal), with log det A cached
-    and A itself formed on first use.  L must be a square n x n array
+    and A itself formed on first use.  L must be a real n x n array
     with n >= 1; its entries are taken as given."""
 
     __slots__ = ("n", "L", "logdet", "_matrix")
 
     def __init__(self, L):
-        L = np.asarray(L, dtype=float)
-        if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] == 0:
-            raise InvalidParameter(f"factor shape {L.shape} is not n x n with n >= 1")
+        L = _require_square("L", L)
         self.n = L.shape[0]
         self.L = L
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
@@ -159,7 +161,7 @@ class PDMatrix:
         return _solve_lower(self.L, _solve_lower(self.L, np.eye(self.n)), transposed=True)
 
     def matvec(self, x) -> np.ndarray:
-        return self.L @ (self.L.T @ np.asarray(x, dtype=float))
+        return self.L @ (self.L.T @ require_array("x", x, (self.n,)))
 
     def __repr__(self):
         return f"PDMatrix(n={self.n}, logdet={self.logdet:.6g})"

@@ -20,6 +20,7 @@ Together they make V decreasing (nu > 0) and strictly convex
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +60,12 @@ class Potential:
     """
 
     def __init__(self, label: str, value_ld, log_nu_ld, beta_ld, constant_beta=None):
-        self._label = label
-        self.value_ld = value_ld
-        self.log_nu_ld = log_nu_ld
-        self.beta_ld = beta_ld
-        self.constant_beta = constant_beta
+        self._label = require_type("Potential label", label, str)
+        self.value_ld = require_type("Potential value_ld", value_ld, Callable)
+        self.log_nu_ld = require_type("Potential log_nu_ld", log_nu_ld, Callable)
+        self.beta_ld = require_type("Potential beta_ld", beta_ld, Callable)
+        self.constant_beta = (None if constant_beta is None
+                              else require_real("constant_beta", constant_beta))
         self._reports: dict[int, PotentialReport] = {}
 
     def nu_ld(self, ld: float) -> float:
@@ -173,6 +175,9 @@ def custom_potential(value, derivative, second_derivative, name: str = "custom")
     have this caveat.  Where V increases, nu <= 0 and log nu is silently
     nan or -inf, which validate rejects.
     """
+    for arg, f in (("value", value), ("derivative", derivative),
+                   ("second_derivative", second_derivative)):
+        require_type(f"custom_potential {arg}", f, Callable)
 
     def log_nu_ld(ld):
         z = np.exp(ld)

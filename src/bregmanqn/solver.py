@@ -12,6 +12,7 @@ from .errors import (
     InvalidParameter,
     LineSearchFail,
     SingularTransform,
+    require_array,
     require_count,
     require_real,
     require_type,
@@ -191,8 +192,8 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
     at the accepted point, so a caller can carry them to the next step.
     """
     require_type("params", params, LineSearchParams)
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
+    x = require_array("x", x, (obj.n,))
+    d = require_array("d", d, (obj.n,))
     if f0 is None:
         f0 = float(obj.value(x))
     if g0 is None:
@@ -231,8 +232,6 @@ def _exact_line_search(obj, x, d, params, g0):
     """Minimize f along x + alpha*d by solving dphi(alpha) = 0, where
     dphi(0) = g0'd; f is evaluated once more at the root, and g too unless
     dphi already evaluated it there."""
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
     grads = {}
 
     def dphi(a):
@@ -282,6 +281,7 @@ class _CountingObjective:
 
     def __init__(self, obj):
         self._obj = obj
+        self.n = obj.n
         self.nfev = 0
         self.ngev = 0
 
@@ -294,22 +294,6 @@ class _CountingObjective:
         return self._obj.gradient(x)
 
 
-def _require_real_values(f, g, n):
-    """Raise InvalidParameter unless f is a real scalar and g a real array
-    of shape (n,); ints and numpy scalars or 0-d arrays count as real."""
-    f_arr, g_arr = np.asarray(f), np.asarray(g)
-    if f_arr.shape != () or f_arr.dtype.kind not in "iuf":
-        raise InvalidParameter(
-            f"f(x0) must be a real scalar, got {type(f).__name__} "
-            f"of shape {f_arr.shape} and dtype {f_arr.dtype}"
-        )
-    if g_arr.shape != (n,) or g_arr.dtype.kind not in "iuf":
-        raise InvalidParameter(
-            f"gradient at x0 must be a real array of shape ({n},), got "
-            f"{type(g).__name__} of shape {g_arr.shape} and dtype {g_arr.dtype}"
-        )
-
-
 def _check_start(obj, B0, config):
     """(B0, config) as minimize's docstring states them, None giving I and
     the default config; InvalidParameter for anything else."""
@@ -318,10 +302,9 @@ def _check_start(obj, B0, config):
     require_type("config", config, SolverConfig)
     if B0 is None:
         return PDMatrix.identity(obj.n), config
-    if not (isinstance(B0, PDMatrix) and B0.L.shape == (obj.n, obj.n)):
-        raise InvalidParameter(f"B0 must be a PDMatrix of dimension n={obj.n}")
-    if not (np.isfinite(B0.L).all() and (np.diag(B0.L) > 0).all() and not np.triu(B0.L, 1).any()):
-        raise InvalidParameter("B0 needs a finite lower-triangular factor with a positive diagonal")
+    L = require_array("B0.L", require_type("B0", B0, PDMatrix).L, (obj.n, obj.n), finite=True)
+    if not ((np.diag(L) > 0).all() and not np.triu(L, 1).any()):
+        raise InvalidParameter("B0 needs a lower-triangular factor with a positive diagonal")
     return B0, config
 
 
@@ -344,19 +327,14 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     B_k densely (n^2 per iterate) for invariance comparisons.
     """
     B0, config = _check_start(obj, B0, config)
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (obj.n,):
-        raise InvalidParameter(f"x0 shape {x.shape} does not match n={obj.n}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidParameter("x0 must be finite")
+    x = require_array("x0", x0, (obj.n,), finite=True).copy()
     family = config.update_family
     state = family.initial_state(B0)
     # f and g are evaluated once per accepted point: at x0 here, then by
     # the line search, whose values are carried into the next step
     counted = _CountingObjective(obj)
     f, g = counted.value(x), counted.gradient(x)
-    _require_real_values(f, g, obj.n)
-    f, g = float(f), np.asarray(g, dtype=float)
+    f, g = float(require_array("f(x0)", f, ())), require_array("gradient at x0", g, (obj.n,))
     gn = float(np.linalg.norm(g))
     # The Wolfe search's first trial is interpolated from the last decrease
     # for the BFGS-side families only: DFP-type updates lack BFGS's
@@ -425,11 +403,7 @@ def transform_problem(obj, T):
     The gradient transforms as (T')^{-1} grad f(T^{-1} x~), so a run on
     the transformed problem mirrors the original in the new coordinates.
     """
-    T = np.asarray(T, dtype=float)
-    if T.shape != (obj.n, obj.n):
-        raise InvalidParameter(f"transform shape {T.shape} does not match n={obj.n}")
-    if not np.all(np.isfinite(T)):
-        raise InvalidParameter("transform must be finite")
+    T = require_array("T", T, (obj.n, obj.n), finite=True)
     cond = np.linalg.cond(T)
     if not np.isfinite(cond) or cond >= 1e12:
         raise SingularTransform(f"transform condition number {cond:.3e} too large")
@@ -477,8 +451,7 @@ def invariance_check(obj, x0, B0, T, config, k_max=20, tol=1e-6):
     B0, config = _check_start(obj, B0, config)
     k_max = require_count("k_max", k_max)
     tol = require_real("tol", tol, 0.0, closed=True)
-    T = np.asarray(T, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
+    T = require_array("T", T, (obj.n, obj.n), finite=True)
     obj_t = transform_problem(obj, T)
     b0t = np.linalg.solve(T.T, np.linalg.solve(T.T, B0.matrix.T).T)
     B0_t = PDMatrix.from_matrix(0.5 * (b0t + b0t.T))

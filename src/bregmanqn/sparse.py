@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameter,
     NotChordal,
     OracleNoConvergence,
+    require_array,
     require_count,
     require_type,
 )
@@ -102,19 +103,12 @@ class SparsityPattern:
             m[i, j] = m[j, i] = True
         return m
 
-    def _square(self, matrix):
-        a = np.asarray(matrix, dtype=float)
-        if a.shape != (self.n, self.n):
-            raise InvalidParameter(
-                f"matrix of shape {a.shape} does not match the pattern's ({self.n}, {self.n})")
-        return a
-
     def restrict(self, matrix):
         """Zero the entries outside the pattern."""
-        return np.where(self.mask(), self._square(matrix), 0.0)
+        return np.where(self.mask(), require_array("matrix", matrix, (self.n, self.n)), 0.0)
 
     def off_pattern_magnitude(self, matrix):
-        off = np.where(self.mask(), 0.0, self._square(matrix))
+        off = np.where(self.mask(), 0.0, require_array("matrix", matrix, (self.n, self.n)))
         return float(np.abs(off).max()) if self.n > 1 else 0.0
 
     def __eq__(self, other):
@@ -334,10 +328,8 @@ def clique_factorize(entries, tree):
     Optimization, 2015).  The blocks are factored and inverted as
     stacks, one per block size, then summed in tree order.
     """
-    A = as_symmetric(entries)
     n = require_type("tree", tree, CliqueTree).pattern.n
-    if A.shape != (n, n):
-        raise InvalidParameter(f"entries shape {A.shape} does not match pattern n={n}")
+    A = as_symmetric(require_array("entries", entries, (n, n)))
 
     # each clique, then its separator if it has one: the order of the PD
     # checks and of the sums.  A clique adds its inverse block and a

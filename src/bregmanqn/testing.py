@@ -20,7 +20,8 @@ decompositions (swap the first and last arguments for the dual one).
 
 import numpy as np
 
-from .errors import InvalidParameter, NotPositiveDefinite, OracleNoConvergence, require_real
+from .errors import InvalidParameter, NotPositiveDefinite, OracleNoConvergence, require_array
+from .errors import require_real
 from .geometry import _as_pd, theta_coordinate, v_bregman_divergence
 from .pdlinalg import PDMatrix, as_symmetric
 
@@ -214,13 +215,11 @@ def projection_orthogonality_residual(Pstar, Q, directions, pot) -> float:
 def check_gradient(obj, x, h=1e-6):
     """Max relative deviation between the gradient and central differences.
 
-    Raises InvalidParameter unless h is finite and positive and x has
-    the objective's shape (n,).
+    Raises InvalidParameter unless h is finite and positive and x is a
+    real array of the objective's shape (n,).
     """
     h = require_real("h", h, 0.0)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (obj.n,):
-        raise InvalidParameter(f"x has shape {x.shape}, the objective needs ({obj.n},)")
+    x = require_array("x", x, (obj.n,))
     g = obj.gradient(x)
     fd = np.empty_like(g)
     for i in range(obj.n):

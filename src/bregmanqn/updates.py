@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvatureViolation, InvalidParameter, require_type
+from .errors import CurvatureViolation, InvalidParameter, require_array, require_type
 from .geometry import _LOG, solve_det_equation
 from .pdlinalg import PDMatrix, rank_one_update
 from .potentials import Potential, from_string as potential_from_string
@@ -55,10 +55,9 @@ class SecantPair:
     __slots__ = ("s", "y", "curvature")
 
     def __init__(self, s, y):
-        s = np.asarray(s, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if s.ndim != 1 or s.shape != y.shape:
-            raise InvalidParameter("s and y must be same-length vectors")
+        # a vector's exact shape keeps the check on its fast path
+        s = require_array("s", s, (len(s) if isinstance(s, np.ndarray) and s.ndim == 1 else None,))
+        y = require_array("y", y, s.shape)
         # a non-finite entry of s or y makes s'y non-finite, as does overflow
         with np.errstate(over="ignore", invalid="ignore"):
             sty = float(s @ y)

@@ -1,8 +1,9 @@
-"""The argument rule: every count, every real parameter and every handle
-of the public API goes through errors.require_count, errors.require_real
-or errors.require_type."""
+"""The argument rule: every count, every real parameter, every handle and
+every array of the public API goes through errors.require_count,
+errors.require_real, errors.require_type or errors.require_array."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bregmanqn import (
     LineSearchParams,
     Objective,
     PDMatrix,
+    Potential,
     SecantPair,
     SolverConfig,
     SparseUpdateFamily,
@@ -22,6 +24,7 @@ from bregmanqn import (
     bfgs_update,
     bounded_potential,
     clique_factorize,
+    custom_potential,
     dfp_update,
     diagonal_pattern,
     full_pattern,
@@ -41,12 +44,14 @@ from bregmanqn import (
     sparse_update,
     theta_coordinate,
     theta_v_project_sparse,
+    transform_problem,
     v_bfgs_update,
     v_bregman_divergence,
     validate,
     wolfe_line_search,
 )
-from bregmanqn.errors import require_count, require_real
+from bregmanqn.cli import export_trace
+from bregmanqn.errors import require_array, require_count, require_real
 from bregmanqn.problems import _broyden_tridiagonal, _quadratic
 from bregmanqn.testing import check_gradient
 
@@ -227,6 +232,15 @@ HANDLES = [
      lambda: minimize(_SPEC.objective, _SPEC.start, config="bfgs"), "str"),
     ("Objective-value", lambda: Objective(2, 5, _G), "int"),
     ("Objective-gradient", lambda: Objective(2, _F, None), "NoneType"),
+    ("Potential-label", lambda: Potential(5, _F, _F, _F), "int"),
+    ("Potential-value_ld", lambda: Potential("x", 1, _F, _F), "int"),
+    ("Potential-log_nu_ld", lambda: Potential("x", _F, 2, _F), "int"),
+    ("Potential-beta_ld", lambda: Potential("x", _F, _F, 3), "int"),
+    ("custom_potential-value", lambda: custom_potential(1, _F, _F), "int"),
+    ("custom_potential-derivative", lambda: custom_potential(_F, 2, _F), "int"),
+    ("custom_potential-second_derivative", lambda: custom_potential(_F, _F, 3), "int"),
+    ("custom_potential-name", lambda: custom_potential(_F, _F, _F, name=None), "NoneType"),
+    ("export_trace", lambda: export_trace(None, "trace.csv", "csv"), "NoneType"),
 ]
 
 
@@ -237,3 +251,103 @@ def test_a_handle_of_the_wrong_type_is_named(call, type_name):
     with pytest.raises(InvalidParameter, match=rf"got {type_name}$"):
         call()
 
+
+
+def test_constant_beta_is_a_real_or_none():
+    # it was stored as given, so "0" or 1j reached the geometry as beta
+    assert Potential("x", _F, _F, _F).constant_beta is None
+    assert type(Potential("x", _F, _F, _F, np.float64(0.25)).constant_beta) is float
+    for value in ("0", 1j, True, math.nan, math.inf, 10**400):
+        with pytest.raises(InvalidParameter):
+            Potential("x", _F, _F, _F, value)
+
+
+def _with_factor(L):
+    # a PDMatrix built with a valid factor and then given L, which only a
+    # caller writing the slot can do
+    B = PDMatrix.identity(3)
+    B.L = L
+    return B
+
+
+_START = _SPEC.start
+_DESCENT = -_SPEC.objective.gradient(_START)
+
+# each array argument: (name, call with the value, a value it accepts, finite only)
+ARRAYS = [
+    ("PDMatrix L", PDMatrix, np.eye(3), False),
+    ("PDMatrix.from_matrix", PDMatrix.from_matrix, np.eye(3), False),
+    ("PDMatrix.solve b", _I3.solve, np.ones(3), False),
+    ("PDMatrix.solve_factor b", _I3.solve_factor, np.ones(3), False),
+    ("PDMatrix.matvec x", _I3.matvec, np.ones(3), False),
+    ("rank_one_update u", lambda v: rank_one_update(_I3, v, np.ones(3)), np.ones(3), False),
+    ("rank_one_update v", lambda v: rank_one_update(_I3, np.ones(3), v), np.ones(3), False),
+    ("SecantPair s", lambda v: SecantPair(v, np.ones(3)), np.ones(3), False),
+    ("SecantPair y", lambda v: SecantPair(np.ones(3), v), np.ones(3), False),
+    ("minimize x0", lambda v: minimize(_SPEC.objective, v), _START, True),
+    ("minimize B0.L", lambda v: minimize(_SPEC.objective, _START, _with_factor(v)), np.eye(3),
+     True),
+    ("transform_problem T", lambda v: transform_problem(_SPEC.objective, v), np.eye(3), True),
+    ("invariance_check T",
+     lambda v: invariance_check(_SPEC.objective, _START, None, v, SolverConfig("bfgs")),
+     np.eye(3), True),
+    ("SparsityPattern.restrict", _PATTERN.restrict, np.eye(3), False),
+    ("SparsityPattern.off_pattern_magnitude", _PATTERN.off_pattern_magnitude, np.eye(3), False),
+    ("clique_factorize entries", lambda v: clique_factorize(v, is_chordal(_PATTERN)), np.eye(3),
+     False),
+    ("check_gradient x", lambda v: check_gradient(_SPEC.objective, v), _START, False),
+    ("wolfe_line_search x",
+     lambda v: wolfe_line_search(_SPEC.objective, v, _DESCENT, LineSearchParams()), _START, False),
+    ("wolfe_line_search d",
+     lambda v: wolfe_line_search(_SPEC.objective, _START, v, LineSearchParams()), _DESCENT, False),
+]
+
+
+def _bad_array(good, kind):
+    """A value of the given kind made from an accepted one."""
+    return {
+        "str": good.astype(str),
+        "complex": good + 1j,
+        "bool": good != 0.0,
+        "ragged": [[1.0], [1.0, 2.0]],
+        "shape": good[..., 1:],
+        "nan": np.full_like(good, np.nan),
+    }[kind]
+
+
+_ARRAY_CASES = [(name, call, good, kind) for name, call, good, finite in ARRAYS
+                for kind in ("str", "complex", "bool", "ragged", "shape") + ("nan",) * finite]
+
+
+@pytest.mark.parametrize("call, good", [a[1:3] for a in ARRAYS], ids=[a[0] for a in ARRAYS])
+def test_every_array_argument_takes_its_accepted_value(call, good):
+    call(good)
+
+
+@pytest.mark.parametrize("call, good, kind", [c[1:] for c in _ARRAY_CASES],
+                         ids=[f"{c[0]}-{c[3]}" for c in _ARRAY_CASES])
+def test_every_array_argument_rejects_what_is_not_a_real_array_of_its_shape(call, good, kind):
+    # a str array was parsed, a complex one cut to its real part and a bool
+    # one read as 0 and 1; a ragged list or a wrong shape raised numpy's
+    # ValueError at some sites
+    with pytest.raises(InvalidParameter, match=" must be a (finite )?real array"):
+        call(_bad_array(good, kind))
+
+
+def test_the_array_message_names_both_shapes_and_the_dtype():
+    with pytest.raises(InvalidParameter, match=re.escape(
+            "x0 must be a finite real array of shape (2,), got list of shape (2,) and dtype complex128")):
+        minimize(get_problem("rosenbrock").objective, [-1.2 + 1j, 1.0])
+    with pytest.raises(InvalidParameter, match=r"^b must be a real array, got ragged list$"):
+        _I3.solve([[1.0], [1.0, 2.0]])
+    with pytest.raises(InvalidParameter,
+                       match=re.escape("m must be a real array of shape (*, 3), got ndarray")):
+        require_array("m", np.ones(3), (None, 3))
+
+
+def test_a_float_array_is_returned_as_it_is_and_others_as_float_arrays():
+    a = np.ones((2, 3))
+    assert require_array("a", a, (2, 3)) is a and require_array("a", a, (2, None)) is a
+    for value in ([1, 2], np.array([1, 2], dtype=np.int32), np.array([1, 2], dtype=np.float32)):
+        got = require_array("a", value, (2,))
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 2.0]

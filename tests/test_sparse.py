@@ -130,7 +130,7 @@ def test_pattern_restrict_and_off_pattern_check_the_shape():
     # a matrix of another shape raised numpy's broadcast ValueError
     p = banded_pattern(4, 1)
     for a in (np.ones((3, 3)), np.ones((4, 5)), np.ones(4)):
-        message = re.escape(f"{a.shape} does not match the pattern's (4, 4)")
+        message = re.escape(f"matrix must be a real array of shape (4, 4), got ndarray of shape {a.shape}")
         for method in (p.restrict, p.off_pattern_magnitude):
             with pytest.raises(InvalidParameter, match=message):
                 method(a)
