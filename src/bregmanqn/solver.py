@@ -170,6 +170,25 @@ def _backtrack(lo, f_lo, dphi_lo, t, ft):
     return lo + min(max(step, BACKTRACK_MIN_FRAC * w), BACKTRACK_MAX_FRAC * w)
 
 
+class _CountingObjective:
+    """The one evaluator of an objective: counts its calls and checks each
+    output, f(x) as a real scalar and the gradient as a real array (n,)."""
+
+    def __init__(self, obj):
+        self._obj = obj
+        self.n = obj.n
+        self.nfev = 0
+        self.ngev = 0
+
+    def value(self, x):
+        self.nfev += 1
+        return float(require_array("f(x)", self._obj.value(x), ()))
+
+    def gradient(self, x):
+        self.ngev += 1
+        return require_array("gradient", self._obj.gradient(x), (self.n,))
+
+
 def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
     """Step length satisfying the (weak) Wolfe conditions.
 
@@ -190,14 +209,16 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
     f0 and g0 are f and its gradient at x, evaluated here when omitted;
     the returned f and g are the values the conditions were tested with
     at the accepted point, so a caller can carry them to the next step.
+    f0, f_prev, g0 and every f and gradient evaluated here take
+    minimize's output rule: real scalars and real arrays of shape (n,).
     """
     require_type("params", params, LineSearchParams)
     x = require_array("x", x, (obj.n,))
     d = require_array("d", d, (obj.n,))
-    if f0 is None:
-        f0 = float(obj.value(x))
-    if g0 is None:
-        g0 = obj.gradient(x)
+    if not isinstance(obj, _CountingObjective):
+        obj = _CountingObjective(obj)
+    f0 = obj.value(x) if f0 is None else float(require_array("f0", f0, ()))
+    g0 = obj.gradient(x) if g0 is None else require_array("g0", g0, (obj.n,))
     g0d = float(g0 @ d)
     if not np.isfinite(g0d) or g0d >= 0.0:
         raise LineSearchFail("search direction is not a descent direction")
@@ -206,18 +227,19 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
     if f_prev is not None:
         # in Python floats, so an overflow or inf - inf gives inf or nan
         # without a RuntimeWarning
-        t_interp = 1.01 * 2.0 * (float(f_prev) - float(f0)) / -g0d
+        f_prev = float(require_array("f_prev", f_prev, ()))
+        t_interp = 1.01 * 2.0 * (f_prev - f0) / -g0d
         if np.isfinite(t_interp) and t_interp > 0.0:
             t = min(t, t_interp)
     lo, hi = 0.0, np.inf
     f_lo, dphi_lo = f0, g0d
     for _ in range(params.max_trials):
-        ft = float(obj.value(x + t * d))
+        ft = obj.value(x + t * d)
         if not np.isfinite(ft) or ft > f0 + params.c1 * t * g0d:
             hi = t
             t = _backtrack(lo, f_lo, dphi_lo, t, ft)
         else:
-            gt = np.asarray(obj.gradient(x + t * d), dtype=float)
+            gt = obj.gradient(x + t * d)
             gtd = float(gt @ d)
             if gtd >= params.c2 * g0d:
                 return LineSearchResult(t, ft, gt)
@@ -235,8 +257,7 @@ def _exact_line_search(obj, x, d, params, g0):
     grads = {}
 
     def dphi(a):
-        g = np.asarray(obj.gradient(x + a * d), dtype=float)
-        grads[a] = g
+        g = grads[a] = obj.gradient(x + a * d)
         return float(g @ d)
 
     d0 = float(g0 @ d)
@@ -270,28 +291,8 @@ def _exact_line_search(obj, x, d, params, g0):
         except RuntimeError as exc:  # no convergence within maxiter
             raise LineSearchFail(f"exact line search: {exc}") from exc
     x_new = x + alpha * d
-    g = grads.get(alpha)
-    if g is None:
-        g = np.asarray(obj.gradient(x_new), dtype=float)
-    return LineSearchResult(alpha, float(obj.value(x_new)), g)
-
-
-class _CountingObjective:
-    """Counts the value and gradient calls made through it."""
-
-    def __init__(self, obj):
-        self._obj = obj
-        self.n = obj.n
-        self.nfev = 0
-        self.ngev = 0
-
-    def value(self, x):
-        self.nfev += 1
-        return self._obj.value(x)
-
-    def gradient(self, x):
-        self.ngev += 1
-        return self._obj.gradient(x)
+    g = grads[alpha] if alpha in grads else obj.gradient(x_new)
+    return LineSearchResult(alpha, obj.value(x_new), g)
 
 
 def _check_start(obj, B0, config):
@@ -320,9 +321,9 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     dimension n with a finite lower-triangular factor of positive
     diagonal; anything else, or a B0 the update cannot start from, such
     as one off a sparsity pattern, raises InvalidParameter before the
-    first evaluation.  f(x0) must be a real scalar and the gradient
-    at x0 a real array of shape (n,); otherwise InvalidParameter is
-    raised after those two evaluations.  Each record holds its own
+    first evaluation.  f must be a real scalar and the gradient a real
+    array of shape (n,) at every point, else InvalidParameter is raised
+    by the evaluation that returned it.  Each record holds its own
     iterate x_k, which the run never writes into.  record_b stores each
     B_k densely (n^2 per iterate) for invariance comparisons.
     """
@@ -334,7 +335,6 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     # the line search, whose values are carried into the next step
     counted = _CountingObjective(obj)
     f, g = counted.value(x), counted.gradient(x)
-    f, g = float(require_array("f(x0)", f, ())), require_array("gradient at x0", g, (obj.n,))
     gn = float(np.linalg.norm(g))
     # The Wolfe search's first trial is interpolated from the last decrease
     # for the BFGS-side families only: DFP-type updates lack BFGS's
@@ -409,10 +409,10 @@ def transform_problem(obj, T):
         raise SingularTransform(f"transform condition number {cond:.3e} too large")
 
     def value(xt):
-        return obj.value(np.linalg.solve(T, np.asarray(xt, dtype=float)))
+        return obj.value(np.linalg.solve(T, require_array("x", xt, (obj.n,))))
 
     def gradient(xt):
-        gx = obj.gradient(np.linalg.solve(T, np.asarray(xt, dtype=float)))
+        gx = obj.gradient(np.linalg.solve(T, require_array("x", xt, (obj.n,))))
         return np.linalg.solve(T.T, gx)
 
     name = f"{obj.name}~" if obj.name else ""

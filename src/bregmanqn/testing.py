@@ -215,16 +215,17 @@ def projection_orthogonality_residual(Pstar, Q, directions, pot) -> float:
 def check_gradient(obj, x, h=1e-6):
     """Max relative deviation between the gradient and central differences.
 
-    Raises InvalidParameter unless h is finite and positive and x is a
-    real array of the objective's shape (n,).
+    Raises InvalidParameter unless h is finite and positive, x a real array
+    of shape (n,), and f and the gradient pass minimize's output rule.
     """
     h = require_real("h", h, 0.0)
     x = require_array("x", x, (obj.n,))
-    g = obj.gradient(x)
-    fd = np.empty_like(g)
+    g = require_array("gradient", obj.gradient(x), (obj.n,))
+    fd = np.empty(obj.n)
     for i in range(obj.n):
         e = np.zeros(obj.n)
         e[i] = h
-        fd[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
+        f_plus, f_minus = (float(require_array("f(x)", obj.value(x + t * e), ())) for t in (1, -1))
+        fd[i] = (f_plus - f_minus) / (2.0 * h)
     scale = np.abs(g) + np.abs(fd) + 1.0
     return float(np.abs(g - fd).max() / scale.max())

@@ -74,8 +74,10 @@ class SecantPair:
         return self.s.shape[0]
 
     def swapped(self) -> "SecantPair":
-        """The pair with s and y exchanged (same curvature)."""
-        return SecantPair(self.y, self.s)
+        """The pair with s and y exchanged; it shares this pair's arrays."""
+        pair = object.__new__(SecantPair)
+        pair.s, pair.y, pair.curvature = self.y, self.s, self.curvature
+        return pair
 
     def __repr__(self):
         return f"SecantPair(n={self.n}, curvature={self.curvature:.6g})"

@@ -272,6 +272,7 @@ def _with_factor(L):
 
 _START = _SPEC.start
 _DESCENT = -_SPEC.objective.gradient(_START)
+_TRANSFORMED = transform_problem(_SPEC.objective, np.eye(3))
 
 # each array argument: (name, call with the value, a value it accepts, finite only)
 ARRAYS = [
@@ -288,6 +289,8 @@ ARRAYS = [
     ("minimize B0.L", lambda v: minimize(_SPEC.objective, _START, _with_factor(v)), np.eye(3),
      True),
     ("transform_problem T", lambda v: transform_problem(_SPEC.objective, v), np.eye(3), True),
+    ("transform_problem value x", _TRANSFORMED.value, _START, False),
+    ("transform_problem gradient x", _TRANSFORMED.gradient, _START, False),
     ("invariance_check T",
      lambda v: invariance_check(_SPEC.objective, _START, None, v, SolverConfig("bfgs")),
      np.eye(3), True),
@@ -300,6 +303,9 @@ ARRAYS = [
      lambda v: wolfe_line_search(_SPEC.objective, v, _DESCENT, LineSearchParams()), _START, False),
     ("wolfe_line_search d",
      lambda v: wolfe_line_search(_SPEC.objective, _START, v, LineSearchParams()), _DESCENT, False),
+    ("wolfe_line_search g0",
+     lambda v: wolfe_line_search(_SPEC.objective, _START, _DESCENT, LineSearchParams(), g0=v),
+     -_DESCENT, False),
 ]
 
 

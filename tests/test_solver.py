@@ -463,20 +463,21 @@ def test_non_finite_start_is_rejected_before_evaluating(label):
     assert calls == []
 
 
+# (f, gradient, the evaluations made when the bad output is rejected)
 MALFORMED = {
-    "f of shape (1,)": (lambda x: np.array([x @ x]), lambda x: 2.0 * x),
-    "complex f": (lambda x: complex(x @ x), lambda x: 2.0 * x),
-    "f as text": (lambda x: "1.0", lambda x: 2.0 * x),
-    "short gradient": (lambda x: float(x @ x), lambda x: 2.0 * x[:-1]),
-    "column gradient": (lambda x: float(x @ x), lambda x: (2.0 * x)[:, None]),
-    "complex gradient": (lambda x: float(x @ x), lambda x: 2.0 * x + 1j),
+    "f of shape (1,)": (lambda x: np.array([x @ x]), lambda x: 2.0 * x, ["f"]),
+    "complex f": (lambda x: complex(x @ x), lambda x: 2.0 * x, ["f"]),
+    "f as text": (lambda x: "1.0", lambda x: 2.0 * x, ["f"]),
+    "short gradient": (lambda x: float(x @ x), lambda x: 2.0 * x[:-1], ["f", "g"]),
+    "column gradient": (lambda x: float(x @ x), lambda x: (2.0 * x)[:, None], ["f", "g"]),
+    "complex gradient": (lambda x: float(x @ x), lambda x: 2.0 * x + 1j, ["f", "g"]),
 }
 
 
 @pytest.mark.parametrize("label", ALL_KINDS)
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_objective_is_rejected_after_one_f_and_one_g(label, case):
-    value, gradient = MALFORMED[case]
+def test_malformed_output_is_rejected_at_the_evaluation_that_returned_it(label, case):
+    value, gradient, expected = MALFORMED[case]
     calls = []
     obj = Objective(
         2,
@@ -485,7 +486,68 @@ def test_malformed_objective_is_rejected_after_one_f_and_one_g(label, case):
     )
     with pytest.raises(InvalidParameter, match="real"):
         minimize(obj, np.array([1.0, 2.0]), config=_config_of(label))
-    assert sorted(calls) == ["f", "g"]
+    assert calls == expected
+
+
+# output -> how it is spoiled from its second evaluation on
+TURNS_BAD = {
+    "f of shape (1,)": ("value", lambda f: np.array([f])),
+    "complex gradient": ("gradient", lambda g: g + 1e-3j),
+    "column gradient": ("gradient", lambda g: g[:, None]),
+}
+
+
+def _turning_bad(case):
+    """Rosenbrock, with the output TURNS_BAD names spoiled after x0."""
+    which, spoil = TURNS_BAD[case]
+    rosenbrock = get_problem("rosenbrock").objective
+    calls = []
+
+    def evaluate(name):
+        def call(x):
+            calls.append(name)
+            out = getattr(rosenbrock, name)(x)
+            return spoil(out) if name == which and calls.count(name) > 1 else out
+        return call
+
+    return Objective(2, evaluate("value"), evaluate("gradient"))
+
+
+@pytest.mark.parametrize("label", ALL_KINDS + ("bfgs exact",))
+@pytest.mark.parametrize("case", sorted(TURNS_BAD))
+def test_an_output_that_turns_bad_after_x0_is_rejected(label, case):
+    # a complex gradient was cut to its real part with a ComplexWarning, a
+    # column one raised numpy's matmul ValueError, and a one-element f was
+    # read as its entry
+    if label == "bfgs exact":
+        config = SolverConfig("bfgs", line_search=LineSearchParams(method="exact"))
+    else:
+        config = _config_of(label)
+    with pytest.raises(InvalidParameter, match="real"):
+        minimize(_turning_bad(case), get_problem("rosenbrock").start, config=config)
+
+
+@pytest.mark.parametrize("case", sorted(TURNS_BAD))
+def test_wolfe_line_search_checks_a_plain_objective_at_every_trial(case):
+    spec = get_problem("rosenbrock")
+    d = -spec.objective.gradient(spec.start)
+    with pytest.raises(InvalidParameter, match="real"):
+        wolfe_line_search(_turning_bad(case), spec.start, d, LineSearchParams())
+
+
+def test_wolfe_line_search_checks_the_f_values_it_is_given():
+    # a text f0 raised TypeError, a one-element f0 made the step an array,
+    # and a text f_prev was parsed
+    spec = get_problem("rosenbrock")
+    obj, x = spec.objective, spec.start
+    f, g = obj.value(x), obj.gradient(x)
+    for kwargs in ({"f0": "1.0"}, {"f0": np.array([f])}, {"f0": 1j},
+                   {"f_prev": "30.0"}, {"f_prev": np.array([f + 1.0])}, {"f_prev": True}):
+        with pytest.raises(InvalidParameter, match="must be a real array of shape"):
+            wolfe_line_search(obj, x, -g, LineSearchParams(), **kwargs)
+    given = wolfe_line_search(obj, x, -g, LineSearchParams(), np.float64(f), g, np.array(f + 1.0))
+    alpha, f_new, g_new = wolfe_line_search(obj, x, -g, LineSearchParams(), f_prev=f + 1.0)
+    assert (given.alpha, given.f) == (alpha, f_new) and np.array_equal(given.g, g_new)
 
 
 def test_record_b_toggle():
@@ -891,6 +953,18 @@ def test_gradient_check_requires_a_finite_positive_step():
         with pytest.raises(InvalidParameter):
             check_gradient(spec.objective, spec.start, h=h)
     assert check_gradient(spec.objective, spec.start, h=1e-5) < 1e-6
+
+
+def test_gradient_check_reads_an_integer_gradient_as_real():
+    # np.empty_like copied the int dtype, so the central differences were
+    # truncated and the exact gradient [3, 2] deviated by 0.167
+    obj = Objective(2, lambda x: 3.0 * x[0] + 2.0 * x[1], lambda x: np.array([3, 2]))
+    assert check_gradient(obj, np.array([0.3, -0.7])) <= 1e-9
+    for gradient in (lambda x: np.array([3.0, 2.0j]), lambda x: np.array([[3.0], [2.0]])):
+        with pytest.raises(InvalidParameter, match="gradient must be a real array"):
+            check_gradient(Objective(2, obj.value, gradient), np.zeros(2))
+    with pytest.raises(InvalidParameter, match=r"f\(x\) must be a real array"):
+        check_gradient(Objective(2, lambda x: np.array([1.0]), obj.gradient), np.zeros(2))
 
 
 def test_gradient_check_rejects_a_point_of_the_wrong_shape():

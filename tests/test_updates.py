@@ -69,6 +69,18 @@ def test_secant_pair_validation():
     assert np.array_equal(sw.s, p.y) and np.array_equal(sw.y, p.s)
 
 
+def test_swapped_shares_the_pair_s_arrays_and_curvature():
+    # it rebuilt the pair, rerunning the array rule and s'y on both copies
+    rng = np.random.default_rng(49)
+    s = rng.standard_normal(20)
+    p = SecantPair(s, s + 0.1 * rng.standard_normal(20))
+    sw = p.swapped()
+    assert sw.s is p.y and sw.y is p.s and sw.curvature == p.curvature
+    assert sw.curvature == SecantPair(p.y, p.s).curvature
+    back = sw.swapped()
+    assert back.s is p.s and back.y is p.y and back.curvature == p.curvature
+
+
 def test_updates_reject_a_pair_of_the_wrong_length():
     # these raised numpy's own ValueError from a matrix product
     rng = np.random.default_rng(30)
