@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._roots import newton_bisect_log
-from .errors import InvalidParameter, NotPositiveDefinite, require_type
+from .errors import InvalidParameter, NotPositiveDefinite, require_real, require_type
 # cholesky_factorize is unused here but stays bound: bench/ traces and
 # checks every module binding of it.
 from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize  # noqa: F401
@@ -100,11 +100,11 @@ def solve_det_equation(t: float, k: int, pot: Potential, ld0: float | None = Non
 def solve_neg_theta_det(ld_target: float, n: int, pot: Potential) -> float:
     """Solve nu(z)^n / z = exp(ld_target) for log z.
 
-    ld_target is log det(-T) for a theta coordinate T, and the equation is
-    solve_det_equation with t = -ld_target and k = n.
+    ld_target is log det(-T) for a theta coordinate T, a finite real, and
+    the equation is solve_det_equation with t = -ld_target and k = n.
     """
     require_type("pot", pot, Potential).require_admissible(n)
-    return solve_det_equation(-ld_target, n, pot)
+    return solve_det_equation(-require_real("ld_target", ld_target), n, pot)
 
 
 def invert_theta(T, pot: Potential) -> PDMatrix:

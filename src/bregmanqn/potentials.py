@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, PotentialNotAdmissible, require_count, require_real
-from .errors import require_type
+from .errors import require_array, require_type
 
 BETA_GRID = np.logspace(-8.0, 8.0, 256)
 LIMIT_GRID = np.logspace(-12.0, 0.0, 256)
@@ -230,7 +230,7 @@ def validate(pot: Potential, n: int) -> PotentialReport:
     nu > 0 (a finite log nu) and beta < 1/n are probed on BETA_GRID; the
     vanishing of z / nu(z)^(n-1) near zero is probed on LIMIT_GRID via
     monotone growth plus the bound w(z_min) <= w(1) * z_min^(1/n) that
-    admissibility implies.
+    admissibility implies.  Outputs pass require_array and may be non-finite.
     """
     n = require_count("dimension", n)
     cached = require_type("pot", pot, Potential)._reports.get(n)
@@ -238,15 +238,15 @@ def validate(pot: Potential, n: int) -> PotentialReport:
         return cached
 
     lds = np.log(BETA_GRID)
-    beta_vals = np.array([pot.beta_ld(ld) for ld in lds], dtype=float)
-    log_nu = np.array([pot.log_nu_ld(ld) for ld in lds], dtype=float)
+    beta_vals = require_array("beta_ld", [pot.beta_ld(ld) for ld in lds], lds.shape)
+    log_nu = require_array("log_nu_ld", [pot.log_nu_ld(ld) for ld in lds], lds.shape)
 
     beta_max = float(np.max(beta_vals))
     # beta is the log-derivative of nu, so its bound presumes nu > 0.
     beta_bound_ok = bool(np.all(np.isfinite(log_nu)) and np.all(beta_vals < 1.0 / n))
 
     lds = np.log(LIMIT_GRID)
-    lw = np.array([ld - (n - 1) * pot.log_nu_ld(ld) for ld in lds], dtype=float)
+    lw = lds - (n - 1) * require_array("log_nu_ld", [pot.log_nu_ld(ld) for ld in lds], lds.shape)
     monotone = bool(np.all(np.diff(lw) > 0.0))
     # Admissibility forces w(z) <= w(1) * z^(1/n); allow float slack.
     small_enough = bool(lw[0] <= lw[-1] + lds[0] / n + 1e-9)

@@ -253,7 +253,7 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
 def _exact_line_search(obj, x, d, params, g0):
     """Minimize f along x + alpha*d by solving dphi(alpha) = 0, where
     dphi(0) = g0'd; f is evaluated once more at the root, and g too unless
-    dphi already evaluated it there."""
+    dphi already evaluated it there.  A non-finite f there fails the search."""
     grads = {}
 
     def dphi(a):
@@ -292,7 +292,10 @@ def _exact_line_search(obj, x, d, params, g0):
             raise LineSearchFail(f"exact line search: {exc}") from exc
     x_new = x + alpha * d
     g = grads[alpha] if alpha in grads else obj.gradient(x_new)
-    return LineSearchResult(alpha, obj.value(x_new), g)
+    f = obj.value(x_new)
+    if not np.isfinite(f):
+        raise LineSearchFail(f"exact line search: f = {f} at alpha = {alpha} is not finite")
+    return LineSearchResult(alpha, f, g)
 
 
 def _check_start(obj, B0, config):

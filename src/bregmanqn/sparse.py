@@ -2,11 +2,11 @@
 
 A chordality test that builds the clique tree in one maximum
 cardinality search or returns a chordless-cycle witness, the
-maximum-determinant completion assembled block by block over that tree,
-projection of a dense update onto the sparse submanifold, the two
-alternating projection schemes built from these pieces, and the update
-family that holds their checked configuration and through which the
-solver runs them.
+maximum-determinant completion summed from the tree's clique and
+separator blocks, projection of a dense update onto the sparse
+submanifold, the two alternating projection schemes built from these
+pieces, and the update family that holds their checked configuration
+and through which the solver runs them.
 """
 
 from collections import deque
@@ -288,31 +288,32 @@ def is_chordal(pattern):
 # clique factorization of the maximum-determinant completion
 
 
-def _factor_blocks(A, blocks):
-    """(log det, inverse) of each principal block A[b, b] of the list.
+def _block_sum(A, blocks):
+    """(sum of log det A[b, b], sum of inv(A[b, b]) placed at b x b in an
+    n x n array) over the principal blocks b of the list.
 
-    One stacked Cholesky factorization and one stacked inversion per
-    block size; raises CliqueBlockNotPD naming the first block, in list
-    order, that is not numerically PD.
+    One stacked Cholesky factorization, one stacked inversion and one
+    np.add.at per block size, the sizes in order of first appearance; the
+    log dets are summed in list order.  Raises CliqueBlockNotPD naming
+    the first block, in list order, that is not numerically PD.
     """
-    factored = [None] * len(blocks)
+    lds, K, failed = np.zeros(len(blocks)), np.zeros(A.shape), []
     by_size = {}
     for i, b in enumerate(blocks):
         by_size.setdefault(len(b), []).append(i)
-    failed = []
     for rows in by_size.values():
         idx = np.array([blocks[i] for i in rows])
-        stack = A[idx[:, :, None], idx[:, None, :]]
+        at = idx[:, :, None], idx[:, None, :]
+        stack = A[at]
         L, ok = cholesky_stack(stack)
         if not ok.all():
             failed.append(rows[int(np.argmin(ok))])
             continue
-        lds = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
-        for i, ld, inv in zip(rows, lds.tolist(), np.linalg.inv(stack)):
-            factored[i] = ld, inv
+        lds[rows] = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+        np.add.at(K, at, np.linalg.inv(stack))
     if failed:
         raise CliqueBlockNotPD(f"principal block {blocks[min(failed)]} is not positive definite")
-    return factored
+    return sum(lds.tolist()), K
 
 
 def clique_factorize(entries, tree):
@@ -323,26 +324,19 @@ def clique_factorize(entries, tree):
     condition for a PD completion to exist on a chordal pattern.  X^{-1}
     is the sum over cliques of the inverse clique blocks minus the sum
     over separators of the inverse separator blocks, zero off-pattern,
-    and log det X is the matching sum of block log-determinants
+    and log det X is the matching difference of block log-determinants
     (Vandenberghe & Andersen, Chordal Graphs and Semidefinite
-    Optimization, 2015).  The blocks are factored and inverted as
-    stacks, one per block size, then summed in tree order.
+    Optimization, 2015).  _block_sum forms each sum with one stacked
+    factorization, inversion and scatter per block size; the cliques are
+    checked before the separators, so CliqueBlockNotPD names the first
+    failing clique.
     """
     n = require_type("tree", tree, CliqueTree).pattern.n
     A = as_symmetric(require_array("entries", entries, (n, n)))
-
-    # each clique, then its separator if it has one: the order of the PD
-    # checks and of the sums.  A clique adds its inverse block and a
-    # separator subtracts its own; the two log det sums are kept apart and
-    # subtracted last, which fixes the rounding of log det X.
-    signed = [(sign, b) for pair in zip(tree.cliques, tree.separators)
-              for sign, b in zip((1, -1), pair) if b]
-    ld_sum = {1: 0.0, -1: 0.0}
-    K = np.zeros((n, n))
-    for (sign, b), (ld, inv) in zip(signed, _factor_blocks(A, [b for _, b in signed])):
-        ld_sum[sign] += ld
-        K[np.ix_(b, b)] += sign * inv
-    return float(ld_sum[1] - ld_sum[-1]), 0.5 * (K + K.T)
+    ld_c, K_c = _block_sum(A, tree.cliques)
+    ld_s, K_s = _block_sum(A, [s for s in tree.separators if s])
+    K = K_c - K_s
+    return float(ld_c - ld_s), 0.5 * (K + K.T)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +389,10 @@ class SparseUpdateResult:
 
 
 def _require_on_pattern(B, pattern):
-    """Raise InvalidParameter unless the PDMatrix B is supported on pattern;
-    off_pattern_magnitude checks the dimension."""
+    """Raise InvalidParameter unless B has the pattern's dimension and no entry off it."""
+    if B.n != pattern.n:
+        raise InvalidParameter(
+            f"B of dimension {B.n} does not fit the n={pattern.n} sparsity pattern")
     scale = float(np.abs(B.matrix).max())
     if pattern.off_pattern_magnitude(B.matrix) > 1e-8 * (1.0 + scale):
         raise InvalidParameter("B has entries outside the sparsity pattern")

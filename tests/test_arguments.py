@@ -118,6 +118,17 @@ def test_every_scalar_parameter_rejects_what_is_not_a_value_of_it(name, call, ou
         call(value)
 
 
+@pytest.mark.parametrize("pot", [log_potential(), bounded_potential(0.5)], ids=["log", "bounded"])
+@pytest.mark.parametrize("value", BAD_VALUES, ids=lambda v: "10**400" if v == 10**400 else repr(v))
+def test_solve_neg_theta_det_takes_a_finite_real_target(pot, value):
+    # "1" raised TypeError, and nan gave nan for the log potential and
+    # RootNotBracketed for the bounded one; every finite real is in range,
+    # so ld_target has no out-of-range row in PARAMETERS
+    with pytest.raises(InvalidParameter, match=r"^ld_target must be a finite real number, got "):
+        solve_neg_theta_det(value, 3, pot)
+    assert solve_neg_theta_det(np.float64(-1.5), 3, pot) == solve_neg_theta_det(-1.5, 3, pot)
+
+
 def test_a_str_in_range_is_not_parsed():
     # power_potential("0.25") used to build the potential for gamma = 0.25
     for call, text in ((power_potential, "0.25"), (bounded_potential, "0.5"),

@@ -5,6 +5,7 @@ import pytest
 
 from bregmanqn import (
     InvalidParameter,
+    Potential,
     PotentialNotAdmissible,
     bounded_potential,
     custom_potential,
@@ -120,6 +121,19 @@ def test_validate_report_fields():
         with pytest.raises(InvalidParameter):
             validate(pot, bad)
     assert pot._reports == {}
+
+
+def test_validate_takes_the_potential_s_outputs_through_the_array_rule():
+    # text from beta_ld raised numpy's ValueError, None from log_nu_ld a
+    # TypeError, and a numeric string was parsed
+    zero = lambda ld: 0.0  # noqa: E731
+    for beta_ld, log_nu_ld in ((lambda ld: "abc", zero), (lambda ld: "0.0", zero),
+                               (zero, lambda ld: None), (zero, lambda ld: 1j)):
+        with pytest.raises(InvalidParameter, match=r"^(beta|log_nu)_ld must be a real array"):
+            validate(Potential("x", zero, log_nu_ld, beta_ld), 3)
+    # non-finite values are outputs the verdict reads, not errors
+    assert not validate(Potential("x", zero, lambda ld: np.nan, zero), 3).admissible
+    assert validate(Potential("x", zero, zero, zero), 3).admissible
 
 
 def test_custom_potential_matches_builtin():

@@ -1,5 +1,6 @@
 """Driver loop: line searches, convergence, invariance, skipped updates."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -355,6 +356,19 @@ def test_exact_search_steps_back_from_a_non_finite_slope():
     with mock.patch("scipy.optimize.brentq", side_effect=RuntimeError("no convergence")):
         trace = minimize(obj, np.array([0.25]), config=exact)
     assert trace.status == "LineSearchFail" and "no convergence" in trace.reason
+
+
+def test_exact_search_fails_on_a_non_finite_f_at_its_step():
+    # the exact search never read the f it evaluated at its step, so an f
+    # that is nan everywhere ran to Converged after 22 iterations with
+    # final.f = nan; the Wolfe search rejects every such trial
+    spec = get_problem("rosenbrock")
+    obj = Objective(2, lambda x: np.nan, spec.objective.gradient)
+    for method in ("wolfe", "exact"):
+        cfg = SolverConfig("bfgs", line_search=LineSearchParams(method=method))
+        trace = minimize(obj, spec.start, config=cfg)
+        assert (trace.status, trace.iterations) == ("LineSearchFail", 0), method
+    assert re.fullmatch(r"exact line search: f = nan at alpha = \S+ is not finite", trace.reason)
 
 
 def test_records_carry_cumulative_evaluation_counts():
@@ -844,12 +858,14 @@ def test_sparse_solver_rejects_a_mismatched_start_before_evaluating():
         lambda x: calls.append("g") or spec.objective.gradient(x),
     )
     off_pattern = PDMatrix.from_matrix(np.full((6, 6), 0.5) + np.eye(6))
-    for pattern, B0 in (
-        (banded_pattern(5, 1), None),  # wrong dimension
-        (spec.pattern, off_pattern),  # B0 with entries off the pattern
+    # a pattern of the wrong dimension was reported as a "matrix" of the
+    # wrong shape, which the caller never passed
+    for pattern, B0, message in (
+        (banded_pattern(5, 1), None, r"^B of dimension 6 does not fit the n=5 sparsity pattern$"),
+        (spec.pattern, off_pattern, r"^B has entries outside the sparsity pattern$"),
     ):
         cfg = SolverConfig("vbfgs:log", sparsity=(pattern, 2, 1))
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match=message):
             minimize(obj, spec.start, B0, config=cfg)
     assert calls == []
 

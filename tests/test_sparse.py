@@ -359,6 +359,45 @@ def test_factorize_rejects_non_pd_clique():
         clique_factorize(entries, tree)
 
 
+# no separators: three disjoint cliques of sizes 3, 2 and 3
+MIXED_EDGES = [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (5, 7), (6, 7)]
+
+
+def _factorize_by_hand(entries, tree):
+    """The maximum-determinant completion one block at a time: each block
+    factored and inverted alone, the cliques summed in order, then the
+    separators, then the difference."""
+    sums = []
+    for blocks in (tree.cliques, [b for b in tree.separators if b]):
+        ld, K = 0.0, np.zeros(entries.shape)
+        for b in blocks:
+            block = entries[np.ix_(b, b)]
+            ld += 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(block))))
+            K[np.ix_(b, b)] += np.linalg.inv(block)
+        sums.append((ld, K))
+    (ld_c, K_c), (ld_s, K_s) = sums
+    K = K_c - K_s
+    return ld_c - ld_s, 0.5 * (K + K.T)
+
+
+@pytest.mark.parametrize("pattern", [
+    banded_pattern(12, 1), banded_pattern(12, 2), arrow_pattern(12),
+    SparsityPattern(8, MIXED_EDGES),
+], ids=["band-1", "band-2", "arrow", "mixed"])
+def test_clique_factorize_is_the_clique_sum_minus_the_separator_sum(pattern):
+    # bit for bit: the stacks change how the blocks are computed, not what
+    # is summed or in which order
+    n = pattern.n
+    a = np.random.default_rng(11).standard_normal((n, n))
+    m = a @ a.T + n * np.eye(n)
+    entries = pattern.restrict(0.5 * (m + m.T))
+    tree = is_chordal(pattern)
+    log_det, k = clique_factorize(entries, tree)
+    ref_log_det, ref_k = _factorize_by_hand(entries, tree)
+    assert log_det == ref_log_det
+    assert np.array_equal(k, ref_k)
+
+
 def test_factorize_rejects_nan_entry_and_names_first_failing_clique():
     tree = is_chordal(banded_pattern(5, 1))
     entries = tridiag_entries(np.random.default_rng(2), 5)
@@ -366,9 +405,9 @@ def test_factorize_rejects_nan_entry_and_names_first_failing_clique():
     with pytest.raises(CliqueBlockNotPD, match=r"\(2, 3\)"):
         clique_factorize(entries, tree)
     # cliques (0, 1, 2), (3, 4), (5, 6, 7): the blocks are stacked by size,
-    # and the failure named is still the first in tree order
-    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (5, 7), (6, 7)]
-    tree = is_chordal(SparsityPattern(8, edges))
+    # and the failure named is still the first in list order; the cliques
+    # are checked before the separators
+    tree = is_chordal(SparsityPattern(8, MIXED_EDGES))
     assert tree.cliques == [(0, 1, 2), (3, 4), (5, 6, 7)]
     entries = np.eye(8)
     entries[3, 4] = entries[4, 3] = entries[5, 6] = entries[6, 5] = 2.0
