@@ -6,11 +6,13 @@ L of A = L L'.  The factor is the source of truth; full matrices are
 reconstructed on demand.  Storage is dense and real -- the intended scale
 is desk-sized (n up to a few hundred) -- and only this module solves with it.
 
-A factor is modified in one way only: rank_one_update(B, u, v) returns the
-PDMatrix (L + u v')(L + u v')' for L = B.L.  Transposed, L + u v' is a
-rank-one change of the upper-triangular L', so a QR update re-triangularizes
-it in O(n^2) (Gill, Golub, Murray & Saunders, Math. Comp. 28, 1974) and the
-orthogonal factor drops out of the product.
+A factor is modified in one way only: rank_one_update(B, u, v, scale=c)
+returns the PDMatrix (c L + u v')(c L + u v')' for L = B.L.  Transposed,
+c L + u v' is a rank-one change of the upper-triangular c L', so a QR update
+re-triangularizes it in O(n^2) (Gill, Golub, Murray & Saunders, Math. Comp.
+28, 1974) and the orthogonal factor drops out of the product.  One step
+allocates two n x n arrays, the identity Q and the scaled copy of L' that
+becomes the new factor, and works in place on both.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ import numpy as np
 from scipy.linalg import qr_update
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import NotPositiveDefinite, require_array, require_count, require_type
+from .errors import NotPositiveDefinite, require_array, require_count, require_real, require_type
+
+# scipy >= 1.15 wraps qr_update to batch over leading dimensions; a single
+# factor needs only the kernel beneath, which gives the same bytes
+_qr_update = getattr(qr_update, "__wrapped__", qr_update)
 
 # Relative pivot tolerance: a factorization pivot at or below this fraction
 # of the largest diagonal entry is treated as a PD failure.
@@ -80,20 +86,22 @@ def cholesky_factorize(a) -> PDMatrix:
     return PDMatrix(L[0])
 
 
-def rank_one_update(B: PDMatrix, u, v) -> PDMatrix:
-    """The PDMatrix (L + u v')(L + u v')' for L = B.L.
+def rank_one_update(B: PDMatrix, u, v, scale=1.0) -> PDMatrix:
+    """The PDMatrix (c L + u v')(c L + u v')' for L = B.L and c = scale.
 
-    Runs a QR update of L' + v u' from Q = I, in place on private copies,
-    and flips the signs of R's rows so that its diagonal is positive; O(n^2).
-    Raises InvalidParameter unless u and v are real arrays of length n, and
-    NotPositiveDefinite when a pivot falls at or below PIVOT_RTOL times the
-    largest pivot, i.e. when L + u v' is numerically singular.
+    Runs a QR update of c L' + v u' from Q = I, in place on private copies
+    (Q, the scaled copy of L' and u and v), and flips the signs of R's rows
+    so that its diagonal is positive; R' is the new factor.  O(n^2).
+    Raises InvalidParameter unless u and v are real arrays of length n and
+    scale a finite real >= 0, and NotPositiveDefinite when a pivot falls at
+    or below PIVOT_RTOL times the largest pivot, i.e. when c L + u v' is
+    numerically singular, as it is for c = 0 unless n = 1.
     """
     n = require_type("B", B, PDMatrix).n
     u = require_array("u", u, (n,)).copy()
     v = require_array("v", v, (n,)).copy()
-    Q, R = np.eye(n, order="F"), np.array(B.L.T, order="F")
-    _, R = qr_update(Q, R, v, u, overwrite_qruv=True, check_finite=False)
+    R = np.multiply(B.L.T, require_real("scale", scale, 0.0, closed=True), order="F")
+    _, R = _qr_update(np.eye(n, order="F"), R, v, u, overwrite_qruv=True, check_finite=False)
     d = np.diag(R)
     pivots = d * d
     # negated so that a NaN pivot fails too
@@ -101,17 +109,19 @@ def rank_one_update(B: PDMatrix, u, v) -> PDMatrix:
         raise NotPositiveDefinite(
             f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * np.max(pivots):.3e}"
         )
-    return PDMatrix((np.sign(d)[:, None] * R).T)
+    R *= np.sign(d)[:, None]
+    return PDMatrix(R.T)
 
 
-def _solve_lower(L, b, transposed=False) -> np.ndarray:
+def _solve_lower(L, b, transposed=False, overwrite=False) -> np.ndarray:
     # L x = b, or L' x = b, for a vector or an n-row block: trtrs on the upper
     # L', as solve_triangular does for a C-ordered L.  A factor is finite by
-    # construction, and a non-finite b gives a non-finite x.
+    # construction, and a non-finite b gives a non-finite x.  overwrite lets
+    # trtrs solve in place in an F-ordered b, for private arrays only.
     if not isinstance(b, np.ndarray):
         b = require_array("b", b, None)
     b = require_array("b", b, (len(L),) + b.shape[1:2])
-    x, info = dtrtrs(L.T, b, lower=0, trans=0 if transposed else 1)
+    x, info = dtrtrs(L.T, b, lower=0, trans=0 if transposed else 1, overwrite_b=overwrite)
     if info != 0:
         raise NotPositiveDefinite(f"factor has a zero pivot at diagonal {info - 1}")
     return x
@@ -158,7 +168,9 @@ class PDMatrix:
         return _solve_lower(self.L, b)
 
     def inv(self) -> np.ndarray:
-        return _solve_lower(self.L, _solve_lower(self.L, np.eye(self.n)), transposed=True)
+        """A^{-1} as a new array, both solves in place in one F-ordered block."""
+        x = _solve_lower(self.L, np.eye(self.n, order="F"), overwrite=True)
+        return _solve_lower(self.L, x, transposed=True, overwrite=True)
 
     def matvec(self, x) -> np.ndarray:
         return self.L @ (self.L.T @ require_array("x", x, (self.n,)))

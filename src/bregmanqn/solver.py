@@ -352,7 +352,8 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     reason = ""
     for k in range(config.max_iter + 1):
         # x is rebound each step, never written in place, so the record
-        # holds it; b is copied, as a skipped step keeps the state
+        # holds it; b_matrix returns a new array, as a skipped step keeps
+        # the state
         with np.errstate(over="ignore"):
             det_b = float(family.det_b(state))
         records.append(
@@ -365,7 +366,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
                 det_b=det_b,
                 sty=sty,
                 skipped=skipped,
-                b=family.b_matrix(state).copy() if record_b else None,
+                b=family.b_matrix(state) if record_b else None,
                 nfev=counted.nfev,
                 ngev=counted.ngev,
             )

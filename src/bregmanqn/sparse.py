@@ -516,4 +516,5 @@ class SparseUpdateFamily:
         return state[0].det()
 
     def b_matrix(self, state) -> np.ndarray:
-        return state[0].matrix
+        """B as an array the caller owns."""
+        return state[0].matrix.copy()

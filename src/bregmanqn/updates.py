@@ -22,8 +22,9 @@ rank-one modification of the Cholesky factor L of B.  With q = L's/|L's|,
     J = sqrt(r) L + (y/sqrt(s'y) - sqrt(r) L q) q'
 
 maps q to y/sqrt(s'y) and has J J' = r * BFGS(B) + (1 - r) * y y'/(s'y)
-(Goldfarb, Math. Comp. 30, 1976); pdlinalg.rank_one_update re-triangularizes
-it.  The determinant needs no factor,
+(Goldfarb, Math. Comp. 30, 1976); pdlinalg.rank_one_update scales L by
+sqrt(r) as it copies it and re-triangularizes J.  The determinant needs no
+factor,
 
     log det BFGS(B) = log det B + log s'y - log s'Bs,
 
@@ -102,7 +103,7 @@ def _secant_mix(B: PDMatrix, pair: SecantPair, ratio) -> PDMatrix:
     root_r = np.sqrt(ratio(B.logdet + np.log(pair.curvature) - np.log(sBs)))
     q = Ls / np.sqrt(sBs)
     u = pair.y / np.sqrt(pair.curvature) - root_r * (L @ q)
-    return rank_one_update(PDMatrix(root_r * L), u, q)
+    return rank_one_update(B, u, q, scale=root_r)
 
 
 def bfgs_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
@@ -220,7 +221,11 @@ class UpdateFamily:
     def initial_state(self, B0: PDMatrix) -> PDMatrix:
         if self.potential is not None:
             self.potential.require_admissible(B0.n)
-        if self.inverse:
+        # B0 = I when its factor has n nonzero entries, all ones on the
+        # diagonal; then H0 is B0 itself, the bytes that inverting and
+        # factoring I give, found without an n x n temporary
+        L = B0.L
+        if self.inverse and not (np.count_nonzero(L) == B0.n and (np.diagonal(L) == 1.0).all()):
             return PDMatrix.from_matrix(B0.inv())
         return B0
 
@@ -242,6 +247,7 @@ class UpdateFamily:
         return state.det()
 
     def b_matrix(self, state: PDMatrix) -> np.ndarray:
+        """B as an array the caller owns."""
         if self.inverse:
             return state.inv()
-        return state.matrix
+        return state.matrix.copy()

@@ -100,6 +100,8 @@ PARAMETERS = [
     ("check_gradient(h=)", lambda v: check_gradient(_SPEC.objective, _SPEC.start, h=v), 0.0),
     ("power_potential(gamma)", power_potential, 1.5),
     ("bounded_potential(c)", bounded_potential, -0.2),
+    ("rank_one_update(scale=)",
+     lambda v: rank_one_update(PDMatrix.identity(3), np.ones(3), np.ones(3), scale=v), -1.0),
     ("quadratic condition number", lambda v: _quadratic(v, 3, 0), 0.5),
 ]
 

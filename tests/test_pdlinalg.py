@@ -2,13 +2,14 @@ import re
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr_update, solve_triangular
 
 from bregmanqn import (
     InvalidParameter,
     NotPositiveDefinite,
     PDMatrix,
     cholesky_factorize,
+    pdlinalg,
     rank_one_update,
 )
 from bregmanqn.pdlinalg import _solve_lower
@@ -118,6 +119,51 @@ def test_update_does_not_mutate_input():
         assert np.array_equal(arr, old)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 300])
+def test_the_qr_kernel_gives_the_public_functions_bytes(n):
+    # scipy >= 1.15 wraps qr_update to batch; the module calls the kernel
+    # beneath, and on an older scipy the public function itself
+    if not hasattr(qr_update, "__wrapped__"):
+        assert pdlinalg._qr_update is qr_update
+        return
+    rng = np.random.default_rng(n)
+    R0 = np.array(cholesky_factorize(random_pd(rng, n)).L.T, order="F")
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    got = [f(np.eye(n, order="F"), R0.copy(order="F"), u.copy(), v.copy(),
+             overwrite_qruv=True, check_finite=False)[1]
+           for f in (qr_update, pdlinalg._qr_update)]
+    assert pdlinalg._qr_update is qr_update.__wrapped__
+    assert got[0].tobytes() == got[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_a_scaled_update_gives_the_bytes_of_the_update_of_the_scaled_factor(n):
+    # scale multiplies L as the update copies it, with the bytes of a
+    # separately scaled factor; the input factor stays as it was
+    rng = np.random.default_rng(n)
+    B = cholesky_factorize(random_pd(rng, n))
+    L = B.L.copy()
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    for scale in (1.0, 0.3, np.sqrt(2.5)):
+        got = rank_one_update(B, u, v, scale=scale)
+        want = rank_one_update(PDMatrix(scale * B.L), u, v)
+        assert got.L.tobytes() == want.L.tobytes()
+        assert got.logdet == want.logdet
+        assert not np.shares_memory(got.L, B.L)
+    assert np.array_equal(B.L, L)
+
+
+def test_a_zero_scale_leaves_the_rank_one_term_alone():
+    # u v' is PD only at n = 1, where it is the update of the zero factor
+    B = PDMatrix(np.array([[3.0]]))
+    with np.errstate(divide="ignore"):
+        want = rank_one_update(PDMatrix(np.zeros((1, 1))), np.array([2.0]), np.array([-1.5]))
+    got = rank_one_update(B, np.array([2.0]), np.array([-1.5]), scale=0.0)
+    assert got.L.tobytes() == want.L.tobytes() == np.array([[3.0]]).tobytes()
+    with pytest.raises(NotPositiveDefinite):
+        rank_one_update(PDMatrix.identity(2), np.ones(2), np.ones(2), scale=0.0)
+
+
 def test_update_rejects_vectors_of_the_wrong_length():
     f = cholesky_factorize(np.eye(3))
     for u, v in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones((3, 1)))):
@@ -176,6 +222,34 @@ def test_triangular_solves_give_solve_triangulars_bytes(n):
         x = solve_triangular(B.L, b, lower=True)
         want = solve_triangular(B.L, x, lower=True, trans=1)
         assert B.solve(b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 40, 300])
+def test_inv_gives_the_solve_triangular_chains_bytes(n):
+    # inv solves in place in one F-ordered block, with the bytes of two
+    # solve_triangular calls on the identity
+    rng = np.random.default_rng(n)
+    A = cholesky_factorize(random_pd(rng, n))
+    for B in (A, rank_one_update(A, 0.1 * rng.standard_normal(n), rng.standard_normal(n))):
+        x = solve_triangular(B.L, np.eye(n), lower=True)
+        want = solve_triangular(B.L, x, lower=True, trans=1)
+        got = B.inv()
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.f_contiguous and not np.shares_memory(got, B.L)
+
+
+def test_solves_leave_the_callers_b_untouched():
+    # only inv overwrites, and only its own arrays; an F-ordered b, which
+    # trtrs could take in place, is copied as a C-ordered one is
+    rng = np.random.default_rng(8)
+    B = cholesky_factorize(random_pd(rng, 6))
+    for b in (rng.standard_normal(6), rng.standard_normal((6, 3)),
+              np.asfortranarray(rng.standard_normal((6, 3)))):
+        before = b.copy()
+        for solve in (B.solve, B.solve_factor):
+            x = solve(b)
+            assert np.array_equal(b, before)
+            assert not np.shares_memory(x, b)
 
 
 def test_triangular_solve_rejects_a_zero_pivot_and_a_mismatched_rhs():

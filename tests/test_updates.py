@@ -290,6 +290,20 @@ def test_self_scaling_secant_and_pd():
         cholesky_factorize(out.matrix)
 
 
+def test_scaled_updates_leave_their_inputs_and_share_no_memory_with_them():
+    # the sqrt(r) scaling happens in the update's own copy of the factor
+    rng = np.random.default_rng(12)
+    b, pair = random_case(rng, 6)
+    before = b.L.copy(), pair.s.copy(), pair.y.copy()
+    for update in (lambda: v_bfgs_update(b, pair, bounded_potential(0.5)),
+                   lambda: self_scaling_update(b, pair)):
+        out = update()
+        assert out.logdet != b.logdet  # r != 1
+        for arr, old in zip((b.L, pair.s, pair.y), before):
+            assert np.array_equal(arr, old)
+        assert not np.shares_memory(out.L, b.L)
+
+
 def test_scaling_equation_residual_and_power_closed_form():
     for pot in POTS:
         for n in (2, 4, 8):
@@ -394,3 +408,42 @@ def test_family_rejects_a_potential_that_is_not_one():
         with pytest.raises(InvalidParameter):
             UpdateFamily(kind, log_potential())
         assert replace(UpdateFamily(kind)) == UpdateFamily(kind)
+
+
+@pytest.mark.parametrize("spec", ["dfp", "vdfp:log"])
+@pytest.mark.parametrize("n", [1, 5, 300])
+def test_the_inverse_of_an_identity_b0_is_b0_itself(spec, n):
+    # H0 = I^{-1} skips the inversion and the factorization, with their bytes
+    fam = UpdateFamily.from_string(spec)
+    eye = PDMatrix.identity(n)
+    h0 = fam.initial_state(eye)
+    assert h0 is eye
+    want = PDMatrix.from_matrix(PDMatrix.identity(n).inv())
+    assert h0.L.tobytes() == want.L.tobytes() and h0.logdet == want.logdet
+
+
+@pytest.mark.parametrize("spec", ["dfp", "vdfp:log"])
+def test_the_inverse_of_any_other_b0_is_its_inverse(spec):
+    rng = np.random.default_rng(13)
+    fam = UpdateFamily.from_string(spec)
+    for b0 in (random_case(rng, 5)[0], PDMatrix(2.0 * np.eye(5)),
+               PDMatrix(np.eye(5) + np.diag(np.full(4, 0.5), -1))):
+        h0 = fam.initial_state(b0)
+        assert h0 is not b0
+        assert np.abs(h0.matrix @ b0.matrix - np.eye(5)).max() < 1e-10
+
+
+@pytest.mark.parametrize("spec", ["bfgs", "dfp", "vdfp:log", "selfscale"])
+def test_b_matrix_returns_an_array_the_caller_owns(spec):
+    rng = np.random.default_rng(14)
+    b0, pair = random_case(rng, 4)
+    fam = UpdateFamily.from_string(spec)
+    state = fam.apply(fam.initial_state(b0), pair)
+    got = fam.b_matrix(state)
+    assert np.allclose(got, state.inv() if fam.inverse else state.matrix)
+    assert not np.shares_memory(got, state.matrix)
+    assert not np.shares_memory(got, fam.b_matrix(state))
+    sparse = SparseUpdateFamily(UpdateFamily("bfgs"), banded_pattern(4, 1), 1, 1)
+    state = sparse.initial_state(PDMatrix.identity(4))
+    assert np.array_equal(sparse.b_matrix(state), np.eye(4))
+    assert not np.shares_memory(sparse.b_matrix(state), state[0].matrix)
