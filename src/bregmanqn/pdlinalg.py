@@ -103,11 +103,12 @@ def rank_one_update(B: PDMatrix, u, v, scale=1.0) -> PDMatrix:
     R = np.multiply(B.L.T, require_real("scale", scale, 0.0, closed=True), order="F")
     _, R = _qr_update(np.eye(n, order="F"), R, v, u, overwrite_qruv=True, check_finite=False)
     d = np.diag(R)
-    pivots = d * d
-    # negated so that a NaN pivot fails too
-    if not np.min(pivots) > PIVOT_RTOL * np.max(pivots):
+    # the pivots d^2 compared through |d|, which stays finite and nonzero
+    # wherever the factor does; negated so that a NaN pivot fails too
+    a = np.abs(d)
+    if not np.min(a) > np.sqrt(PIVOT_RTOL) * np.max(a):
         raise NotPositiveDefinite(
-            f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * np.max(pivots):.3e}"
+            f"factor diagonal {np.min(a):.3e} at or below sqrt({PIVOT_RTOL}) times {np.max(a):.3e}"
         )
     R *= np.sign(d)[:, None]
     return PDMatrix(R.T)

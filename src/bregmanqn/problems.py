@@ -55,7 +55,7 @@ def _quadratic(cond, n, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.logspace(0.0, np.log10(cond), n)
-    A = Q @ np.diag(eigs) @ Q.T
+    A = (Q * eigs) @ Q.T
     A = 0.5 * (A + A.T)
 
     def value(x):

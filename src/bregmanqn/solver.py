@@ -327,13 +327,14 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     first evaluation.  f must be a real scalar and the gradient a real
     array of shape (n,) at every point, else InvalidParameter is raised
     by the evaluation that returned it.  Each record holds its own
-    iterate x_k, which the run never writes into.  record_b stores each
-    B_k densely (n^2 per iterate) for invariance comparisons.
+    iterate x_k, which the run never writes into.  record_b stores a copy
+    of the state's B_k (n^2 per iterate) for invariance comparisons.
     """
     B0, config = _check_start(obj, B0, config)
     x = require_array("x0", x0, (obj.n,), finite=True).copy()
     family = config.update_family
     state = family.initial_state(B0)
+    del B0  # the state alone holds B0, which can go with the first update
     # f and g are evaluated once per accepted point: at x0 here, then by
     # the line search, whose values are carried into the next step
     counted = _CountingObjective(obj)

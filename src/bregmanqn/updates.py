@@ -13,24 +13,24 @@ where det B+ is pinned by the scalar scaling equation
 
 whose left-over log-form zeta(z) = log z - (n-1) log nu(z) is strictly
 increasing for admissible potentials.  For the log potential (KL, Fletcher's
-variational problem) nu is constant and r = 1: that is BFGS, and DFP is the
-same step on the inverse approximation with the secant roles swapped.
+variational problem) nu is constant and r = 1: that is BFGS.  The problem
+posed on H = B^{-1} with s and y swapped is the dual side,
+H+ = r * BFGS(H; y, s) + (1 - r) * s s'/(s'y), DFP for r = 1.
 
-BFGS (r = 1), the weighted rule and self-scaling (r = theta) are all one
-rank-one modification of the Cholesky factor L of B.  With q = L's/|L's|,
+Either side is one rank-one change of the Cholesky factor L of B, with
+rho = 1/s'y; the primal enters through L's, the dual through z = L^{-1}y:
 
-    J = sqrt(r) L + (y/sqrt(s'y) - sqrt(r) L q) q'
+    primal   J = sqrt(r) L + (sqrt(rho) y - sqrt(r) L q) q',   q = L's/|L's|
+    dual     J = (L - rho y (L's)' + sqrt(r rho) y z'/|z|) / sqrt(r)
 
-maps q to y/sqrt(s'y) and has J J' = r * BFGS(B) + (1 - r) * y y'/(s'y)
-(Goldfarb, Math. Comp. 30, 1976); pdlinalg.rank_one_update scales L by
-sqrt(r) as it copies it and re-triangularizes J.  The determinant needs no
-factor,
-
-    log det BFGS(B) = log det B + log s'y - log s'Bs,
-
-so r is known before the factor is touched.  DFP is the same step on the
-inverse, dfp_update(B; s, y)^{-1} = bfgs_update(B^{-1}; y, s), so the
-solver carries H = B^{-1} for dfp as it does for vdfp.
+The primal J maps q to sqrt(rho) y, and J J' = B+ (Goldfarb, Math. Comp.
+30, 1976).  In the dual, (I - rho y s') L = L - rho y (L's)' maps z to 0,
+so r J J' = (I - rho y s') B (I - rho s y') + r rho y y', which is r H+^{-1}
+by Sherman-Morrison, as DFP(B) s = y.  pdlinalg.rank_one_update scales L
+by sqrt(r) or 1/sqrt(r) as it copies it and re-triangularizes J.  Neither
+log det BFGS(B) = log det B + log s'y - log |L's|^2 nor
+log det BFGS(H; y, s) = log s'y - log det B - log |z|^2 needs a factor, so
+r is known before the factor is touched.
 """
 
 from __future__ import annotations
@@ -74,12 +74,6 @@ class SecantPair:
     def n(self) -> int:
         return self.s.shape[0]
 
-    def swapped(self) -> "SecantPair":
-        """The pair with s and y exchanged; it shares this pair's arrays."""
-        pair = object.__new__(SecantPair)
-        pair.s, pair.y, pair.curvature = self.y, self.s, self.curvature
-        return pair
-
     def __repr__(self):
         return f"SecantPair(n={self.n}, curvature={self.curvature:.6g})"
 
@@ -106,6 +100,31 @@ def _secant_mix(B: PDMatrix, pair: SecantPair, ratio) -> PDMatrix:
     return rank_one_update(B, u, q, scale=root_r)
 
 
+def _dual_mix(B: PDMatrix, pair: SecantPair, ratio) -> PDMatrix:
+    """[r * BFGS(H; y, s) + (1 - r) * s s'/(s'y)]^{-1}, H = B^{-1}, in one
+    rank-one factor step.
+
+    ratio maps log det BFGS(H; y, s) to the weight r > 0.
+    """
+    _require_pair_length(B, pair)
+    z = B.solve_factor(pair.y)
+    zz = float(z @ z)
+    root_r = np.sqrt(ratio(np.log(pair.curvature) - B.logdet - np.log(zz)))
+    rho = 1.0 / pair.curvature
+    v = np.sqrt(rho) * (z / np.sqrt(zz)) - (rho / root_r) * (B.L.T @ pair.s)
+    return rank_one_update(B, pair.y, v, scale=1.0 / root_r)
+
+
+def _nu_ratio(pot: Potential, n: int, ld: float, ld_bfgs: float) -> float:
+    """nu(det S+) / nu(det S) on a side S of dimension n and log det ld,
+    det S+ the scaling equation's root at log det BFGS(S) = ld_bfgs."""
+    pot.require_admissible(n)
+    log_nu_b = pot.log_nu_ld(ld)
+    log_c = ld_bfgs - (n - 1) * log_nu_b
+    ld_star = solve_det_equation(log_c, n - 1, pot, log_c + (n - 1) * log_nu_b)
+    return float(np.exp(pot.log_nu_ld(ld_star) - log_nu_b))
+
+
 def bfgs_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     """BFGS: B - Bss'B/(s'Bs) + yy'/(s'y), computed on the factor."""
     return _secant_mix(B, pair, lambda ld_bfgs: 1.0)
@@ -115,9 +134,10 @@ def dfp_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     """DFP: (I - ys'/(s'y)) B (I - sy'/(s'y)) + yy'/(s'y).
 
     Dense sandwich plus one fresh factorization; inverse-dual to BFGS, i.e.
-    dfp_update(B; s, y)^{-1} = bfgs_update(B^{-1}; y, s).  Not on the dense
-    solver path, which carries the inverse and takes that BFGS step (see
-    UpdateFamily); sparse algorithm 1 and the tests need B itself.
+    dfp_update(B; s, y)^{-1} = bfgs_update(B^{-1}; y, s).  Kept for sparse
+    algorithm 1 and the tests: its exact V's = 0, V = I - sy'/(s'y), holds
+    the secant equation more tightly than the dense solver's dual factor
+    step (see UpdateFamily) when B+ is badly conditioned.
     """
     _require_pair_length(B, pair)
     s, y, sty = pair.s, pair.y, pair.curvature
@@ -137,16 +157,7 @@ def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:
     exactly one: the factor step is bfgs_update's bit for bit.
     """
     require_type("pot", pot, Potential)
-
-    def ratio(ld_bfgs):
-        n = B.n
-        pot.require_admissible(n)
-        log_nu_b = pot.log_nu_ld(B.logdet)
-        log_c = ld_bfgs - (n - 1) * log_nu_b
-        ld_star = solve_det_equation(log_c, n - 1, pot, log_c + (n - 1) * log_nu_b)
-        return float(np.exp(pot.log_nu_ld(ld_star) - log_nu_b))
-
-    return _secant_mix(B, pair, ratio)
+    return _secant_mix(B, pair, lambda ld_bfgs: _nu_ratio(pot, B.n, B.logdet, ld_bfgs))
 
 
 def self_scaling_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
@@ -165,14 +176,13 @@ def self_scaling_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
 class UpdateFamily:
     """A side and a ratio rule, named by kind.
 
-    Every family steps to r * BFGS(S) + (1 - r) * y y'/(s'y) on a side S.
-    The side is B, or the inverse H = B^{-1} for dfp and vdfp:
-    min D_V(B^{-1}, H) over {B : Bs = y} is, with K = B^{-1}, the problem
-    min D_V(K, H) over {K : Ky = s}, so H steps with s and y swapped.
+    Every family steps to r * BFGS(S) + (1 - r) * y y'/(s'y) on a side S:
+    B for bfgs, vbfgs and selfscale, H = B^{-1} for dfp and vdfp (min
+    D_V(B^{-1}, H) over {B : Bs = y} is min D_V(K, H) over {K : Ky = s}).
     The rule is a potential's scaling-equation root, the log potential's
-    r = 1 for bfgs and dfp, or, for selfscale (potential None),
-    theta = s'y / s'Bs at every step.  The solver-facing methods hide
-    which side is stored.
+    r = 1 for bfgs and dfp, or, for selfscale (potential None), theta =
+    s'y / s'Bs at every step.  The state is B for every kind: the dual
+    step too is one rank-one change of B's factor (module docstring).
     """
 
     kind: str
@@ -211,43 +221,31 @@ class UpdateFamily:
 
     @property
     def inverse(self) -> bool:
-        """True when the carried state is H = B^{-1} (dfp and vdfp)."""
+        """True on the dual side (dfp and vdfp), whose Wolfe searches start
+        every first trial at alpha_init; minimize reads it for that alone."""
         return self.kind in ("dfp", "vdfp")
 
-    # --- solver-facing state protocol ------------------------------------
-    # State is a PDMatrix: the approximation B itself, or its inverse H
-    # when self.inverse.
+    # --- solver-facing state protocol: the state is the PDMatrix B -------
 
     def initial_state(self, B0: PDMatrix) -> PDMatrix:
         if self.potential is not None:
             self.potential.require_admissible(B0.n)
-        # B0 = I when its factor has n nonzero entries, all ones on the
-        # diagonal; then H0 is B0 itself, the bytes that inverting and
-        # factoring I give, found without an n x n temporary
-        L = B0.L
-        if self.inverse and not (np.count_nonzero(L) == B0.n and (np.diagonal(L) == 1.0).all()):
-            return PDMatrix.from_matrix(B0.inv())
         return B0
 
     def direction(self, state: PDMatrix, gradient) -> np.ndarray:
-        if self.inverse:
-            return -state.matvec(gradient)
         return -state.solve(gradient)
 
     def apply(self, state: PDMatrix, pair: SecantPair) -> PDMatrix:
-        if self.inverse:
-            pair = pair.swapped()
-        if self.potential is None:
+        pot = self.potential
+        if pot is None:
             return self_scaling_update(state, pair)
-        return v_bfgs_update(state, pair, self.potential)
+        if self.kind in ("bfgs", "vbfgs"):
+            return v_bfgs_update(state, pair, pot)
+        return _dual_mix(state, pair, lambda ld: _nu_ratio(pot, state.n, -state.logdet, ld))
 
     def det_b(self, state: PDMatrix) -> float:
-        if self.inverse:
-            return float(np.exp(-state.logdet))
         return state.det()
 
     def b_matrix(self, state: PDMatrix) -> np.ndarray:
         """B as an array the caller owns."""
-        if self.inverse:
-            return state.inv()
         return state.matrix.copy()

@@ -153,6 +153,22 @@ def test_a_scaled_update_gives_the_bytes_of_the_update_of_the_scaled_factor(n):
     assert np.array_equal(B.L, L)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_the_pivot_test_holds_at_any_factor_scale(n):
+    # a diagonal of 2^+-600 squares past float64's range: the test used to
+    # read an overflowing pivot as inf <= inf and an underflowing one as 0
+    rng = np.random.default_rng(17)
+    B = cholesky_factorize(random_pd(rng, n))
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    want = rank_one_update(B, u, v).L
+    for k in (-600, 600):
+        got = rank_one_update(PDMatrix(2.0**k * B.L), 2.0**k * u, v).L
+        assert np.abs(got / 2.0**k - want).max() <= 1e-14 * np.abs(want).max()
+    big = 2.0**600
+    with pytest.raises(NotPositiveDefinite):
+        rank_one_update(PDMatrix(big * np.eye(2)), -big * np.ones(2), np.array([1.0, 0.0]))
+
+
 def test_a_zero_scale_leaves_the_rank_one_term_alone():
     # u v' is PD only at n = 1, where it is the update of the zero factor
     B = PDMatrix(np.array([[3.0]]))

@@ -47,6 +47,17 @@ def test_quadratic_condition_number():
     assert eigs[-1] / eigs[0] == pytest.approx(100.0, rel=1e-10)
 
 
+def test_the_quadratic_holds_q_diag_q_transposed_to_the_byte():
+    # A is built as (Q * eigs) @ Q.T, with the bytes of Q diag(eigs) Q':
+    # the gradient at a unit vector is A's column exactly
+    for n, cond, seed in ((1, 1.0, 0), (2, 10.0, 3), (10, 1e3, 7), (60, 1e6, 11)):
+        spec = get_problem(f"quadratic:{cond:g}:{n}", seed=seed)
+        got = np.column_stack([spec.objective.gradient(e) for e in np.eye(n)])
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        want = Q @ np.diag(np.logspace(0.0, np.log10(cond), n)) @ Q.T
+        assert got.tobytes() == (0.5 * (want + want.T)).tobytes()
+
+
 def test_extended_powell_shape():
     spec = get_problem("extended-powell:12")
     assert spec.n == 12

@@ -1,6 +1,8 @@
 """Driver loop: line searches, convergence, invariance, skipped updates."""
 
 import re
+import sys
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -234,7 +236,7 @@ def test_vbfgs_log_reproduces_bfgs_iterates():
 
 @pytest.mark.parametrize("name", ["rosenbrock", "quadratic:100:30"])
 def test_dfp_reproduces_vdfp_log_bit_for_bit(name):
-    # both carry H = B^{-1} and take the log potential's step on (y, s)
+    # both take the log potential's dual step on B's factor
     spec = get_problem(name, seed=3)
     ta = minimize(spec.objective, spec.start, config=SolverConfig("dfp"), record_b=True)
     tb = minimize(spec.objective, spec.start, config=SolverConfig("vdfp:log"),
@@ -280,6 +282,34 @@ def test_dense_dfp_takes_one_rank_one_step_per_update():
     assert steps > 0
     assert dfp.call_count == 0
     assert r1.call_count == steps
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a caller keeps its call's arguments until the call returns")
+@pytest.mark.parametrize("sparse", [False, True])
+def test_minimize_lets_go_of_b0_after_the_first_update(sparse):
+    # B0 is handed over with no other reference; a weakref to its factor
+    # (PDMatrix has no __weakref__ slot) dies once the state moves on
+    spec = get_problem("broyden-tridiagonal:10")
+    family, sparsity = ("bfgs", (spec.pattern, 2, 1)) if sparse else ("dfp", None)
+    config = SolverConfig(family, sparsity=sparsity)
+    refs, alive = [], []
+
+    def gradient(x):
+        alive.append(refs[0]() is not None)
+        return spec.objective.gradient(x)
+
+    def fresh_b0():
+        b0 = PDMatrix.identity(spec.n)
+        refs.append(weakref.ref(b0.L))
+        return b0
+
+    obj = Objective(spec.n, spec.objective.value, gradient)
+    trace = minimize(obj, spec.start, fresh_b0(), config)
+    assert trace.status == "Converged" and not trace.records[1].skipped
+    first = trace.records[1].ngev  # gradient evaluations up to the first update
+    assert all(alive[:first]) and not any(alive[first:])
+    assert len(alive) > first
 
 
 def counting_objective(obj):

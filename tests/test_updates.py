@@ -65,20 +65,6 @@ def test_secant_pair_validation():
             SecantPair(np.array(s), np.array(y))
     p = SecantPair(np.array([1.0, 2.0]), np.array([3.0, 1.0]))
     assert p.curvature == pytest.approx(5.0)
-    sw = p.swapped()
-    assert np.array_equal(sw.s, p.y) and np.array_equal(sw.y, p.s)
-
-
-def test_swapped_shares_the_pair_s_arrays_and_curvature():
-    # it rebuilt the pair, rerunning the array rule and s'y on both copies
-    rng = np.random.default_rng(49)
-    s = rng.standard_normal(20)
-    p = SecantPair(s, s + 0.1 * rng.standard_normal(20))
-    sw = p.swapped()
-    assert sw.s is p.y and sw.y is p.s and sw.curvature == p.curvature
-    assert sw.curvature == SecantPair(p.y, p.s).curvature
-    back = sw.swapped()
-    assert back.s is p.s and back.y is p.y and back.curvature == p.curvature
 
 
 def test_updates_reject_a_pair_of_the_wrong_length():
@@ -90,7 +76,7 @@ def test_updates_reject_a_pair_of_the_wrong_length():
         self_scaling_update,
         lambda b, pair: v_bfgs_update(b, pair, log_potential()),
         lambda b, pair: v_bfgs_update(b, pair, power_potential(0.1)),
-        lambda b, pair: v_bfgs_update(b, pair.swapped(), bounded_potential(0.4)),
+        UpdateFamily("vdfp", bounded_potential(0.4)).apply,
     )
     for n in (3, 6):
         b, _ = random_case(rng, n)
@@ -137,7 +123,7 @@ def test_bfgs_dfp_duality():
         b, pair = random_case(rng, n)
         lhs = np.linalg.inv(bfgs_update(b, pair).matrix)
         binv = PDMatrix.from_matrix(np.linalg.inv(b.matrix))
-        rhs = dfp_update(binv, pair.swapped()).matrix
+        rhs = dfp_update(binv, SecantPair(pair.y, pair.s)).matrix
         assert np.abs(lhs - rhs).max() < 1e-9 * np.abs(rhs).max()
 
 
@@ -192,8 +178,8 @@ def test_v_dfp_log_collapse():
         n = int(rng.integers(2, 8))
         b, pair = random_case(rng, n)
         h = PDMatrix.from_matrix(np.linalg.inv(b.matrix))
-        hp = v_bfgs_update(h, pair.swapped(), pot)
-        assert np.array_equal(hp.L, bfgs_update(h, pair.swapped()).L)
+        hp = v_bfgs_update(h, SecantPair(pair.y, pair.s), pot)
+        assert np.array_equal(hp.L, bfgs_update(h, SecantPair(pair.y, pair.s)).L)
 
 
 def assert_collapse_beyond_exp_range(pot):
@@ -210,8 +196,8 @@ def assert_collapse_beyond_exp_range(pot):
         v_bfgs_update(b, pair, pot).L, bfgs_update(b, pair).L
     )
     assert np.array_equal(
-        v_bfgs_update(b, pair.swapped(), pot).L,
-        bfgs_update(b, pair.swapped()).L,
+        v_bfgs_update(b, SecantPair(pair.y, pair.s), pot).L,
+        bfgs_update(b, SecantPair(pair.y, pair.s)).L,
     )
 
 
@@ -236,7 +222,7 @@ def test_bounded_update_beyond_exp_range():
     bp = v_bfgs_update(b, pair, pot)
     assert np.abs(bp.matrix @ pair.s - pair.y).max() <= 1e-10 * np.abs(pair.y).max()
     cholesky_factorize(bp.matrix)
-    hp = v_bfgs_update(b, pair.swapped(), pot)
+    hp = v_bfgs_update(b, SecantPair(pair.y, pair.s), pot)
     assert np.abs(hp.matrix @ pair.y - pair.s).max() <= 1e-10 * np.abs(pair.s).max()
     cholesky_factorize(hp.matrix)
 
@@ -260,7 +246,7 @@ def test_v_dfp_secant_all_potentials():
             n = int(rng.integers(2, 9))
             b, pair = random_case(rng, n)
             h = PDMatrix.from_matrix(np.linalg.inv(b.matrix))
-            hp = v_bfgs_update(h, pair.swapped(), pot)
+            hp = v_bfgs_update(h, SecantPair(pair.y, pair.s), pot)
             # inverse-space secant: H' y = s
             assert np.abs(hp.matrix @ pair.y - pair.s).max() <= 1e-10 * (
                 1 + np.abs(pair.s).max()
@@ -410,40 +396,90 @@ def test_family_rejects_a_potential_that_is_not_one():
         assert replace(UpdateFamily(kind)) == UpdateFamily(kind)
 
 
-@pytest.mark.parametrize("spec", ["dfp", "vdfp:log"])
-@pytest.mark.parametrize("n", [1, 5, 300])
-def test_the_inverse_of_an_identity_b0_is_b0_itself(spec, n):
-    # H0 = I^{-1} skips the inversion and the factorization, with their bytes
-    fam = UpdateFamily.from_string(spec)
-    eye = PDMatrix.identity(n)
-    h0 = fam.initial_state(eye)
-    assert h0 is eye
-    want = PDMatrix.from_matrix(PDMatrix.identity(n).inv())
-    assert h0.L.tobytes() == want.L.tobytes() and h0.logdet == want.logdet
+SPECS = ("bfgs", "dfp", "vbfgs:bounded:c=0.5", "vdfp:log", "vdfp:power:gamma=-0.25", "selfscale")
 
 
-@pytest.mark.parametrize("spec", ["dfp", "vdfp:log"])
-def test_the_inverse_of_any_other_b0_is_its_inverse(spec):
+@pytest.mark.parametrize("spec", SPECS)
+def test_every_kind_carries_b_itself(spec):
+    # one side for every family: no inversion of B0, and the direction is
+    # -B^{-1} g on the state B
     rng = np.random.default_rng(13)
     fam = UpdateFamily.from_string(spec)
-    for b0 in (random_case(rng, 5)[0], PDMatrix(2.0 * np.eye(5)),
-               PDMatrix(np.eye(5) + np.diag(np.full(4, 0.5), -1))):
-        h0 = fam.initial_state(b0)
-        assert h0 is not b0
-        assert np.abs(h0.matrix @ b0.matrix - np.eye(5)).max() < 1e-10
+    for b0 in (random_case(rng, 5)[0], PDMatrix.identity(5), PDMatrix(2.0 * np.eye(5))):
+        assert fam.initial_state(b0) is b0
+        g = rng.standard_normal(5)
+        d = fam.direction(b0, g)
+        assert np.abs(b0.matvec(d) + g).max() <= 1e-12 * np.abs(g).max()
 
 
-@pytest.mark.parametrize("spec", ["bfgs", "dfp", "vdfp:log", "selfscale"])
+@pytest.mark.parametrize("spec", SPECS)
 def test_b_matrix_returns_an_array_the_caller_owns(spec):
     rng = np.random.default_rng(14)
     b0, pair = random_case(rng, 4)
     fam = UpdateFamily.from_string(spec)
     state = fam.apply(fam.initial_state(b0), pair)
     got = fam.b_matrix(state)
-    assert np.allclose(got, state.inv() if fam.inverse else state.matrix)
+    assert np.array_equal(got, state.matrix)
     assert not np.shares_memory(got, state.matrix)
     assert not np.shares_memory(got, fam.b_matrix(state))
+    assert fam.det_b(state) == state.det()
     sparse = SparseUpdateFamily(UpdateFamily("bfgs"), banded_pattern(4, 1), 1, 1)
     state = sparse.initial_state(PDMatrix.identity(4))
     assert np.array_equal(sparse.b_matrix(state), np.eye(4))
     assert not np.shares_memory(sparse.b_matrix(state), state[0].matrix)
+
+
+DUAL_SPECS = ("dfp", "vdfp:log", "vdfp:bounded:c=0.5", "vdfp:power:gamma=-0.25")
+
+
+def scaled_case(rng, n, logdet):
+    """(B, pair, c) with log det B = logdet: B = c^2 B^ and the pair
+    (s^/c, c y^), so that y = c y^ = c A s^ is at B's scale for every
+    logdet; B^ and A are well-conditioned PD matrices."""
+    a, m = rng.standard_normal((2, n, n))
+    b_hat = PDMatrix.from_matrix(a @ a.T / n + np.eye(n))
+    s = rng.standard_normal(n)
+    y = (m @ m.T / n + np.eye(n)) @ s
+    c = np.exp((logdet - b_hat.logdet) / (2 * n))
+    return PDMatrix(c * b_hat.L), SecantPair(s / c, c * y), c
+
+
+def inverse_factor(L):
+    """A lower factor of (L L')^{-1}: with L^{-1} = QR, (L L')^{-1} = R'R."""
+    r = np.linalg.qr(np.linalg.inv(L), mode="r")
+    return (np.sign(np.diag(r))[:, None] * r).T
+
+
+@pytest.mark.parametrize("spec", DUAL_SPECS)
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 200])
+def test_the_dual_step_is_the_inverse_of_the_step_on_h(spec, n):
+    # B+ = [r BFGS(H; y, s) + (1 - r) ss'/s'y]^{-1} for H = B^{-1}, the
+    # step v_bfgs_update takes on H with the pair swapped.  Compared at
+    # unit scale, B+ / c^2 against the inverse of c^2 H+, as a float64
+    # matrix holds neither B+ nor H+ at |log det| = 1000 and n = 1.
+    rng = np.random.default_rng(15 + n)
+    fam = UpdateFamily.from_string(spec)
+    for logdet in (-1000.0, 0.0, 1000.0):
+        b, pair, c = scaled_case(rng, n, logdet)
+        assert b.logdet == pytest.approx(logdet, rel=1e-12, abs=1e-9)
+        h = PDMatrix(inverse_factor(b.L / c) / c)
+        hp = v_bfgs_update(h, SecantPair(pair.y, pair.s), fam.potential)
+        bp = fam.apply(b, pair)
+        got = PDMatrix(bp.L / c)
+        want = np.linalg.inv(PDMatrix(hp.L * c).matrix)
+        assert np.abs(got.matrix - want).max() <= 1e-12 * np.abs(want).max(), (logdet, n)
+        # the secant equation B+ s = y at test_update_properties' tolerance,
+        # as (B+ / c^2)(c s) = y / c, and PD
+        y_hat = pair.y / c
+        assert np.linalg.norm(got.matvec(c * pair.s) - y_hat) <= 1e-10 * np.linalg.norm(y_hat)
+        assert np.isfinite(bp.L).all() and (np.diag(bp.L) > 0).all()
+        cholesky_factorize(got.matrix)
+
+
+def test_dfp_and_vdfp_log_take_the_same_dual_step_to_the_byte():
+    rng = np.random.default_rng(16)
+    dfp, vdfp = UpdateFamily("dfp"), UpdateFamily("vdfp", log_potential())
+    for n in (1, 2, 5, 40, 200):
+        for logdet in (-1000.0, 0.0, 1000.0):
+            b, pair, _ = scaled_case(rng, n, logdet)
+            assert dfp.apply(b, pair).L.tobytes() == vdfp.apply(b, pair).L.tobytes()
