@@ -40,6 +40,10 @@ CURVATURE_SKIP_RTOL = 1e-12
 # the way from the bracket's low end to the failed step.
 BACKTRACK_MIN_FRAC = 0.2
 BACKTRACK_MAX_FRAC = 0.5
+# While the bracket is open, a curvature failure at t extrapolates to at
+# least this multiple of t; the dual side's first trial is the same
+# multiple of the step that repeats the last first-order decrease.
+EXTRAPOLATE = 2.0
 
 
 @dataclass
@@ -189,27 +193,31 @@ class _CountingObjective:
         return require_array("gradient", self._obj.gradient(x), (self.n,))
 
 
-def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
+def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None, df_prev=None):
     """Step length satisfying the (weak) Wolfe conditions.
 
-    The first trial is params.alpha_init or, when f_prev (f at the
-    previous iterate) is given, min(alpha_init, 1.01 * 2 (f_prev - f0) /
-    -g0'd): the minimizer of the quadratic with slope g0'd whose minimum
-    lies 1.01 times the last decrease below f0 (Nocedal & Wright 2006,
-    eq. 3.60), ignored unless finite and positive.  The bracket [lo, hi]
-    starts at [0, inf).  An Armijo failure at t sets hi = t and backtracks
-    by safeguarded quadratic interpolation from lo (Dennis & Schnabel 1983,
-    section 6.3); a curvature failure sets lo = t and, while hi is
-    infinite, extrapolates to max(2t, alpha_init), so a cautious first
-    trial goes straight to the unit step, else takes the midpoint.  The
-    search fails once the next trial coincides with an end of the bracket
-    or params.max_trials trials are spent.  Deterministic, so two runs
-    related by a linear change of variables take identical branches until
-    float noise separates them.
+    The first trial is params.alpha_init, lowered by either of two
+    candidates, each ignored unless finite and positive:
+    - given f_prev (f at the previous iterate), 1.01 * 2 (f_prev - f0) /
+      -g0'd, the minimizer of the quadratic with slope g0'd whose minimum
+      lies 1.01 times the last decrease below f0 (Nocedal & Wright 2006,
+      eq. 3.60);
+    - given df_prev (the previous step's first-order change
+      alpha_{k-1} g_{k-1}'d_{k-1}), EXTRAPOLATE * df_prev / g0'd, twice
+      the step whose first-order change repeats it (eq. 3.59).
+    The bracket [lo, hi] starts at [0, inf).  An Armijo failure at t sets
+    hi = t and backtracks by safeguarded quadratic interpolation from lo
+    (Dennis & Schnabel 1983, section 6.3); a curvature failure sets lo = t
+    and, while hi is infinite, extrapolates to max(2t, alpha_init), so a
+    cautious first trial goes straight to the unit step, else takes the
+    midpoint.  The search fails once the next trial coincides with an end
+    of the bracket or params.max_trials trials are spent.  Deterministic,
+    so two runs related by a linear change of variables take identical
+    branches until float noise separates them.
     f0 and g0 are f and its gradient at x, evaluated here when omitted;
     the returned f and g are the values the conditions were tested with
     at the accepted point, so a caller can carry them to the next step.
-    f0, f_prev, g0 and every f and gradient evaluated here take
+    f0, f_prev, df_prev, g0 and every f and gradient evaluated here take
     minimize's output rule: real scalars and real arrays of shape (n,).
     """
     require_type("params", params, LineSearchParams)
@@ -231,6 +239,11 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
         t_interp = 1.01 * 2.0 * (f_prev - f0) / -g0d
         if np.isfinite(t_interp) and t_interp > 0.0:
             t = min(t, t_interp)
+    if df_prev is not None:
+        df_prev = float(require_array("df_prev", df_prev, ()))
+        t_dual = EXTRAPOLATE * df_prev / g0d
+        if np.isfinite(t_dual) and t_dual > 0.0:
+            t = min(t, t_dual)
     lo, hi = 0.0, np.inf
     f_lo, dphi_lo = f0, g0d
     for _ in range(params.max_trials):
@@ -244,7 +257,7 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None):
             if gtd >= params.c2 * g0d:
                 return LineSearchResult(t, ft, gt)
             lo, f_lo, dphi_lo = t, ft, gtd
-            t = max(2.0 * t, alpha_init) if np.isinf(hi) else 0.5 * (lo + hi)
+            t = max(EXTRAPOLATE * t, alpha_init) if np.isinf(hi) else 0.5 * (lo + hi)
         if t == lo or t == hi:
             raise LineSearchFail(f"Wolfe bracket collapsed at step {t!r}")
     raise LineSearchFail(f"no Wolfe step within {params.max_trials} trials")
@@ -340,15 +353,16 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     counted = _CountingObjective(obj)
     f, g = counted.value(x), counted.gradient(x)
     gn = float(np.linalg.norm(g))
-    # The Wolfe search's first trial is interpolated from the last decrease
-    # for the BFGS-side families only: DFP-type updates lack BFGS's
-    # self-correction under the shorter inexact steps this gives (Powell
-    # 1986; Byrd, Nocedal & Yuan 1987), so they start every search at
-    # alpha_init.
-    carry_f_prev = not family.inverse
+    # Every Wolfe search after the first takes its first trial from the
+    # last step.  The BFGS-side families interpolate it from the last
+    # decrease in f (f_prev).  DFP-type updates lack BFGS's
+    # self-correction under the short steps that rule gives (Powell 1986;
+    # Byrd, Nocedal & Yuan 1987), so the dual side passes the last
+    # first-order change alpha g'd (df_prev) and opens at twice the step
+    # that repeats it.
     params = config.line_search
     records = []
-    f_prev = alpha = sty = None
+    f_prev = df_prev = alpha = sty = None
     skipped = False
     reason = ""
     for k in range(config.max_iter + 1):
@@ -380,10 +394,15 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
             if params.method == "exact":
                 alpha, f_new, g_new = _exact_line_search(counted, x, d, params, g)
             else:
-                alpha, f_new, g_new = wolfe_line_search(counted, x, d, params, f, g, f_prev)
+                alpha, f_new, g_new = wolfe_line_search(
+                    counted, x, d, params, f, g, f_prev, df_prev)
         except LineSearchFail as exc:
             status, reason = "LineSearchFail", str(exc)
             break
+        if family.inverse:
+            df_prev = alpha * float(g @ d)
+        else:
+            f_prev = f
         x_new = x + alpha * d
         s = x_new - x
         y = g_new - g
@@ -396,8 +415,6 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
             except BregmanQNError as exc:
                 status, reason = "UpdateFail", str(exc)
                 break
-        if carry_f_prev:
-            f_prev = f
         x, f, g, gn = x_new, f_new, g_new, float(np.linalg.norm(g_new))
     return SolverTrace(records, status, counted.nfev, counted.ngev, reason)
 

@@ -581,12 +581,14 @@ def test_wolfe_line_search_checks_a_plain_objective_at_every_trial(case):
 
 def test_wolfe_line_search_checks_the_f_values_it_is_given():
     # a text f0 raised TypeError, a one-element f0 made the step an array,
-    # and a text f_prev was parsed
+    # and a text f_prev was parsed; df_prev takes the same rule
     spec = get_problem("rosenbrock")
     obj, x = spec.objective, spec.start
     f, g = obj.value(x), obj.gradient(x)
     for kwargs in ({"f0": "1.0"}, {"f0": np.array([f])}, {"f0": 1j},
-                   {"f_prev": "30.0"}, {"f_prev": np.array([f + 1.0])}, {"f_prev": True}):
+                   {"f_prev": "30.0"}, {"f_prev": np.array([f + 1.0])}, {"f_prev": True},
+                   {"df_prev": "-1.0"}, {"df_prev": np.array([-1.0])}, {"df_prev": True},
+                   {"df_prev": 1j}):
         with pytest.raises(InvalidParameter, match="must be a real array of shape"):
             wolfe_line_search(obj, x, -g, LineSearchParams(), **kwargs)
     given = wolfe_line_search(obj, x, -g, LineSearchParams(), np.float64(f), g, np.array(f + 1.0))
@@ -656,16 +658,18 @@ def test_collapsed_bracket_ends_run_with_reason():
 
 
 @pytest.mark.parametrize("family", ["bfgs", "dfp", "vdfp:log"])
-def test_first_wolfe_trial_is_interpolated_for_bfgs_side_families(family):
+def test_first_wolfe_trial_comes_from_the_last_step(family):
     # the BFGS-side families pass the previous iterate's f, from which the
-    # search interpolates its first trial; the DFP-type families pass None
-    # and start every search at alpha_init
+    # search interpolates its first trial; the DFP-type families pass the
+    # previous step's first-order change alpha g'd instead; the first
+    # search of a run gets neither
     real = bregmanqn.solver.wolfe_line_search
     calls = []
 
-    def spy(obj, x, d, params, f0=None, g0=None, f_prev=None):
-        calls.append((f0, f_prev))
-        return real(obj, x, d, params, f0, g0, f_prev)
+    def spy(obj, x, d, params, f0=None, g0=None, f_prev=None, df_prev=None):
+        result = real(obj, x, d, params, f0, g0, f_prev, df_prev)
+        calls.append((f0, f_prev, df_prev, result.alpha * float(g0 @ d)))
+        return result
 
     spec = get_problem("rosenbrock")
     with mock.patch.object(bregmanqn.solver, "wolfe_line_search", spy):
@@ -673,12 +677,37 @@ def test_first_wolfe_trial_is_interpolated_for_bfgs_side_families(family):
                          config=SolverConfig(family, grad_tol=1e-6))
     assert trace.status == "Converged"
     assert len(calls) == trace.iterations
-    assert [f0 for f0, _ in calls] == [r.f for r in trace.records[:-1]]
+    assert [f0 for f0, _, _, _ in calls] == [r.f for r in trace.records[:-1]]
+    f_prevs = [f_prev for _, f_prev, _, _ in calls]
+    df_prevs = [df_prev for _, _, df_prev, _ in calls]
+    assert f_prevs[0] is None and df_prevs[0] is None
     if family == "bfgs":
-        assert [f_prev for _, f_prev in calls] == [None] + [
-            r.f for r in trace.records[:-2]]
+        assert f_prevs[1:] == [r.f for r in trace.records[:-2]]
+        assert all(df_prev is None for df_prev in df_prevs)
     else:
-        assert all(f_prev is None for _, f_prev in calls)
+        assert all(f_prev is None for f_prev in f_prevs)
+        # bit for bit alpha_{k-1} g_{k-1}'d_{k-1} of the spy's previous call
+        assert df_prevs[1:] == [change for _, _, _, change in calls[:-1]]
+
+
+def test_dfp_converges_on_rosenbrock_from_most_nearby_starts():
+    # with every search opening at alpha_init, dfp converged from 18 of
+    # these 80 starts (the catalog start and 79 perturbed by 2%); doubling
+    # the step that repeats the last first-order decrease takes it to 44
+    spec = get_problem("rosenbrock")
+    starts = [spec.start] + [
+        spec.start * (1.0 + 0.02 * np.random.default_rng(k).standard_normal(2))
+        for k in range(1, 80)]
+    cfg = SolverConfig("dfp", grad_tol=1e-6, max_iter=200)
+    traces = [minimize(spec.objective, x0, config=cfg) for x0 in starts]
+    assert sum(t.status == "Converged" for t in traces) >= 40
+    # vdfp:log is dfp: the same steps, evaluations and end point
+    cfg_log = SolverConfig("vdfp:log", grad_tol=1e-6, max_iter=200)
+    for x0, trace in list(zip(starts, traces))[:5]:
+        other = minimize(spec.objective, x0, config=cfg_log)
+        assert (other.status, other.iterations, other.nfev, other.ngev) == (
+            trace.status, trace.iterations, trace.nfev, trace.ngev)
+        assert np.array_equal(other.final.x, trace.final.x)
 
 
 @pytest.mark.parametrize("family, algorithm, T, counts", [
@@ -1080,12 +1109,20 @@ def test_invariance_under_unimodular_transforms():
     # every family in the catalog commutes with det-1 changes of variables
     spec = get_problem("quadratic:20:3", seed=3)
     for fam in ("bfgs", "vbfgs:log", "vbfgs:power:gamma=0.2",
-                "vbfgs:bounded:c=0.5"):
+                "vbfgs:bounded:c=0.5", "dfp", "vdfp:log", "vdfp:bounded:c=0.5"):
         cfg = SolverConfig(UpdateFamily.from_string(fam), grad_tol=1e-8)
         for seed in (0, 1, 2):
             T = seeded_transform(3, seed, 1.0)
             rep = invariance_check(spec.objective, spec.start, None, T, cfg)
             assert rep.invariant, (fam, seed, rep.x_dev, rep.b_dev)
+    # the dual side's first trial 2 alpha g'd / g'd is unchanged under
+    # x -> Tx; on Rosenbrock it sets every search from k = 1 on
+    spec = get_problem("rosenbrock")
+    for seed in (0, 1, 2):
+        T = seeded_transform(2, seed, 1.0)
+        rep = invariance_check(spec.objective, spec.start, None, T,
+                               SolverConfig("dfp", grad_tol=1e-8), k_max=20)
+        assert rep.k_used == 20 and rep.invariant, (seed, rep.x_dev, rep.b_dev)
 
 
 def test_invariance_check_runs_only_the_compared_iterates():
