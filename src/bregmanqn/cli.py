@@ -245,10 +245,10 @@ def _cmd_compare(args):
         for label, trace in rows
     ]
     _write_table(out, columns, table, args.format)
-    for row in table:
+    for row, (_, trace) in zip(table, rows):
         print(
-            f"{row[0]} {row[1]}: {row[2]} iters={row[3]} f={row[4]:.6e} "
-            f"|grad|={row[5]:.3e}"
+            f"{row[0]} {row[1]}: {row[2]} iters={row[3]} nfev={trace.nfev} "
+            f"ngev={trace.ngev} f={row[4]:.6e} |grad|={row[5]:.3e}"
         )
     print(f"summary -> {out}")
     return 0 if all(trace.status == "Converged" for _, trace in rows) else 2

@@ -41,8 +41,9 @@ CURVATURE_SKIP_RTOL = 1e-12
 BACKTRACK_MIN_FRAC = 0.2
 BACKTRACK_MAX_FRAC = 0.5
 # While the bracket is open, a curvature failure at t extrapolates to at
-# least this multiple of t; the dual side's first trial is the same
-# multiple of the step that repeats the last first-order decrease.
+# least this multiple of t.  After a search that never failed Armijo, and
+# whose step may therefore be short, the dual side's next first trial is
+# the same multiple of the step that repeats the last first-order change.
 EXTRAPOLATE = 2.0
 
 
@@ -202,9 +203,10 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None, df_prev=
       -g0'd, the minimizer of the quadratic with slope g0'd whose minimum
       lies 1.01 times the last decrease below f0 (Nocedal & Wright 2006,
       eq. 3.60);
-    - given df_prev (the previous step's first-order change
-      alpha_{k-1} g_{k-1}'d_{k-1}), EXTRAPOLATE * df_prev / g0'd, twice
-      the step whose first-order change repeats it (eq. 3.59).
+    - given df_prev (a target first-order change), df_prev / g0'd, the
+      step whose first-order change is df_prev (eq. 3.59).  The caller
+      picks the target; minimize passes a multiple of the last step's
+      alpha_{k-1} g_{k-1}'d_{k-1}.
     The bracket [lo, hi] starts at [0, inf).  An Armijo failure at t sets
     hi = t and backtracks by safeguarded quadratic interpolation from lo
     (Dennis & Schnabel 1983, section 6.3); a curvature failure sets lo = t
@@ -241,7 +243,7 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None, df_prev=
             t = min(t, t_interp)
     if df_prev is not None:
         df_prev = float(require_array("df_prev", df_prev, ()))
-        t_dual = EXTRAPOLATE * df_prev / g0d
+        t_dual = df_prev / g0d
         if np.isfinite(t_dual) and t_dual > 0.0:
             t = min(t, t_dual)
     lo, hi = 0.0, np.inf
@@ -357,9 +359,13 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     # last step.  The BFGS-side families interpolate it from the last
     # decrease in f (f_prev).  DFP-type updates lack BFGS's
     # self-correction under the short steps that rule gives (Powell 1986;
-    # Byrd, Nocedal & Yuan 1987), so the dual side passes the last
-    # first-order change alpha g'd (df_prev) and opens at twice the step
-    # that repeats it.
+    # Byrd, Nocedal & Yuan 1987), so the dual side targets a first-order
+    # change (df_prev) built from the last one, alpha g'd: twice it after
+    # a search that never failed Armijo, whose step may be short, and it
+    # alone after one that backtracked, whose step the bracket's
+    # interpolation already placed.  A Wolfe trial evaluates the gradient
+    # only when Armijo holds, so the search backtracked exactly when it
+    # spent more f than gradient evaluations.
     params = config.line_search
     records = []
     f_prev = df_prev = alpha = sty = None
@@ -400,7 +406,9 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
             status, reason = "LineSearchFail", str(exc)
             break
         if family.inverse:
-            df_prev = alpha * float(g @ d)
+            backtracked = (counted.nfev - records[-1].nfev
+                           > counted.ngev - records[-1].ngev)
+            df_prev = (1.0 if backtracked else EXTRAPOLATE) * alpha * float(g @ d)
         else:
             f_prev = f
         x_new = x + alpha * d

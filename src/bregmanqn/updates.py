@@ -222,8 +222,9 @@ class UpdateFamily:
     @property
     def inverse(self) -> bool:
         """True on the dual side (dfp and vdfp), whose Wolfe searches take
-        their first trial from the last step's first-order decrease instead
-        of the last decrease in f; minimize reads it for that alone."""
+        their first trial from the last step's first-order decrease,
+        doubled unless that step's search backtracked, instead of the last
+        decrease in f; minimize reads it for that alone."""
         return self.kind in ("dfp", "vdfp")
 
     # --- solver-facing state protocol: the state is the PDMatrix B -------

@@ -290,7 +290,7 @@ def test_config_file_rejections(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read config file")
 
 
-def test_compare_summary(tmp_path):
+def test_compare_summary(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     rc = run_command([
         "compare", "--families", "vbfgs:log,bfgs,dfp", "--out", str(out),
@@ -304,6 +304,17 @@ def test_compare_summary(tmp_path):
     assert [r[1] for r in rows[1:]] == ["bfgs", "dfp", "vbfgs:log"]
     for r in rows[1:]:
         assert r[2] == "Converged"
+    # each row's stdout line carries its run's evaluation counts after
+    # iters=, as solve's does
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[3] == f"summary -> {out}"
+    spec = get_problem("rosenbrock")
+    for line, row in zip(lines, rows[1:]):
+        trace = minimize(spec.objective, spec.start,
+                         config=SolverConfig(row[1], grad_tol=1e-6))
+        assert line.startswith(
+            f"rosenbrock {row[1]}: Converged iters={row[3]} "
+            f"nfev={trace.nfev} ngev={trace.ngev} f="), line
 
 
 @pytest.mark.parametrize("families, solves", [

@@ -79,9 +79,9 @@ def make_case(kind, n, seed, d_log2_scale):
     # the previous iterate's f is absent or above f0 by 2**k |g0'd|, so that
     # interpolated first trials fall on both sides of 1
     decrease_log2=st.one_of(st.none(), st.integers(-30, 3)),
-    # the previous step's first-order change is absent, 0, or +-2**k |g0'd|:
-    # the dual-side first trial 2 df_prev / g0'd = -+2**(k+1) then falls
-    # on both sides of 1, or is ignored when not positive
+    # the target first-order change is absent, 0, or +-2**k |g0'd|: the
+    # dual-side first trial df_prev / g0'd = -+2**k then falls on both
+    # sides of 1, or is ignored when not positive
     first_order=st.one_of(
         st.none(), st.just(0),
         st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(-30, 3))),
@@ -120,7 +120,7 @@ def test_wolfe_search_properties(kind, n, seed, d_log2_scale, c1, c2, decrease_l
         if np.isfinite(t_interp) and t_interp > 0.0:
             first = min(first, t_interp)
     if df_prev is not None:
-        t_dual = 2.0 * df_prev / g0d
+        t_dual = df_prev / g0d
         if np.isfinite(t_dual) and t_dual > 0.0:
             first = min(first, t_dual)
     assert steps[0] == first, (steps[0], first)

@@ -657,43 +657,91 @@ def test_collapsed_bracket_ends_run_with_reason():
     assert trace.iterations == 0
 
 
-@pytest.mark.parametrize("family", ["bfgs", "dfp", "vdfp:log"])
-def test_first_wolfe_trial_comes_from_the_last_step(family):
-    # the BFGS-side families pass the previous iterate's f, from which the
-    # search interpolates its first trial; the DFP-type families pass the
-    # previous step's first-order change alpha g'd instead; the first
-    # search of a run gets neither
+class _TrialLog:
+    # an objective that records each trial of a Wolfe search and whether
+    # the search went on to the gradient there, which it does exactly
+    # when Armijo holds
+    def __init__(self, obj):
+        self.n, self.obj, self.trials = obj.n, obj, []
+
+    def value(self, x):
+        self.trials.append([x.copy(), False])
+        return self.obj.value(x)
+
+    def gradient(self, x):
+        assert np.array_equal(self.trials[-1][0], x)
+        self.trials[-1][1] = True
+        return self.obj.gradient(x)
+
+
+def _run_watching_searches(spec, config):
+    # minimize with every Wolfe search spied on: one entry per search, of
+    # (f0, f_prev, df_prev, alpha g0'd, [Armijo held at each trial])
     real = bregmanqn.solver.wolfe_line_search
     calls = []
 
     def spy(obj, x, d, params, f0=None, g0=None, f_prev=None, df_prev=None):
-        result = real(obj, x, d, params, f0, g0, f_prev, df_prev)
-        calls.append((f0, f_prev, df_prev, result.alpha * float(g0 @ d)))
+        log = _TrialLog(obj)
+        result = real(log, x, d, params, f0, g0, f_prev, df_prev)
+        calls.append((f0, f_prev, df_prev, result.alpha * float(g0 @ d),
+                      [armijo for _, armijo in log.trials]))
         return result
 
-    spec = get_problem("rosenbrock")
     with mock.patch.object(bregmanqn.solver, "wolfe_line_search", spy):
-        trace = minimize(spec.objective, spec.start,
-                         config=SolverConfig(family, grad_tol=1e-6))
-    assert trace.status == "Converged"
+        trace = minimize(spec.objective, spec.start, config=config)
     assert len(calls) == trace.iterations
-    assert [f0 for f0, _, _, _ in calls] == [r.f for r in trace.records[:-1]]
-    f_prevs = [f_prev for _, f_prev, _, _ in calls]
-    df_prevs = [df_prev for _, _, df_prev, _ in calls]
+    return trace, calls
+
+
+@pytest.mark.parametrize("family", ["bfgs", "dfp", "vdfp:log"])
+def test_first_wolfe_trial_comes_from_the_last_step(family):
+    # the BFGS-side families pass the previous iterate's f, from which the
+    # search interpolates its first trial; the DFP-type families pass a
+    # target first-order change instead: 2 alpha g'd of the previous step
+    # after a search with no Armijo failure, alpha g'd itself after one
+    # that had a failure; the first search of a run gets neither
+    trace, calls = _run_watching_searches(
+        get_problem("rosenbrock"), SolverConfig(family, grad_tol=1e-6))
+    assert trace.status == "Converged"
+    assert [call[0] for call in calls] == [r.f for r in trace.records[:-1]]
+    f_prevs = [call[1] for call in calls]
+    df_prevs = [call[2] for call in calls]
     assert f_prevs[0] is None and df_prevs[0] is None
     if family == "bfgs":
         assert f_prevs[1:] == [r.f for r in trace.records[:-2]]
         assert all(df_prev is None for df_prev in df_prevs)
     else:
         assert all(f_prev is None for f_prev in f_prevs)
-        # bit for bit alpha_{k-1} g_{k-1}'d_{k-1} of the spy's previous call
-        assert df_prevs[1:] == [change for _, _, _, change in calls[:-1]]
+        # bit for bit alpha_{k-1} g_{k-1}'d_{k-1}, doubled unless the
+        # spy's previous call had an Armijo failure
+        failed = [not all(armijo) for *_, armijo in calls[:-1]]
+        assert df_prevs[1:] == [call[3] if fail else 2.0 * call[3]
+                                for call, fail in zip(calls, failed)]
+        # both branches occur on this run
+        assert set(failed) == {False, True}
+
+
+def test_dfp_first_trials_on_a_quadratic_stop_failing_every_time():
+    # doubling the step that repeats the last first-order change after
+    # every search put each first trial of this run near the far root of
+    # the parabola, where f is back at f0: 86 of 86 failed Armijo.  Taking
+    # the change as it is after a search that backtracked fails 56 of 108.
+    # The trade: the near-exact steps cost iterations here (86 -> 108),
+    # and over dense-large seeds 0-9 f evaluations fall 41,650 -> 40,354
+    # while gradient evaluations rise 32,663 -> 32,995 and iterations
+    # 31,960 -> 32,244
+    trace, calls = _run_watching_searches(
+        get_problem("quadratic:100:300", seed=1), SolverConfig("dfp", grad_tol=1e-6))
+    assert trace.status == "Converged"
+    first_failed = sum(not armijo[0] for *_, armijo in calls)
+    assert first_failed <= 0.6 * len(calls), (first_failed, len(calls))
 
 
 def test_dfp_converges_on_rosenbrock_from_most_nearby_starts():
     # with every search opening at alpha_init, dfp converged from 18 of
     # these 80 starts (the catalog start and 79 perturbed by 2%); doubling
-    # the step that repeats the last first-order decrease takes it to 44
+    # the step that repeats the last first-order decrease took it to 44,
+    # and doubling it only after a search with no Armijo failure to 46
     spec = get_problem("rosenbrock")
     starts = [spec.start] + [
         spec.start * (1.0 + 0.02 * np.random.default_rng(k).standard_normal(2))
@@ -1115,8 +1163,11 @@ def test_invariance_under_unimodular_transforms():
             T = seeded_transform(3, seed, 1.0)
             rep = invariance_check(spec.objective, spec.start, None, T, cfg)
             assert rep.invariant, (fam, seed, rep.x_dev, rep.b_dev)
-    # the dual side's first trial 2 alpha g'd / g'd is unchanged under
-    # x -> Tx; on Rosenbrock it sets every search from k = 1 on
+    # the dual side's first trial 2 alpha g'd / g'd, or alpha g'd / g'd
+    # after a search with an Armijo failure, is unchanged under x -> Tx,
+    # and so is which of the two is taken; on Rosenbrock it sets every
+    # search from k = 1 on, and k = 1 already takes the factor-1 branch,
+    # since the first search always backtracks from the unit step
     spec = get_problem("rosenbrock")
     for seed in (0, 1, 2):
         T = seeded_transform(2, seed, 1.0)
