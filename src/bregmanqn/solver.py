@@ -194,19 +194,13 @@ class _CountingObjective:
         return require_array("gradient", self._obj.gradient(x), (self.n,))
 
 
-def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None, df_prev=None):
+def wolfe_line_search(obj, x, d, params, f0=None, g0=None, df_prev=None):
     """Step length satisfying the (weak) Wolfe conditions.
 
-    The first trial is params.alpha_init, lowered by either of two
-    candidates, each ignored unless finite and positive:
-    - given f_prev (f at the previous iterate), 1.01 * 2 (f_prev - f0) /
-      -g0'd, the minimizer of the quadratic with slope g0'd whose minimum
-      lies 1.01 times the last decrease below f0 (Nocedal & Wright 2006,
-      eq. 3.60);
-    - given df_prev (a target first-order change), df_prev / g0'd, the
-      step whose first-order change is df_prev (eq. 3.59).  The caller
-      picks the target; minimize passes a multiple of the last step's
-      alpha_{k-1} g_{k-1}'d_{k-1}.
+    The first trial is params.alpha_init, lowered to df_prev / g0'd, the
+    step whose first-order change is the target df_prev (Nocedal & Wright
+    2006, eq. 3.59), when that is finite and positive; minimize builds the
+    target from the last step.
     The bracket [lo, hi] starts at [0, inf).  An Armijo failure at t sets
     hi = t and backtracks by safeguarded quadratic interpolation from lo
     (Dennis & Schnabel 1983, section 6.3); a curvature failure sets lo = t
@@ -219,7 +213,7 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None, df_prev=
     f0 and g0 are f and its gradient at x, evaluated here when omitted;
     the returned f and g are the values the conditions were tested with
     at the accepted point, so a caller can carry them to the next step.
-    f0, f_prev, df_prev, g0 and every f and gradient evaluated here take
+    f0, df_prev, g0 and every f and gradient evaluated here take
     minimize's output rule: real scalars and real arrays of shape (n,).
     """
     require_type("params", params, LineSearchParams)
@@ -234,18 +228,11 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None, df_prev=
         raise LineSearchFail("search direction is not a descent direction")
 
     t = alpha_init = params.alpha_init
-    if f_prev is not None:
-        # in Python floats, so an overflow or inf - inf gives inf or nan
-        # without a RuntimeWarning
-        f_prev = float(require_array("f_prev", f_prev, ()))
-        t_interp = 1.01 * 2.0 * (f_prev - f0) / -g0d
-        if np.isfinite(t_interp) and t_interp > 0.0:
-            t = min(t, t_interp)
     if df_prev is not None:
-        df_prev = float(require_array("df_prev", df_prev, ()))
-        t_dual = df_prev / g0d
-        if np.isfinite(t_dual) and t_dual > 0.0:
-            t = min(t, t_dual)
+        # in Python floats, so an overflow gives inf without a RuntimeWarning
+        t_first = float(require_array("df_prev", df_prev, ())) / g0d
+        if np.isfinite(t_first) and t_first > 0.0:
+            t = min(t, t_first)
     lo, hi = 0.0, np.inf
     f_lo, dphi_lo = f0, g0d
     for _ in range(params.max_trials):
@@ -267,13 +254,16 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, f_prev=None, df_prev=
 
 def _exact_line_search(obj, x, d, params, g0):
     """Minimize f along x + alpha*d by solving dphi(alpha) = 0, where
-    dphi(0) = g0'd; f is evaluated once more at the root, and g too unless
-    dphi already evaluated it there.  A non-finite f there fails the search."""
-    grads = {}
+    dphi(0) = g0'd; dphi evaluates the gradient once per new alpha and
+    reuses it after, so the root finder's calls at the bracket's ends are
+    free.  f is evaluated once more at the root, and g too unless dphi
+    already evaluated it there.  A non-finite f there fails the search."""
+    grads = {0.0: g0}
 
     def dphi(a):
-        g = grads[a] = obj.gradient(x + a * d)
-        return float(g @ d)
+        if a not in grads:
+            grads[a] = obj.gradient(x + a * d)
+        return float(grads[a] @ d)
 
     d0 = float(g0 @ d)
     if not np.isfinite(d0) or d0 >= 0.0:
@@ -355,20 +345,22 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     counted = _CountingObjective(obj)
     f, g = counted.value(x), counted.gradient(x)
     gn = float(np.linalg.norm(g))
-    # Every Wolfe search after the first takes its first trial from the
-    # last step.  The BFGS-side families interpolate it from the last
-    # decrease in f (f_prev).  DFP-type updates lack BFGS's
-    # self-correction under the short steps that rule gives (Powell 1986;
-    # Byrd, Nocedal & Yuan 1987), so the dual side targets a first-order
-    # change (df_prev) built from the last one, alpha g'd: twice it after
-    # a search that never failed Armijo, whose step may be short, and it
-    # alone after one that backtracked, whose step the bracket's
+    # Every Wolfe search after the first opens at the step whose
+    # first-order change is a target df_prev built from the last step.
+    # The BFGS-side families target 1.01 * 2 (f_k - f_{k-1}): the
+    # minimizer of the quadratic with the current slope whose minimum lies
+    # 1.01 times the last decrease below f (Nocedal & Wright 2006, eq.
+    # 3.60).  DFP-type updates lack BFGS's self-correction under the short
+    # steps that rule gives (Powell 1986; Byrd, Nocedal & Yuan 1987), so
+    # the dual side targets the last first-order change, alpha g'd: twice
+    # it after a search that never failed Armijo, whose step may be short,
+    # and it alone after one that backtracked, whose step the bracket's
     # interpolation already placed.  A Wolfe trial evaluates the gradient
     # only when Armijo holds, so the search backtracked exactly when it
     # spent more f than gradient evaluations.
     params = config.line_search
     records = []
-    f_prev = df_prev = alpha = sty = None
+    df_prev = alpha = sty = None
     skipped = False
     reason = ""
     for k in range(config.max_iter + 1):
@@ -400,8 +392,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
             if params.method == "exact":
                 alpha, f_new, g_new = _exact_line_search(counted, x, d, params, g)
             else:
-                alpha, f_new, g_new = wolfe_line_search(
-                    counted, x, d, params, f, g, f_prev, df_prev)
+                alpha, f_new, g_new = wolfe_line_search(counted, x, d, params, f, g, df_prev)
         except LineSearchFail as exc:
             status, reason = "LineSearchFail", str(exc)
             break
@@ -410,7 +401,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
                            > counted.ngev - records[-1].ngev)
             df_prev = (1.0 if backtracked else EXTRAPOLATE) * alpha * float(g @ d)
         else:
-            f_prev = f
+            df_prev = 1.01 * 2.0 * (f_new - f)
         x_new = x + alpha * d
         s = x_new - x
         y = g_new - g

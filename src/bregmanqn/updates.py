@@ -221,10 +221,8 @@ class UpdateFamily:
 
     @property
     def inverse(self) -> bool:
-        """True on the dual side (dfp and vdfp), whose Wolfe searches take
-        their first trial from the last step's first-order decrease,
-        doubled unless that step's search backtracked, instead of the last
-        decrease in f; minimize reads it for that alone."""
+        """True on the dual side (dfp and vdfp); minimize reads it for one
+        thing alone, to pick the side's target for the first Wolfe trial."""
         return self.kind in ("dfp", "vdfp")
 
     # --- solver-facing state protocol: the state is the PDMatrix B -------

@@ -76,32 +76,40 @@ def make_case(kind, n, seed, d_log2_scale):
     # so larger c1 are drawn too to reach the upper clip
     c1=st.sampled_from([1e-4, 0.1, 0.3, 0.45]),
     c2=st.sampled_from([0.5, 0.9]),
-    # the previous iterate's f is absent or above f0 by 2**k |g0'd|, so that
-    # interpolated first trials fall on both sides of 1
-    decrease_log2=st.one_of(st.none(), st.integers(-30, 3)),
-    # the target first-order change is absent, 0, or +-2**k |g0'd|: the
-    # dual-side first trial df_prev / g0'd = -+2**k then falls on both
-    # sides of 1, or is ignored when not positive
-    first_order=st.one_of(
-        st.none(), st.just(0),
+    # the target first-order change is absent, or built as minimize
+    # builds the BFGS side's from a previous f above f0 by 2**k |g0'd|, so
+    # that interpolated first trials fall on both sides of 1, or a dual
+    # target 0 or +-2**k |g0'd|: the first trial df_prev / g0'd = -+2**k
+    # then falls on both sides of 1, or is ignored when not positive
+    target=st.one_of(
+        st.none(),
+        st.tuples(st.just("f_prev"), st.integers(-30, 3)),
+        st.just(0),
         st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(-30, 3))),
 )
-def test_wolfe_search_properties(kind, n, seed, d_log2_scale, c1, c2, decrease_log2,
-                                 first_order):
+def test_wolfe_search_properties(kind, n, seed, d_log2_scale, c1, c2, target):
     value, gradient, u0, d = make_case(kind, n, seed, d_log2_scale)
     obj, trials = spied_objective(value, gradient, u0, n)
     x = np.zeros(n)
     f0, g0 = value(u0), gradient(u0)
     g0d = float(g0 @ d)
     assume(g0d < 0.0)
-    f_prev = None if decrease_log2 is None else f0 + 2.0 ** decrease_log2 * -g0d
-    if first_order in (None, 0):
-        df_prev = first_order
+    # the first trial is alpha_init, or the target's step when smaller,
+    # finite and positive (f0 + a tiny decrease can round back to f0)
+    if target in (None, 0):
+        df_prev = t_first = target
+    elif target[0] == "f_prev":
+        f_prev = f0 + 2.0 ** target[1] * -g0d
+        df_prev = 1.01 * 2.0 * (f0 - f_prev)
+        # the BFGS side's target opens at the eq. 3.60 step bit for bit,
+        # written here from f_prev as Nocedal & Wright state it
+        t_first = 1.01 * 2.0 * (f_prev - f0) / -g0d
     else:
-        sign, k = first_order
+        sign, k = target
         df_prev = sign * 2.0 ** k * abs(g0d)
+        t_first = df_prev / g0d
     p = LineSearchParams(c1=c1, c2=c2)
-    alpha, fa, ga = wolfe_line_search(obj, x, d, p, f0, g0, f_prev, df_prev)
+    alpha, fa, ga = wolfe_line_search(obj, x, d, p, f0, g0, df_prev)
 
     # the accepted step meets both (weak) Wolfe conditions ...
     assert fa <= f0 + p.c1 * alpha * g0d
@@ -112,17 +120,9 @@ def test_wolfe_search_properties(kind, n, seed, d_log2_scale, c1, c2, decrease_l
 
     steps = [float(xt[0] / d[0]) for xt, _, _ in trials]
     assert steps[-1] == alpha and trials[-1][2]
-    # the first trial is alpha_init, or either candidate when smaller,
-    # finite and positive (f0 + a tiny decrease can round back to f0)
     first = p.alpha_init
-    if f_prev is not None:
-        t_interp = 1.01 * 2.0 * (f_prev - f0) / -g0d
-        if np.isfinite(t_interp) and t_interp > 0.0:
-            first = min(first, t_interp)
-    if df_prev is not None:
-        t_dual = df_prev / g0d
-        if np.isfinite(t_dual) and t_dual > 0.0:
-            first = min(first, t_dual)
+    if t_first is not None and np.isfinite(t_first) and t_first > 0.0:
+        first = min(first, t_first)
     assert steps[0] == first, (steps[0], first)
     lo, hi = 0.0, np.inf
     for (_, ft, curvature_tested), t, t_next in zip(trials, steps, steps[1:]):

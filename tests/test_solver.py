@@ -341,12 +341,13 @@ def test_trace_evaluation_counts_match_calls(method):
 
 @pytest.mark.parametrize("method, iterations, nfev, ngev", [
     ("wolfe", 39, 53, 41),
-    ("exact", 22, 23, 306),
+    ("exact", 22, 23, 262),
 ])
 def test_rosenbrock_evaluation_counts(method, iterations, nfev, ngev):
     # f and g are evaluated once per accepted point; the Wolfe search makes
     # one f per trial and one g per curvature test; the exact search makes
-    # one g per dphi evaluation and one f at the root, reusing dphi's g there
+    # one g per new dphi point, none at alpha = 0 (the carried g) or at a
+    # point it has seen, and one f at the root, reusing dphi's g there
     spec = get_problem("rosenbrock")
     obj, counts = counting_objective(spec.objective)
     cfg = SolverConfig("bfgs", line_search=LineSearchParams(method=method))
@@ -581,18 +582,17 @@ def test_wolfe_line_search_checks_a_plain_objective_at_every_trial(case):
 
 def test_wolfe_line_search_checks_the_f_values_it_is_given():
     # a text f0 raised TypeError, a one-element f0 made the step an array,
-    # and a text f_prev was parsed; df_prev takes the same rule
+    # and a text target was parsed
     spec = get_problem("rosenbrock")
     obj, x = spec.objective, spec.start
     f, g = obj.value(x), obj.gradient(x)
     for kwargs in ({"f0": "1.0"}, {"f0": np.array([f])}, {"f0": 1j},
-                   {"f_prev": "30.0"}, {"f_prev": np.array([f + 1.0])}, {"f_prev": True},
                    {"df_prev": "-1.0"}, {"df_prev": np.array([-1.0])}, {"df_prev": True},
                    {"df_prev": 1j}):
         with pytest.raises(InvalidParameter, match="must be a real array of shape"):
             wolfe_line_search(obj, x, -g, LineSearchParams(), **kwargs)
-    given = wolfe_line_search(obj, x, -g, LineSearchParams(), np.float64(f), g, np.array(f + 1.0))
-    alpha, f_new, g_new = wolfe_line_search(obj, x, -g, LineSearchParams(), f_prev=f + 1.0)
+    given = wolfe_line_search(obj, x, -g, LineSearchParams(), np.float64(f), g, np.array(-1.0))
+    alpha, f_new, g_new = wolfe_line_search(obj, x, -g, LineSearchParams(), df_prev=-1.0)
     assert (given.alpha, given.f) == (alpha, f_new) and np.array_equal(given.g, g_new)
 
 
@@ -676,14 +676,14 @@ class _TrialLog:
 
 def _run_watching_searches(spec, config):
     # minimize with every Wolfe search spied on: one entry per search, of
-    # (f0, f_prev, df_prev, alpha g0'd, [Armijo held at each trial])
+    # (f0, df_prev, alpha g0'd, [Armijo held at each trial])
     real = bregmanqn.solver.wolfe_line_search
     calls = []
 
-    def spy(obj, x, d, params, f0=None, g0=None, f_prev=None, df_prev=None):
+    def spy(obj, x, d, params, f0=None, g0=None, df_prev=None):
         log = _TrialLog(obj)
-        result = real(log, x, d, params, f0, g0, f_prev, df_prev)
-        calls.append((f0, f_prev, df_prev, result.alpha * float(g0 @ d),
+        result = real(log, x, d, params, f0, g0, df_prev)
+        calls.append((f0, df_prev, result.alpha * float(g0 @ d),
                       [armijo for _, armijo in log.trials]))
         return result
 
@@ -695,27 +695,28 @@ def _run_watching_searches(spec, config):
 
 @pytest.mark.parametrize("family", ["bfgs", "dfp", "vdfp:log"])
 def test_first_wolfe_trial_comes_from_the_last_step(family):
-    # the BFGS-side families pass the previous iterate's f, from which the
-    # search interpolates its first trial; the DFP-type families pass a
-    # target first-order change instead: 2 alpha g'd of the previous step
-    # after a search with no Armijo failure, alpha g'd itself after one
-    # that had a failure; the first search of a run gets neither
+    # every search after the first gets a target first-order change built
+    # from the last step: 1.01 * 2 (f_k - f_{k-1}) on the BFGS side, so
+    # that the search opens at the eq. 3.60 step; on the dual side
+    # 2 alpha g'd of the previous step after a search with no Armijo
+    # failure, alpha g'd itself after one that had a failure.  The first
+    # search of a run gets none
     trace, calls = _run_watching_searches(
         get_problem("rosenbrock"), SolverConfig(family, grad_tol=1e-6))
     assert trace.status == "Converged"
-    assert [call[0] for call in calls] == [r.f for r in trace.records[:-1]]
-    f_prevs = [call[1] for call in calls]
-    df_prevs = [call[2] for call in calls]
-    assert f_prevs[0] is None and df_prevs[0] is None
+    fs = [r.f for r in trace.records]
+    assert [call[0] for call in calls] == fs[:-1]
+    df_prevs = [call[1] for call in calls]
+    assert df_prevs[0] is None
     if family == "bfgs":
-        assert f_prevs[1:] == [r.f for r in trace.records[:-2]]
-        assert all(df_prev is None for df_prev in df_prevs)
+        # bit for bit, so that the search opens at the eq. 3.60 step
+        # 1.01 * 2 (f_{k-1} - f_k) / -g_k'd_k exactly
+        assert df_prevs[1:] == [1.01 * 2.0 * (f - f_prev) for f_prev, f in zip(fs, fs[1:-1])]
     else:
-        assert all(f_prev is None for f_prev in f_prevs)
         # bit for bit alpha_{k-1} g_{k-1}'d_{k-1}, doubled unless the
         # spy's previous call had an Armijo failure
         failed = [not all(armijo) for *_, armijo in calls[:-1]]
-        assert df_prevs[1:] == [call[3] if fail else 2.0 * call[3]
+        assert df_prevs[1:] == [call[2] if fail else 2.0 * call[2]
                                 for call, fail in zip(calls, failed)]
         # both branches occur on this run
         assert set(failed) == {False, True}
