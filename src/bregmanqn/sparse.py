@@ -32,7 +32,7 @@ from .geometry import _as_pd, solve_neg_theta_det, v_bregman_divergence
 from .potentials import Potential
 # algorithm 2's chain is measured against this limit at n <= 4
 from .testing import sparse_secant_oracle
-from .updates import _require_pair_length, SecantPair, UpdateFamily, dfp_update, v_bfgs_update
+from .updates import _dual_mix, _require_pair_length, SecantPair, UpdateFamily, v_bfgs_update
 
 __all__ = [
     "SparsityPattern",
@@ -434,7 +434,7 @@ def sparse_update(B, pair, family):
     trace = []
     cur = B
     for _ in range(family.T):
-        bar = dfp_update(cur, pair) if algorithm == 1 else v_bfgs_update(cur, pair, pot)
+        bar = _dual_mix(cur, pair, lambda ld: 1.0) if algorithm == 1 else v_bfgs_update(cur, pair, pot)
         nxt = theta_v_project_sparse(bar, tree, pot)
         p, q = {"eta-gap": (cur, bar), "to-limit": (bstar, cur), "successive": (nxt, cur)}[kind]
         trace.append(v_bregman_divergence(p, q, pot))

@@ -134,10 +134,10 @@ def dfp_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     """DFP: (I - ys'/(s'y)) B (I - sy'/(s'y)) + yy'/(s'y).
 
     Dense sandwich plus one fresh factorization; inverse-dual to BFGS, i.e.
-    dfp_update(B; s, y)^{-1} = bfgs_update(B^{-1}; y, s).  Kept for sparse
-    algorithm 1 and the tests: its exact V's = 0, V = I - sy'/(s'y), holds
-    the secant equation more tightly than the dense solver's dual factor
-    step (see UpdateFamily) when B+ is badly conditioned.
+    dfp_update(B; s, y)^{-1} = bfgs_update(B^{-1}; y, s).  No solver path
+    calls it: the tests hold the dual factor step of dense dfp and sparse
+    algorithm 1 to it, as its exact V's = 0, V = I - sy'/(s'y), holds the
+    secant equation more tightly than that step when B+ is ill-conditioned.
     """
     _require_pair_length(B, pair)
     s, y, sty = pair.s, pair.y, pair.curvature

@@ -103,12 +103,18 @@ def test_export_trace_writes_numpy_scalars_as_python_scalars(tmp_path):
         assert numpy.read_bytes() == plain.read_bytes(), fmt
 
 
-def test_solve_exit_codes(tmp_path):
+def test_solve_exit_codes(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert run_command(["solve", "--max-iter", "2", "--out", str(out)]) == 2
     assert run_command(["solve", "--problem", "nope", "--out", str(out)]) == 1
     assert run_command(["solve", "--problem", "quadratic:10:4:junk", "--out", str(out)]) == 1
     assert run_command(["solve", "--family", "what", "--out", str(out)]) == 1
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "t.csv"
+    assert run_command(["solve", "--out", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
+    assert run_command(["compare", "--families", ",", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no families given\n"
 
 
 def test_solve_past_the_old_determinant_cap(tmp_path, capsys):

@@ -96,6 +96,8 @@ def test_generic_bregman_recovers_v_form():
         ref = v_bregman_divergence(p, q, pot)
         raw = generic_bregman(p.matrix, q.matrix, phi, grad_phi)
         assert raw == pytest.approx(ref, rel=1e-9, abs=1e-11)
+        # a PDMatrix argument is read as its matrix
+        assert generic_bregman(p, q, phi, grad_phi) == raw
 
 
 def test_theta_coordinate_form():

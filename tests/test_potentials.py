@@ -223,7 +223,7 @@ def test_from_string():
     b = potential_from_string("bounded:c=0.5")
     assert b.nu(1e9) == pytest.approx(0.5, rel=1e-6)
     for bad in ("", "nope", "power", "power:g=1", "bounded:c=2", "log:x=1",
-                "power:gamma=0.1,gamma=0.2"):
+                "power:gamma=0.1,gamma=0.2", "power:gamma", "power:gamma=x"):
         with pytest.raises(InvalidParameter):
             potential_from_string(bad)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bregmanqn.pdlinalg
 import bregmanqn.solver
 import bregmanqn.sparse
 import bregmanqn.updates
@@ -271,17 +272,27 @@ def test_bfgs_and_dfp_run_as_the_log_potential(head, name):
 
 
 def test_dense_dfp_takes_one_rank_one_step_per_update():
-    spec = get_problem("quadratic:100:30", seed=3)
-    with mock.patch.object(bregmanqn.updates, "dfp_update",
-                           wraps=bregmanqn.updates.dfp_update) as dfp, \
-            mock.patch.object(bregmanqn.updates, "rank_one_update",
-                              wraps=bregmanqn.updates.rank_one_update) as r1:
-        trace = minimize(spec.objective, spec.start, config=SolverConfig("dfp"))
-    assert trace.status == "Converged"
-    steps = sum(not r.skipped for r in trace.records[1:])
-    assert steps > 0
-    assert dfp.call_count == 0
-    assert r1.call_count == steps
+    # every DFP step on the solver path, dense or sparse algorithm 1's
+    # secant point, is one rank-one change of B's factor; the sparse
+    # rounds factor only in their theta-projections, T per update
+    band = get_problem("broyden-tridiagonal:40")
+    cases = [(get_problem("quadratic:100:30", seed=3), SolverConfig("dfp"), 1, 0)]
+    cases += [(band, SolverConfig("vbfgs:bounded:c=0.5", sparsity=(band.pattern, 1, T)), T, T)
+              for T in (1, 3)]
+    for spec, config, factor_steps, factorizations in cases:
+        with mock.patch.object(bregmanqn.updates, "dfp_update",
+                               wraps=bregmanqn.updates.dfp_update) as dfp, \
+                mock.patch.object(bregmanqn.updates, "rank_one_update",
+                                  wraps=bregmanqn.updates.rank_one_update) as r1, \
+                mock.patch.object(bregmanqn.pdlinalg, "cholesky_factorize",
+                                  wraps=bregmanqn.pdlinalg.cholesky_factorize) as chol:
+            trace = minimize(spec.objective, spec.start, config=config)
+        assert trace.status == "Converged"
+        steps = sum(not r.skipped for r in trace.records[1:])
+        assert steps > 0
+        assert dfp.call_count == 0
+        assert r1.call_count == factor_steps * steps
+        assert chol.call_count == factorizations * steps
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -484,19 +495,22 @@ def _sqrt_gradient_objective(calls):
 ALL_KINDS = ("bfgs", "dfp", "vbfgs:bounded:c=0.5", "vdfp:log", "selfscale", "sparse vbfgs:log")
 
 
-def _config_of(label):
+def _config_of(label, **kw):
     head, _, family = label.partition(" ")
     if head == "sparse":
-        return SolverConfig(family, sparsity=(banded_pattern(2, 0), 2, 1))
-    return SolverConfig(label)
+        return SolverConfig(family, sparsity=(banded_pattern(2, 0), 2, 1), **kw)
+    return SolverConfig(label, **kw)
 
 
 @pytest.mark.parametrize("label", ALL_KINDS)
 def test_nan_gradient_at_the_start_ends_in_line_search_fail(label):
-    # every family's direction is nan, which the search rejects as not descent
-    trace = minimize(_sqrt_gradient_objective([]), np.array([-1.0, 2.0]), config=_config_of(label))
-    assert trace.status == "LineSearchFail"
-    assert len(trace.records) == 1 and trace.reason
+    # every family's direction is nan, which either search rejects as not descent
+    for method in ("wolfe", "exact"):
+        config = _config_of(label, line_search=LineSearchParams(method=method))
+        trace = minimize(_sqrt_gradient_objective([]), np.array([-1.0, 2.0]), config=config)
+        assert trace.status == "LineSearchFail"
+        assert len(trace.records) == 1
+        assert trace.reason == "search direction is not a descent direction"
 
 
 @pytest.mark.parametrize("label", ALL_KINDS)

@@ -19,7 +19,6 @@ from bregmanqn import (
     banded_pattern,
     bfgs_update,
     clique_factorize,
-    dfp_update,
     diagonal_pattern,
     full_pattern,
     invert_theta,
@@ -150,7 +149,7 @@ def test_pattern_text_format():
     p = pattern_from_text(text)
     assert p.n == 4
     assert p.edges == ((0, 1), (2, 3))
-    for bad in ("", "0\n", "3\n1 5\n", "2\nx y\n", "2\n1\n"):
+    for bad in ("", "0\n", "3\n1 5\n", "2\nx y\n", "2\n1\n", "x\n1 2\n"):
         with pytest.raises(InvalidParameter):
             pattern_from_text(bad)
 
@@ -669,9 +668,10 @@ def test_sparse_update_larger_n_successive():
 
 def test_sparse_update_trace_is_the_chain_rebuilt_by_hand():
     # pins each trace rule bit for bit, with its length: T for eta-gap and
-    # successive, T + 1 for to-limit
+    # successive, T + 1 for to-limit; algorithm 1's secant point is dense
+    # dfp's step
     rng = np.random.default_rng(17)
-    pot, T = power_potential(-0.2), 5
+    pot, T, dfp = power_potential(-0.2), 5, UpdateFamily("dfp")
     for n, algorithm, kind in ((4, 1, "eta-gap"), (4, 2, "to-limit"), (6, 2, "successive")):
         pattern = banded_pattern(n, 1)
         pair = feasible_instance(rng, n, pattern)
@@ -680,7 +680,7 @@ def test_sparse_update_trace_is_the_chain_rebuilt_by_hand():
         chain, bars = [PDMatrix.identity(n)], []
         for _ in range(T):
             cur = chain[-1]
-            bars.append(dfp_update(cur, pair) if algorithm == 1 else v_bfgs_update(cur, pair, pot))
+            bars.append(dfp.apply(cur, pair) if algorithm == 1 else v_bfgs_update(cur, pair, pot))
             chain.append(theta_v_project_sparse(bars[-1], family.tree, pot))
         if kind == "eta-gap":
             want = [v_bregman_divergence(b, bar, pot) for b, bar in zip(chain, bars)]

@@ -477,9 +477,15 @@ def test_the_dual_step_is_the_inverse_of_the_step_on_h(spec, n):
 
 
 def test_dfp_and_vdfp_log_take_the_same_dual_step_to_the_byte():
+    # and at log det 0 both match dfp_update's dense sandwich, the
+    # reference for the dual factor step that dense and sparse runs take
     rng = np.random.default_rng(16)
     dfp, vdfp = UpdateFamily("dfp"), UpdateFamily("vdfp", log_potential())
     for n in (1, 2, 5, 40, 200):
         for logdet in (-1000.0, 0.0, 1000.0):
             b, pair, _ = scaled_case(rng, n, logdet)
-            assert dfp.apply(b, pair).L.tobytes() == vdfp.apply(b, pair).L.tobytes()
+            step = dfp.apply(b, pair)
+            assert step.L.tobytes() == vdfp.apply(b, pair).L.tobytes()
+            if logdet == 0.0:
+                ref = dfp_update(b, pair).matrix
+                assert np.abs(step.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
