@@ -5,8 +5,6 @@ run on the tridiagonal problem that keeps every Hessian approximation
 on the band.
 """
 
-import numpy as np
-
 from bregmanqn import SolverConfig, UpdateFamily, get_problem, minimize
 
 families = (

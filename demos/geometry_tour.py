@@ -8,8 +8,8 @@ projection point.
 import numpy as np
 
 from bregmanqn import (
-    PDMatrix,
     SecantPair,
+    cholesky_factorize,
     invert_theta,
     kl_divergence,
     log_potential,
@@ -25,7 +25,7 @@ n = 3
 
 def rand_pd():
     a = rng.standard_normal((n, n))
-    return PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
+    return cholesky_factorize(a @ a.T + n * np.eye(n))
 
 
 P, Q = rand_pd(), rand_pd()

@@ -13,6 +13,7 @@ from bregmanqn import (
     SparseUpdateFamily,
     UpdateFamily,
     banded_pattern,
+    cholesky_factorize,
     clique_factorize,
     is_chordal,
     log_potential,
@@ -32,7 +33,7 @@ rng = np.random.default_rng(2)
 a = rng.standard_normal((n, n))
 data = pattern.restrict(a @ a.T + n * np.eye(n))
 _, k = clique_factorize(data, tree)  # (log det X, X^-1)
-x = PDMatrix.from_matrix(k).inv()
+x = cholesky_factorize(k).inv()
 print("maximum determinant completion of the banded data:")
 print(f"  det = {np.linalg.det(x):.4f}")
 print(f"  largest off-pattern entry of the inverse = {pattern.off_pattern_magnitude(k):.2e}")
@@ -41,7 +42,7 @@ print()
 
 # divergence projection onto the pattern
 pot = log_potential()
-b = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
+b = cholesky_factorize(a @ a.T + n * np.eye(n))
 bstar = theta_v_project_sparse(b, tree, pot)
 print("projection of a dense matrix onto the pattern:")
 print(f"  off-pattern magnitude of B* = {pattern.off_pattern_magnitude(bstar.matrix):.2e}")

@@ -8,10 +8,10 @@ structure coefficient r = nu(det B')/nu(det B) does.
 import numpy as np
 
 from bregmanqn import (
-    PDMatrix,
     SecantPair,
     bfgs_update,
     bounded_potential,
+    cholesky_factorize,
     dfp_update,
     log_potential,
     power_potential,
@@ -22,7 +22,7 @@ from bregmanqn import (
 rng = np.random.default_rng(0)
 n = 4
 a = rng.standard_normal((n, n))
-B = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
+B = cholesky_factorize(a @ a.T + n * np.eye(n))
 s = rng.standard_normal(n)
 y = rng.standard_normal(n)
 if s @ y <= 0:

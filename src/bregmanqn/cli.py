@@ -261,7 +261,7 @@ def _seeded_transform(n, seed, det_target):
     if abs(d) < 1e-8:
         M += np.eye(n)
         d = np.linalg.det(M)
-    M *= np.sign(d)
+    M[:, 0] *= np.sign(d)  # one column: det changes sign at any n
     d = abs(d)
     return M * (det_target / d) ** (1.0 / n)
 

@@ -22,15 +22,13 @@ import numpy as np
 
 from ._roots import newton_bisect_log
 from .errors import InvalidParameter, NotPositiveDefinite, require_real, require_type
-# cholesky_factorize is unused here but stays bound: bench/ traces and
-# checks every module binding of it.
-from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize  # noqa: F401
+from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize
 from .potentials import Potential, log_potential
 
 
 def _as_pd(P) -> PDMatrix:
     """P itself if it is a PDMatrix, else its factorization."""
-    return P if isinstance(P, PDMatrix) else PDMatrix.from_matrix(P)
+    return P if isinstance(P, PDMatrix) else cholesky_factorize(P)
 
 
 def _tr_qinv_p(P: PDMatrix, Q: PDMatrix) -> float:
@@ -113,8 +111,8 @@ def invert_theta(T, pot: Potential) -> PDMatrix:
     det M = nu(z)^n / z pins z = det P; then P = nu(z) * M^{-1}.
     """
     try:
-        neg = PDMatrix.from_matrix(-as_symmetric(T))
+        neg = cholesky_factorize(-as_symmetric(T))
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite("theta coordinate must be negative definite") from exc
     ld_star = solve_neg_theta_det(neg.logdet, neg.n, pot)
-    return PDMatrix.from_matrix(pot.nu_ld(ld_star) * neg.inv())
+    return cholesky_factorize(pot.nu_ld(ld_star) * neg.inv())

@@ -143,10 +143,6 @@ class PDMatrix:
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         self._matrix = None
 
-    @staticmethod
-    def from_matrix(a) -> "PDMatrix":
-        return cholesky_factorize(a)
-
     @classmethod
     def identity(cls, n: int) -> "PDMatrix":
         return cls(np.eye(require_count("PDMatrix dimension n", n)))

@@ -17,7 +17,7 @@ from .errors import (
     require_real,
     require_type,
 )
-from .pdlinalg import PDMatrix
+from .pdlinalg import PDMatrix, cholesky_factorize
 from .updates import SecantPair, UpdateFamily
 from .sparse import SparseUpdateFamily
 
@@ -475,7 +475,7 @@ def invariance_check(obj, x0, B0, T, config, k_max=20, tol=1e-6):
     T = require_array("T", T, (obj.n, obj.n), finite=True)
     obj_t = transform_problem(obj, T)
     b0t = np.linalg.solve(T.T, np.linalg.solve(T.T, B0.matrix.T).T)
-    B0_t = PDMatrix.from_matrix(0.5 * (b0t + b0t.T))
+    B0_t = cholesky_factorize(0.5 * (b0t + b0t.T))
 
     config = replace(config, max_iter=min(config.max_iter, k_max))
     trace = minimize(obj, x0, B0, config, record_b=True)

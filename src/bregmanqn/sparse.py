@@ -24,10 +24,7 @@ from .errors import (
     require_count,
     require_type,
 )
-from .pdlinalg import PDMatrix, as_symmetric, cholesky_stack
-# cholesky_factorize is unused here but stays bound: bench/ traces and
-# checks every module binding of it.
-from .pdlinalg import cholesky_factorize  # noqa: F401
+from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize, cholesky_stack
 from .geometry import _as_pd, solve_neg_theta_det, v_bregman_divergence
 from .potentials import Potential
 # algorithm 2's chain is measured against this limit at n <= 4
@@ -361,7 +358,7 @@ def theta_v_project_sparse(Bbar, tree, pot):
     log_det_x0, K0 = clique_factorize(Bbar.inv(), tree)
     log_nu_bar = pot.log_nu_ld(Bbar.logdet)
     ld_star = solve_neg_theta_det(log_det_x0 + Bbar.n * log_nu_bar, Bbar.n, pot)
-    return PDMatrix.from_matrix(np.exp(pot.log_nu_ld(ld_star) - log_nu_bar) * K0)
+    return cholesky_factorize(np.exp(pot.log_nu_ld(ld_star) - log_nu_bar) * K0)
 
 
 # ---------------------------------------------------------------------------

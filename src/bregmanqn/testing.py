@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidParameter, NotPositiveDefinite, OracleNoConvergence, require_array
 from .errors import require_real
 from .geometry import _as_pd, theta_coordinate, v_bregman_divergence
-from .pdlinalg import PDMatrix, as_symmetric
+from .pdlinalg import as_symmetric, cholesky_factorize
 
 __all__ = [
     "divergence_oracle",
@@ -96,7 +96,7 @@ def _raise_lambda_min(X, F):
 def _divergence(X, B, pot):
     """(factor of X, D_V(X, B)), or (None, inf) when X is not PD."""
     try:
-        P = PDMatrix.from_matrix(X)
+        P = cholesky_factorize(X)
     except NotPositiveDefinite:
         return None, np.inf
     return P, v_bregman_divergence(P, B, pot)
@@ -163,7 +163,7 @@ def sparse_secant_oracle(B, pair, pattern, pot):
     divergence_oracle computes it; raises OracleNoConvergence when that
     set holds no PD point.
     """
-    return PDMatrix.from_matrix(divergence_oracle(B, pot, pattern, pair))
+    return cholesky_factorize(divergence_oracle(B, pot, pattern, pair))
 
 
 def trace_inner(a, b) -> float:

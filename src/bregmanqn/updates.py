@@ -41,12 +41,11 @@ import numpy as np
 
 from .errors import CurvatureViolation, InvalidParameter, require_array, require_type
 from .geometry import _LOG, solve_det_equation
-from .pdlinalg import PDMatrix, rank_one_update
+from .pdlinalg import PDMatrix, cholesky_factorize, rank_one_update
 from .potentials import Potential, from_string as potential_from_string
-# newton_bisect_log and cholesky_factorize are unused here but stay bound:
-# bench/ traces and checks these module bindings.
+# newton_bisect_log is unused here but stays bound: bench/ traces and
+# checks this module binding.
 from ._roots import newton_bisect_log  # noqa: F401
-from .pdlinalg import cholesky_factorize  # noqa: F401
 
 
 class SecantPair:
@@ -143,7 +142,7 @@ def dfp_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     s, y, sty = pair.s, pair.y, pair.curvature
     M = np.eye(pair.n) - np.outer(y, s) / sty
     A = M @ B.matrix @ M.T + np.outer(y, y) / sty
-    return PDMatrix.from_matrix(A)
+    return cholesky_factorize(A)
 
 
 def v_bfgs_update(B: PDMatrix, pair: SecantPair, pot: Potential) -> PDMatrix:

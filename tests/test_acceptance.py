@@ -41,7 +41,7 @@ BUILTINS = (log_potential(), power_potential(0.1), bounded_potential(0.5))
 
 def random_pd(rng, n, shift=None):
     a = rng.standard_normal((n, n))
-    return PDMatrix.from_matrix(a @ a.T + (n if shift is None else shift) * np.eye(n))
+    return cholesky_factorize(a @ a.T + (n if shift is None else shift) * np.eye(n))
 
 
 def random_pair(rng, n):
@@ -166,7 +166,7 @@ def manifold_point_near(bp, pair, rng, pot):
         cand = bp.matrix + t * step
         try:
             cholesky_factorize(cand)
-            return PDMatrix.from_matrix(cand)
+            return cholesky_factorize(cand)
         except Exception:
             t *= 0.5
     raise AssertionError("could not build a PD point on the manifold")
@@ -199,7 +199,7 @@ def test_criterion_05_pythagorean_identities():
         b = random_pd(rng, n)
         bstar = theta_v_project_sparse(b, tree, pot)
         c = rng.standard_normal((n, n))
-        a = PDMatrix.from_matrix(pattern.restrict(c @ c.T + n * np.eye(n)))
+        a = cholesky_factorize(pattern.restrict(c @ c.T + n * np.eye(n)))
         lhs = v_bregman_divergence(a, b, pot)
         rhs = v_bregman_divergence(a, bstar, pot) + v_bregman_divergence(
             bstar, b, pot
@@ -307,7 +307,7 @@ def test_criterion_08_sparse_projection():
         # free entry never improves the determinant
         entries = pattern.restrict(b.matrix)
         _, inv_x = clique_factorize(entries, tree)
-        x = PDMatrix.from_matrix(inv_x).inv()
+        x = cholesky_factorize(inv_x).inv()
         best = np.linalg.det(x)
         free = [
             (i, j)

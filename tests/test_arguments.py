@@ -23,6 +23,7 @@ from bregmanqn import (
     banded_pattern,
     bfgs_update,
     bounded_potential,
+    cholesky_factorize,
     clique_factorize,
     custom_potential,
     dfp_update,
@@ -290,7 +291,7 @@ _TRANSFORMED = transform_problem(_SPEC.objective, np.eye(3))
 # each array argument: (name, call with the value, a value it accepts, finite only)
 ARRAYS = [
     ("PDMatrix L", PDMatrix, np.eye(3), False),
-    ("PDMatrix.from_matrix", PDMatrix.from_matrix, np.eye(3), False),
+    ("cholesky_factorize", cholesky_factorize, np.eye(3), False),
     ("PDMatrix.solve b", _I3.solve, np.ones(3), False),
     ("PDMatrix.solve_factor b", _I3.solve_factor, np.ones(3), False),
     ("PDMatrix.matvec x", _I3.matvec, np.ones(3), False),

@@ -23,7 +23,7 @@ from bregmanqn import (
     load_pattern,
     minimize,
 )
-from bregmanqn.cli import TRACE_COLUMNS, export_trace, run_command
+from bregmanqn.cli import TRACE_COLUMNS, _seeded_transform, export_trace, run_command
 
 
 def read_csv(path):
@@ -359,6 +359,16 @@ def test_invariance_command(tmp_path, capsys):
     assert payload["invariant"] is True
     assert payload["det_T"] == 2.0
     assert payload["x_dev"] <= 1e-6
+
+
+@pytest.mark.parametrize("det_target", [1.0, 2.0])
+def test_seeded_transform_has_the_determinant_it_reports(det_target):
+    # a negative draw flips one column, so det(T) is the target at even n
+    # too, e.g. (n, seed) = (2, 43) and (8, 0)
+    for n in range(1, 9):
+        for seed in range(200):
+            det = np.linalg.det(_seeded_transform(n, seed, det_target))
+            assert abs(det - det_target) <= 1e-12 * det_target, (n, seed, det)
 
 
 def test_sparse_demo_default_pattern(tmp_path, capsys):

@@ -8,6 +8,7 @@ from bregmanqn import (
     InvalidParameter,
     PDMatrix,
     bounded_potential,
+    cholesky_factorize,
     invert_theta,
     kl_divergence,
     log_potential,
@@ -16,7 +17,7 @@ from bregmanqn import (
     theta_coordinate,
     v_bregman_divergence,
 )
-from bregmanqn import pdlinalg
+from bregmanqn import geometry
 from bregmanqn.testing import (
     generic_bregman,
     projection_orthogonality_residual,
@@ -30,7 +31,7 @@ POTENTIALS = (log_potential(), power_potential(0.12), power_potential(-0.5),
 
 def random_pd(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))
-    return PDMatrix.from_matrix(scale * (a @ a.T) + n * np.eye(n))
+    return cholesky_factorize(scale * (a @ a.T) + n * np.eye(n))
 
 
 def test_trace_inner_is_frobenius():
@@ -116,7 +117,7 @@ def test_theta_coordinate_factors_only_on_use():
     p = random_pd(np.random.default_rng(9), 5)
     pot = bounded_potential(0.5)
     with mock.patch.object(
-        pdlinalg, "cholesky_factorize", wraps=pdlinalg.cholesky_factorize
+        geometry, "cholesky_factorize", wraps=geometry.cholesky_factorize
     ) as spy:
         tm = theta_coordinate(p, pot)
         assert spy.call_count == 0
@@ -170,9 +171,9 @@ def test_pythagorean_residual_zero_for_exact_split():
     # three-point identity holds exactly when theta(B') - theta(B) is
     # orthogonal to A - B'; build such a triple on a diagonal slice
     pot = log_potential()
-    b = PDMatrix.from_matrix(np.diag([2.0, 3.0]))
-    bp = PDMatrix.from_matrix(np.diag([2.0, 5.0]))
-    a = PDMatrix.from_matrix(np.diag([7.0, 5.0]))
+    b = cholesky_factorize(np.diag([2.0, 3.0]))
+    bp = cholesky_factorize(np.diag([2.0, 5.0]))
+    a = cholesky_factorize(np.diag([7.0, 5.0]))
     # theta diff of (b', b) lives on index 1, a - b' lives on index 0
     res = pythagorean_residual(a, bp, b, pot)
     assert abs(res) < 1e-12

@@ -14,6 +14,7 @@ from bregmanqn import (
     PDMatrix,
     arrow_pattern,
     banded_pattern,
+    cholesky_factorize,
     is_chordal,
     potential_from_string,
     theta_v_project_sparse,
@@ -48,7 +49,7 @@ def test_projection_matches_theta_on_the_pattern_at_any_scale(n_ld, seed, pot, p
     pattern = PATTERNS[pattern_kind](n)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
-    unit = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
+    unit = cholesky_factorize(a @ a.T + n * np.eye(n))
     bbar = PDMatrix(np.exp(0.5 * (log_det - unit.logdet) / n) * unit.L)
 
     bstar = theta_v_project_sparse(bbar, is_chordal(pattern), pot)

@@ -1,5 +1,6 @@
 """Driver loop: line searches, convergence, invariance, skipped updates."""
 
+import contextlib
 import re
 import sys
 import weakref
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bregmanqn.geometry
 import bregmanqn.pdlinalg
 import bregmanqn.solver
 import bregmanqn.sparse
@@ -29,6 +31,7 @@ from bregmanqn import (
     UpdateFamily,
     banded_pattern,
     bfgs_update,
+    cholesky_factorize,
     get_problem,
     invariance_check,
     minimize,
@@ -280,12 +283,15 @@ def test_dense_dfp_takes_one_rank_one_step_per_update():
     cases += [(band, SolverConfig("vbfgs:bounded:c=0.5", sparsity=(band.pattern, 1, T)), T, T)
               for T in (1, 3)]
     for spec, config, factor_steps, factorizations in cases:
-        with mock.patch.object(bregmanqn.updates, "dfp_update",
-                               wraps=bregmanqn.updates.dfp_update) as dfp, \
-                mock.patch.object(bregmanqn.updates, "rank_one_update",
-                                  wraps=bregmanqn.updates.rank_one_update) as r1, \
-                mock.patch.object(bregmanqn.pdlinalg, "cholesky_factorize",
-                                  wraps=bregmanqn.pdlinalg.cholesky_factorize) as chol:
+        # one spy over every module binding the solver path can factor through
+        chol = mock.Mock(wraps=bregmanqn.pdlinalg.cholesky_factorize)
+        with contextlib.ExitStack() as stack:
+            dfp = stack.enter_context(mock.patch.object(
+                bregmanqn.updates, "dfp_update", wraps=bregmanqn.updates.dfp_update))
+            r1 = stack.enter_context(mock.patch.object(
+                bregmanqn.updates, "rank_one_update", wraps=bregmanqn.updates.rank_one_update))
+            for module in (bregmanqn.geometry, bregmanqn.sparse, bregmanqn.updates):
+                stack.enter_context(mock.patch.object(module, "cholesky_factorize", chol))
             trace = minimize(spec.objective, spec.start, config=config)
         assert trace.status == "Converged"
         steps = sum(not r.skipped for r in trace.records[1:])
@@ -798,7 +804,7 @@ def _band_pd(n, bandwidth, rng):
     M = rng.uniform(-1.0, 1.0, (n, n))
     M = banded_pattern(n, bandwidth).restrict(0.5 * (M + M.T))
     np.fill_diagonal(M, 2.0 * bandwidth + rng.uniform(0.5, 2.0, n))
-    return PDMatrix.from_matrix(M)
+    return cholesky_factorize(M)
 
 
 def _check_step(spec, trace, B, k, unit):
@@ -818,7 +824,7 @@ def test_first_sparse_step_has_unit_length(b0):
     spec = get_problem("broyden-tridiagonal:12")
     B0 = {
         "default": None,
-        "4I": PDMatrix.from_matrix(4.0 * np.eye(12)),
+        "4I": cholesky_factorize(4.0 * np.eye(12)),
         "band": _band_pd(12, 1, np.random.default_rng(5)),
     }[b0]
     cfg = SolverConfig("vbfgs:log", grad_tol=1e-6, sparsity=(spec.pattern, 2, 1))
@@ -831,7 +837,7 @@ def test_first_sparse_step_has_unit_length(b0):
 @pytest.mark.parametrize("family", ["bfgs", "vbfgs:log", "dfp", "selfscale"])
 def test_first_dense_step_is_not_normalized(family):
     spec = get_problem("broyden-tridiagonal:6")
-    B0 = PDMatrix.from_matrix(4.0 * np.eye(6))
+    B0 = cholesky_factorize(4.0 * np.eye(6))
     trace = minimize(spec.objective, spec.start, B0, SolverConfig(family, max_iter=1))
     _check_step(spec, trace, B0, 0, unit=False)
 
@@ -850,14 +856,14 @@ def test_sparse_steps_are_unit_length_until_the_first_update(
 ):
     spec = get_problem(f"broyden-tridiagonal:{n}")
     pattern = banded_pattern(n, bandwidth)
-    B0 = PDMatrix.from_matrix(10.0**log_scale * np.eye(n))
+    B0 = cholesky_factorize(10.0**log_scale * np.eye(n))
     cfg = SolverConfig(f"vbfgs:{potential}", max_iter=2, sparsity=(pattern, algorithm, T))
     trace = minimize(spec.objective, spec.start, B0, cfg, record_b=True)
     assert len(trace.records) == 3, trace.reason
     _check_step(spec, trace, B0, 0, unit=True)
     # a skipped step leaves B0 unscaled; an update ends the normalization
     r1 = trace.records[1]
-    _check_step(spec, trace, PDMatrix.from_matrix(r1.b), 1, unit=r1.skipped)
+    _check_step(spec, trace, cholesky_factorize(r1.b), 1, unit=r1.skipped)
 
 
 def _first_pairs(spec, trace, count):
@@ -878,13 +884,13 @@ def test_sparse_run_scales_b0_once_before_its_first_update():
     assert not r1.skipped and not r2.skipped
     first, second = _first_pairs(spec, trace, 2)
     theta = (first.s @ first.y) / (first.s @ r0.b @ first.s)
-    scaled = PDMatrix.from_matrix(theta * r0.b)
+    scaled = cholesky_factorize(theta * r0.b)
     expected = sparse_update(scaled, first, family).b_out.matrix
     np.testing.assert_allclose(r1.b, expected, rtol=1e-10, atol=1e-12)
-    unscaled = sparse_update(PDMatrix.from_matrix(r0.b), first, family)
+    unscaled = sparse_update(cholesky_factorize(r0.b), first, family)
     assert np.abs(unscaled.b_out.matrix - r1.b).max() > 1e-2
     # once only: the second update starts from the first one's B as it is
-    expected = sparse_update(PDMatrix.from_matrix(r1.b), second, family).b_out.matrix
+    expected = sparse_update(cholesky_factorize(r1.b), second, family).b_out.matrix
     np.testing.assert_allclose(r2.b, expected, rtol=1e-10, atol=1e-12)
     # an explicit identity B0 is scaled like the default one
     explicit = minimize(
@@ -979,7 +985,7 @@ def test_sparse_solver_rejects_a_mismatched_start_before_evaluating():
         lambda x: calls.append("f") or spec.objective.value(x),
         lambda x: calls.append("g") or spec.objective.gradient(x),
     )
-    off_pattern = PDMatrix.from_matrix(np.full((6, 6), 0.5) + np.eye(6))
+    off_pattern = cholesky_factorize(np.full((6, 6), 0.5) + np.eye(6))
     # a pattern of the wrong dimension was reported as a "matrix" of the
     # wrong shape, which the caller never passed
     for pattern, B0, message in (
@@ -1206,7 +1212,7 @@ def test_invariance_check_runs_only_the_compared_iterates():
     b0t = np.linalg.solve(T.T, np.linalg.solve(T.T, B0.matrix.T).T)
     full = minimize(spec.objective, spec.start, B0, cfg, record_b=True)
     full_t = minimize(transform_problem(spec.objective, T), T @ spec.start,
-                      PDMatrix.from_matrix(0.5 * (b0t + b0t.T)), cfg, record_b=True)
+                      cholesky_factorize(0.5 * (b0t + b0t.T)), cfg, record_b=True)
     assert full.iterations > k_max and full_t.iterations > k_max
     pairs = list(zip(full.records, full_t.records))[: k_max + 1]
     x_dev = max(float(np.linalg.norm(rt.x - T @ r.x) / (1.0 + np.linalg.norm(r.x)))

@@ -18,6 +18,7 @@ from bregmanqn import (
     arrow_pattern,
     banded_pattern,
     bfgs_update,
+    cholesky_factorize,
     clique_factorize,
     diagonal_pattern,
     full_pattern,
@@ -326,7 +327,7 @@ def test_completion_small_oracle():
     pattern = banded_pattern(3, 1)
     tree = is_chordal(pattern)
     log_det, k = clique_factorize(entries, tree)
-    x = PDMatrix.from_matrix(k).inv()
+    x = cholesky_factorize(k).inv()
     assert x[0, 2] == pytest.approx(0.5, abs=1e-12)
     assert np.linalg.det(x) == pytest.approx(4.5, rel=1e-12)
     assert np.exp(log_det) == pytest.approx(4.5, rel=1e-12)
@@ -341,7 +342,7 @@ def test_completion_beats_grid_search():
         pattern = banded_pattern(4, 1)
         tree = is_chordal(pattern)
         _, k = clique_factorize(entries, tree)
-        x = PDMatrix.from_matrix(k).inv()
+        x = cholesky_factorize(k).inv()
         best = np.linalg.det(x)
         for (i, j) in [(0, 2), (0, 3), (1, 3)]:
             e = np.zeros((4, 4))
@@ -421,7 +422,7 @@ def test_completion_respects_given_entries():
     a = rng.standard_normal((6, 6))
     entries = pattern.restrict(a @ a.T + 6 * np.eye(6))
     _, k = clique_factorize(entries, tree)
-    x = PDMatrix.from_matrix(k).inv()
+    x = cholesky_factorize(k).inv()
     for (i, j) in pattern.pairs:
         assert x[i, j] == pytest.approx(entries[i, j], rel=1e-10, abs=1e-10)
     assert pattern.off_pattern_magnitude(k) < 1e-12
@@ -433,7 +434,7 @@ def test_completion_respects_given_entries():
 def test_projection_full_pattern_is_identity():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((4, 4))
-    b = PDMatrix.from_matrix(a @ a.T + 4 * np.eye(4))
+    b = cholesky_factorize(a @ a.T + 4 * np.eye(4))
     pattern = full_pattern(4)
     tree = is_chordal(pattern)
     for pot in (log_potential(), power_potential(0.2)):
@@ -445,7 +446,7 @@ def test_projection_diagonal_log_closed_form():
     # log potential, diagonal pattern: B*_ii = 1 / (B^{-1})_ii
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 5))
-    b = PDMatrix.from_matrix(a @ a.T + 5 * np.eye(5))
+    b = cholesky_factorize(a @ a.T + 5 * np.eye(5))
     pattern = diagonal_pattern(5)
     tree = is_chordal(pattern)
     out = theta_v_project_sparse(b, tree, log_potential())
@@ -463,7 +464,7 @@ def test_projection_theta_match_and_membership():
             pattern = banded_pattern(n, 1)
             tree = is_chordal(pattern)
             a = rng.standard_normal((n, n))
-            b = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
+            b = cholesky_factorize(a @ a.T + n * np.eye(n))
             out = theta_v_project_sparse(b, tree, pot)
             assert pattern.off_pattern_magnitude(out.matrix) < 1e-10 * np.abs(
                 out.matrix
@@ -482,7 +483,7 @@ def test_projection_agrees_with_numeric_oracle():
             pattern = banded_pattern(n, 1)
             tree = is_chordal(pattern)
             a = rng.standard_normal((n, n))
-            b = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
+            b = cholesky_factorize(a @ a.T + n * np.eye(n))
             closed = theta_v_project_sparse(b, tree, pot)
             numeric = divergence_oracle(b, pot, pattern)
             dev = np.abs(closed.matrix - numeric).max()
@@ -498,10 +499,10 @@ def test_projection_pythagoras():
             pattern = banded_pattern(n, 1)
             tree = is_chordal(pattern)
             a = rng.standard_normal((n, n))
-            b = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
+            b = cholesky_factorize(a @ a.T + n * np.eye(n))
             bstar = theta_v_project_sparse(b, tree, pot)
             c = rng.standard_normal((n, n))
-            other = PDMatrix.from_matrix(
+            other = cholesky_factorize(
                 pattern.restrict(c @ c.T + n * np.eye(n))
             )
             lhs = v_bregman_divergence(other, b, pot)
@@ -521,7 +522,7 @@ def test_theta_maps_beyond_exp_range(log_det):
     a = rng.standard_normal((n, n))
     m = np.eye(n) + 0.3 * (a @ a.T) / n
     m *= np.exp((log_det - np.linalg.slogdet(m)[1]) / n)
-    b = PDMatrix.from_matrix(m)
+    b = cholesky_factorize(m)
     assert b.logdet == pytest.approx(log_det, abs=1e-6)
 
     back = invert_theta(theta_coordinate(b, pot), pot)
@@ -550,11 +551,11 @@ def test_log_projection_is_the_theta_formula_bit_for_bit():
     rng = np.random.default_rng(21)
     n = 12
     a = rng.standard_normal((n, n))
-    bbar = PDMatrix.from_matrix(a @ a.T + n * np.eye(n))
+    bbar = cholesky_factorize(a @ a.T + n * np.eye(n))
     pot = log_potential()
     for pattern in (banded_pattern(n, 2), arrow_pattern(n)):
         tree = is_chordal(pattern)
-        expect = PDMatrix.from_matrix(clique_factorize(-theta_coordinate(bbar, pot), tree)[1])
+        expect = cholesky_factorize(clique_factorize(-theta_coordinate(bbar, pot), tree)[1])
         assert np.array_equal(theta_v_project_sparse(bbar, tree, pot).L, expect.L)
 
 
@@ -632,7 +633,7 @@ def test_sparse_update_full_pattern_single_step_is_bfgs():
     rng = np.random.default_rng(13)
     pattern = full_pattern(4)
     a = rng.standard_normal((4, 4))
-    b = PDMatrix.from_matrix(a @ a.T + 4 * np.eye(4))
+    b = cholesky_factorize(a @ a.T + 4 * np.eye(4))
     s = rng.standard_normal(4)
     y = rng.standard_normal(4)
     if s @ y <= 0:
@@ -702,7 +703,7 @@ def test_sparse_update_validates_inputs():
     for algorithm, T in ((3, 5), (1, 0), (1, 1.5)):
         with pytest.raises(InvalidParameter):
             sparse_family(pattern, log_potential(), algorithm, T)
-    off = PDMatrix.from_matrix(np.eye(3) + 0.5 * np.ones((3, 3)))
+    off = cholesky_factorize(np.eye(3) + 0.5 * np.ones((3, 3)))
     with pytest.raises(InvalidParameter):
         sparse_update(
             off, pair, sparse_family(SparsityPattern(3, [(0, 1)]), log_potential(), 1, 5)

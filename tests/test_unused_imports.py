@@ -1,18 +1,17 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package, or a demo, imports is used there."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bregmanqn"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bregmanqn"
+DEMOS = ROOT / "demos"
 
-# Unused, but bench/selftest.py wraps and compares these module bindings.
-# The list is exact: drop an entry when the benchmark stops pinning it.
-PINNED = {
-    ("geometry", "cholesky_factorize"),
-    ("sparse", "cholesky_factorize"),
-    ("updates", "cholesky_factorize"),
-    ("updates", "newton_bisect_log"),
-}
+# Unused, but bench/selftest.py wraps and compares this module binding.
+# The list is exact: drop the entry when the benchmark stops pinning it.
+# The benchmark wraps the cholesky_factorize bindings of geometry, sparse
+# and updates too, but those modules call it, so no entry holds them.
+PINNED = {("updates", "newton_bisect_log")}
 
 
 def _unused_imports(path):
@@ -43,3 +42,12 @@ def test_no_module_imports_a_name_it_does_not_use():
         for name in _unused_imports(path)
     }
     assert found == PINNED
+
+
+def test_no_demo_imports_a_name_it_does_not_use():
+    found = {
+        (path.stem, name)
+        for path in sorted(DEMOS.glob("*.py"))
+        for name in _unused_imports(path)
+    }
+    assert found == set()

@@ -37,7 +37,7 @@ def make_case(n, seed, log_scale, log_cond, log_shift):
     rng = np.random.default_rng(seed)
     qb, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eig = 10.0 ** (log_scale + log_cond * rng.uniform(size=n))
-    B = PDMatrix.from_matrix((qb * eig) @ qb.T)
+    B = cholesky_factorize((qb * eig) @ qb.T)
     s = rng.standard_normal(n)
     qh, _ = np.linalg.qr(rng.standard_normal((n, n)))
     h = 10.0 ** (log_scale + log_shift + rng.uniform(-1.0, 1.0, size=n))
@@ -177,8 +177,8 @@ def test_each_side_meets_its_variational_certificate(pot_str, n):
     # library's B+.  Measured <= 3.1e-13, the worst power at n = 300
     pot = potential_from_string(pot_str)
     B, pair = make_case(n, n, -1.0, 2.0, 0.0)
-    H = PDMatrix.from_matrix(B.inv())
-    dual = PDMatrix.from_matrix(UpdateFamily("vdfp", pot).apply(B, pair).inv())
+    H = cholesky_factorize(B.inv())
+    dual = cholesky_factorize(UpdateFamily("vdfp", pot).apply(B, pair).inv())
     for S, side_pair, X in ((B, pair, v_bfgs_update(B, pair, pot)),
                             (H, SecantPair(pair.y, pair.s), dual)):
         u, w = side_pair.s, side_pair.y

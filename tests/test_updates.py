@@ -41,7 +41,7 @@ def scaling_root(c, pot, n):
 
 def random_case(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))
-    b = PDMatrix.from_matrix(scale * (a @ a.T) + n * np.eye(n))
+    b = cholesky_factorize(scale * (a @ a.T) + n * np.eye(n))
     s = rng.standard_normal(n)
     y = rng.standard_normal(n)
     if s @ y <= 0:
@@ -122,7 +122,7 @@ def test_bfgs_dfp_duality():
         n = int(rng.integers(2, 9))
         b, pair = random_case(rng, n)
         lhs = np.linalg.inv(bfgs_update(b, pair).matrix)
-        binv = PDMatrix.from_matrix(np.linalg.inv(b.matrix))
+        binv = cholesky_factorize(np.linalg.inv(b.matrix))
         rhs = dfp_update(binv, SecantPair(pair.y, pair.s)).matrix
         assert np.abs(lhs - rhs).max() < 1e-9 * np.abs(rhs).max()
 
@@ -177,7 +177,7 @@ def test_v_dfp_log_collapse():
     for _ in range(50):
         n = int(rng.integers(2, 8))
         b, pair = random_case(rng, n)
-        h = PDMatrix.from_matrix(np.linalg.inv(b.matrix))
+        h = cholesky_factorize(np.linalg.inv(b.matrix))
         hp = v_bfgs_update(h, SecantPair(pair.y, pair.s), pot)
         assert np.array_equal(hp.L, bfgs_update(h, SecantPair(pair.y, pair.s)).L)
 
@@ -188,7 +188,7 @@ def assert_collapse_beyond_exp_range(pot):
     # bit for bit
     n = 400
     rng = np.random.default_rng(11)
-    b = PDMatrix.from_matrix(10.0 * np.eye(n))
+    b = cholesky_factorize(10.0 * np.eye(n))
     assert b.logdet > 900.0
     s = rng.standard_normal(n)
     pair = SecantPair(s, 10.0 * s + 0.1 * rng.standard_normal(n))
@@ -215,7 +215,7 @@ def test_bounded_update_beyond_exp_range():
     # outside exp's range, and the bracket grows until it holds it
     n = 400
     rng = np.random.default_rng(11)
-    b = PDMatrix.from_matrix(10.0 * np.eye(n))
+    b = cholesky_factorize(10.0 * np.eye(n))
     s = rng.standard_normal(n)
     pair = SecantPair(s, 10.0 * s + 0.1 * rng.standard_normal(n))
     pot = bounded_potential(0.5)
@@ -245,7 +245,7 @@ def test_v_dfp_secant_all_potentials():
         for _ in range(100):
             n = int(rng.integers(2, 9))
             b, pair = random_case(rng, n)
-            h = PDMatrix.from_matrix(np.linalg.inv(b.matrix))
+            h = cholesky_factorize(np.linalg.inv(b.matrix))
             hp = v_bfgs_update(h, SecantPair(pair.y, pair.s), pot)
             # inverse-space secant: H' y = s
             assert np.abs(hp.matrix @ pair.y - pair.s).max() <= 1e-10 * (
@@ -347,7 +347,7 @@ def test_update_strictly_decreases_divergence_on_manifold():
             w = 0.3 * rng.standard_normal((n, n))
             cand = bp.matrix + proj @ (0.5 * (w + w.T)) @ proj
             try:
-                c = PDMatrix.from_matrix(cand)
+                c = cholesky_factorize(cand)
             except Exception:
                 continue
             assert v_bregman_divergence(c, b, pot) >= d_opt - 1e-10
@@ -437,7 +437,7 @@ def scaled_case(rng, n, logdet):
     (s^/c, c y^), so that y = c y^ = c A s^ is at B's scale for every
     logdet; B^ and A are well-conditioned PD matrices."""
     a, m = rng.standard_normal((2, n, n))
-    b_hat = PDMatrix.from_matrix(a @ a.T / n + np.eye(n))
+    b_hat = cholesky_factorize(a @ a.T / n + np.eye(n))
     s = rng.standard_normal(n)
     y = (m @ m.T / n + np.eye(n)) @ s
     c = np.exp((logdet - b_hat.logdet) / (2 * n))
