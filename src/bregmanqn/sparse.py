@@ -442,41 +442,16 @@ def sparse_update(B, pair, family):
 
 
 class SparseUpdateFamily:
-    """sparse_update on a chordal pattern, behind UpdateFamily's state protocol.
+    """sparse_update on a chordal pattern, with UpdateFamily's
+    initial_state and apply.
 
     Takes a bfgs or vbfgs family and its potential, the log potential for
     bfgs, and checks it, the pattern, algorithm (1 or 2) and T once,
     keeping the clique tree; sparse_update(B, pair, family) reads all of
-    them from here.  The state is (B, unscaled); initial_state raises
-    InvalidParameter for a B0 of the wrong dimension or off the pattern.
-
-    The first applied update replaces B by theta B, theta = s'y / s'Bs,
-    whatever B0 is (Oren & Luenberger 1974; Shanno & Phua 1978).  The
-    theta-projection keeps P_F(B^-1) of the secant point, so the scale of
-    an unscaled B0^-1 would stay in every later B and the line search
-    would backtrack at most steps.  theta B stays on the pattern and
-    theta is invariant under congruence.  At the determinants this
-    gives, vbfgs:bounded:c=0.5 has the same iteration and evaluation
-    counts as vbfgs:log on the benchmark's sparse-band cases.  Dense
-    families are not scaled: their updates correct the scale within
-    about n steps, and a one-time scaling can cost many steps (bfgs on
-    quadratic:1000:20 from its catalog start at grad_tol 1e-6 takes 28
-    without it, 115 with it).  The flag is in the state because one
-    family serves every solve of its SolverConfig.
-
-    B0 thus sets only the shape of B.  Until the first applied update
-    (a skipped step leaves the state unscaled) the direction -B^-1 g is
-    divided by its Euclidean norm: the unit first trial is a step of
-    length one, not one scaled by B0, which the search would cut back
-    at a cost of several f evaluations (L-BFGS takes 1/|g| as its first
-    step, Liu & Nocedal 1989; L-BFGS-B 1/|d|, Byrd, Lu, Nocedal & Zhu
-    1995).  theta B does not depend on the scale of B, so the first
-    update is unaffected.  The length is Euclidean, so the first step is
-    not invariant under a change of variables; the update, a function of
-    B, s and y alone, is as invariant as before.
+    them from here.  initial_state raises InvalidParameter for a B0 of
+    the wrong dimension or off the pattern.  minimize scales B0 once at
+    a sparse run's first update.
     """
-
-    inverse = False
 
     def __init__(self, family, pattern, algorithm, T):
         if require_type("family", family, UpdateFamily).kind not in ("bfgs", "vbfgs"):
@@ -489,29 +464,10 @@ class SparseUpdateFamily:
         self.tree = is_chordal(pattern)
         self.potential = family.potential
 
-    def initial_state(self, B0: PDMatrix):
+    def initial_state(self, B0: PDMatrix) -> PDMatrix:
         _require_on_pattern(B0, self.pattern)
         self.potential.require_admissible(B0.n)
-        return B0, True
+        return B0
 
-    def direction(self, state, gradient) -> np.ndarray:
-        B, unscaled = state
-        d = -B.solve(gradient)
-        if unscaled:
-            d /= np.linalg.norm(d)
-        return d
-
-    def apply(self, state, pair: SecantPair):
-        B, unscaled = state
-        if unscaled:
-            Ls = B.L.T @ pair.s
-            theta = pair.curvature / float(Ls @ Ls)
-            B = PDMatrix(np.sqrt(theta) * B.L)
-        return sparse_update(B, pair, self).b_out, False
-
-    def det_b(self, state) -> float:
-        return state[0].det()
-
-    def b_matrix(self, state) -> np.ndarray:
-        """B as an array the caller owns."""
-        return state[0].matrix.copy()
+    def apply(self, B: PDMatrix, pair: SecantPair) -> PDMatrix:
+        return sparse_update(B, pair, self).b_out

@@ -180,7 +180,7 @@ class UpdateFamily:
     D_V(B^{-1}, H) over {B : Bs = y} is min D_V(K, H) over {K : Ky = s}).
     The rule is a potential's scaling-equation root, the log potential's
     r = 1 for bfgs and dfp, or, for selfscale (potential None), theta =
-    s'y / s'Bs at every step.  The state is B for every kind: the dual
+    s'y / s'Bs at every step.  Every kind updates B itself: the dual
     step too is one rank-one change of B's factor (module docstring).
     """
 
@@ -220,31 +220,20 @@ class UpdateFamily:
 
     @property
     def inverse(self) -> bool:
-        """True on the dual side (dfp and vdfp); minimize reads it for one
-        thing alone, to pick the side's target for the first Wolfe trial."""
+        """True on the dual side (dfp and vdfp).  minimize reads it on
+        config.family, sparse runs included, for one thing alone: to pick
+        the side's target for the first Wolfe trial."""
         return self.kind in ("dfp", "vdfp")
-
-    # --- solver-facing state protocol: the state is the PDMatrix B -------
 
     def initial_state(self, B0: PDMatrix) -> PDMatrix:
         if self.potential is not None:
             self.potential.require_admissible(B0.n)
         return B0
 
-    def direction(self, state: PDMatrix, gradient) -> np.ndarray:
-        return -state.solve(gradient)
-
-    def apply(self, state: PDMatrix, pair: SecantPair) -> PDMatrix:
+    def apply(self, B: PDMatrix, pair: SecantPair) -> PDMatrix:
         pot = self.potential
         if pot is None:
-            return self_scaling_update(state, pair)
+            return self_scaling_update(B, pair)
         if self.kind in ("bfgs", "vbfgs"):
-            return v_bfgs_update(state, pair, pot)
-        return _dual_mix(state, pair, lambda ld: _nu_ratio(pot, state.n, -state.logdet, ld))
-
-    def det_b(self, state: PDMatrix) -> float:
-        return state.det()
-
-    def b_matrix(self, state: PDMatrix) -> np.ndarray:
-        """B as an array the caller owns."""
-        return state.matrix.copy()
+            return v_bfgs_update(B, pair, pot)
+        return _dual_mix(B, pair, lambda ld: _nu_ratio(pot, B.n, -B.logdet, ld))

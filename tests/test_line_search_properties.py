@@ -66,7 +66,7 @@ def make_case(kind, n, seed, d_log2_scale):
     return value, gradient, u0, d / abs(d[0]) * 2.0 ** d_log2_scale
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     kind=st.sampled_from(["quadratic", "quartic", "ball"]),
     n=st.integers(1, 6),

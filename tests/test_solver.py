@@ -1077,6 +1077,21 @@ def test_minimize_and_invariance_check_share_one_start_check():
     assert invariance_check(obj, spec.start, None, np.eye(2), None).invariant
 
 
+def test_invariance_check_rejects_a_mapped_b0_off_the_pattern_before_either_run():
+    # B0_t = T'^{-1} B0 T^{-1} was checked only by the second minimize,
+    # after the first run had spent 16 f evaluations
+    spec = get_problem("broyden-tridiagonal:6")
+    obj, counts = counting_objective(spec.objective)
+    cfg = SolverConfig("bfgs", sparsity=(spec.pattern, 2, 1))
+    dense_t = np.eye(6) + 0.1 * np.ones((6, 6))
+    with pytest.raises(InvalidParameter, match="outside the sparsity pattern"):
+        invariance_check(obj, spec.start, None, dense_t, cfg)
+    assert counts == {"f": 0, "g": 0}
+    # a diagonal T keeps B0_t on the pattern, and both runs go ahead
+    rep = invariance_check(obj, spec.start, None, np.diag(np.arange(1.0, 7.0)), cfg, k_max=5)
+    assert rep.k_used == 5 and counts["f"] > 0
+
+
 # -------------------------------------------------------------- invariance
 
 

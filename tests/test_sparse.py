@@ -696,6 +696,22 @@ def test_sparse_update_trace_is_the_chain_rebuilt_by_hand():
         assert np.array_equal(res.b_out.L, chain[-1].L)
 
 
+def test_family_apply_is_sparse_update_of_b_itself():
+    # apply takes and returns the PDMatrix B, with no scaling of its own:
+    # the run's first-update theta scaling is minimize's
+    rng = np.random.default_rng(18)
+    for n, algorithm, pot in ((4, 1, log_potential()), (4, 2, power_potential(-0.2)),
+                              (6, 2, bounded_potential(0.5))):
+        pattern = banded_pattern(n, 1)
+        family = sparse_family(pattern, pot, algorithm, 3)
+        b = cholesky_factorize(tridiag_entries(rng, n))
+        pair = feasible_instance(rng, n, pattern)
+        assert family.initial_state(b) is b
+        got = family.apply(b, pair)
+        assert isinstance(got, PDMatrix)
+        assert got.L.tobytes() == sparse_update(b, pair, family).b_out.L.tobytes()
+
+
 def test_sparse_update_validates_inputs():
     pattern = banded_pattern(3, 1)
     pair = SecantPair(np.ones(3), np.ones(3))

@@ -8,9 +8,11 @@ import pytest
 from bregmanqn import (
     CurvatureViolation,
     InvalidParameter,
+    Objective,
     RootNotBracketed,
     PDMatrix,
     SecantPair,
+    SolverConfig,
     SparseUpdateFamily,
     UpdateFamily,
     banded_pattern,
@@ -19,7 +21,9 @@ from bregmanqn import (
     cholesky_factorize,
     custom_potential,
     dfp_update,
+    get_problem,
     log_potential,
+    minimize,
     power_potential,
     self_scaling_update,
     sparse_update,
@@ -399,34 +403,57 @@ def test_family_rejects_a_potential_that_is_not_one():
 SPECS = ("bfgs", "dfp", "vbfgs:bounded:c=0.5", "vdfp:log", "vdfp:power:gamma=-0.25", "selfscale")
 
 
+def spied_quadratic(n, rng):
+    """f = 0.5 x'Ax - b'x, recording every point f is evaluated at."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (q * rng.uniform(1.0, 10.0, size=n)) @ q.T
+    b = rng.standard_normal(n)
+    points = []
+
+    def value(x):
+        points.append(x.copy())
+        return 0.5 * float(x @ (A @ x)) - float(b @ x)
+
+    return Objective(n, value, lambda x: A @ x - b), points
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_every_kind_carries_b_itself(spec):
-    # one side for every family: no inversion of B0, and the direction is
-    # -B^{-1} g on the state B
+    # one side for every family: no inversion of B0, and the first step
+    # is -B0^{-1} g0.  From x0 = 0 the first trial x0 + 1.0 * d is d itself
     rng = np.random.default_rng(13)
     fam = UpdateFamily.from_string(spec)
     for b0 in (random_case(rng, 5)[0], PDMatrix.identity(5), PDMatrix(2.0 * np.eye(5))):
         assert fam.initial_state(b0) is b0
-        g = rng.standard_normal(5)
-        d = fam.direction(b0, g)
+        obj, points = spied_quadratic(5, rng)
+        trace = minimize(obj, np.zeros(5), b0, SolverConfig(fam, max_iter=1), record_b=True)
+        assert np.array_equal(trace.records[0].b, b0.matrix)
+        assert trace.records[0].det_b == b0.det()
+        g = obj.gradient(np.zeros(5))
+        d = points[1]
         assert np.abs(b0.matvec(d) + g).max() <= 1e-12 * np.abs(g).max()
 
 
-@pytest.mark.parametrize("spec", SPECS)
-def test_b_matrix_returns_an_array_the_caller_owns(spec):
-    rng = np.random.default_rng(14)
-    b0, pair = random_case(rng, 4)
-    fam = UpdateFamily.from_string(spec)
-    state = fam.apply(fam.initial_state(b0), pair)
-    got = fam.b_matrix(state)
-    assert np.array_equal(got, state.matrix)
-    assert not np.shares_memory(got, state.matrix)
-    assert not np.shares_memory(got, fam.b_matrix(state))
-    assert fam.det_b(state) == state.det()
-    sparse = SparseUpdateFamily(UpdateFamily("bfgs"), banded_pattern(4, 1), 1, 1)
-    state = sparse.initial_state(PDMatrix.identity(4))
-    assert np.array_equal(sparse.b_matrix(state), np.eye(4))
-    assert not np.shares_memory(sparse.b_matrix(state), state[0].matrix)
+SPARSE_RUN = "bfgs sparse"
+
+
+@pytest.mark.parametrize("spec", SPECS + (SPARSE_RUN,))
+def test_record_b_holds_arrays_the_caller_owns(spec):
+    # each record gets its own copy of B, and writing into the copies
+    # leaves B0 as the caller gave it
+    problem = get_problem("broyden-tridiagonal:6")
+    sparsity = (problem.pattern, 1, 1) if spec == SPARSE_RUN else None
+    config = SolverConfig(spec.split()[0], max_iter=6, sparsity=sparsity)
+    b0 = PDMatrix.identity(6)
+    trace = minimize(problem.objective, problem.start, b0, config, record_b=True)
+    bs = [r.b for r in trace.records]
+    assert len(bs) == 7 and np.array_equal(bs[0], np.eye(6))
+    assert not any(np.shares_memory(b, b0.L) or np.shares_memory(b, b0.matrix) for b in bs)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(bs) for b in bs[i + 1:])
+    for r in trace.records:
+        assert r.det_b == pytest.approx(np.linalg.det(r.b), rel=1e-9)
+        r.b[:] = np.nan
+    assert np.array_equal(b0.L, np.eye(6)) and np.array_equal(b0.matrix, np.eye(6))
 
 
 DUAL_SPECS = ("dfp", "vdfp:log", "vdfp:bounded:c=0.5", "vdfp:power:gamma=-0.25")
