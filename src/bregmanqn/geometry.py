@@ -26,11 +26,6 @@ from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize
 from .potentials import Potential, log_potential
 
 
-def _as_pd(P) -> PDMatrix:
-    """P itself if it is a PDMatrix, else its factorization."""
-    return P if isinstance(P, PDMatrix) else cholesky_factorize(P)
-
-
 def _tr_qinv_p(P: PDMatrix, Q: PDMatrix) -> float:
     # tr(Q^{-1} P) = ||L_Q^{-1} L_P||_F^2, symmetric-exact and cheap.
     W = Q.solve_factor(P.L)
@@ -42,13 +37,23 @@ def v_bregman_divergence(P, Q, pot: Potential) -> float:
 
     D(P,Q) = V(det P) - V(det Q) + nu(det Q) * (<Q^{-1}, P> - n).
     Computed from log-determinants; collapses to kl_divergence for the
-    log potential.
+    log potential.  For the power family, nu = z^gamma with gamma != 0,
+    it is evaluated in the closed form
+
+        D(P,Q) = nu(det Q) * ((1 - (det P / det Q)^gamma) / gamma + <Q^{-1}, P> - n),
+
+    since V(det P) - V(det Q) = (nu(det Q) - nu(det P)) / gamma, whose
+    terms both round to 1/gamma once nu falls below machine epsilon.
     """
-    P, Q = _as_pd(P), _as_pd(Q)
+    P, Q = require_type("P", P, PDMatrix), require_type("Q", Q, PDMatrix)
     if P.n != Q.n:
         raise InvalidParameter(f"dimension mismatch: n={P.n} and n={Q.n}")
     require_type("pot", pot, Potential).require_admissible(P.n)
     nu_q = pot.nu_ld(Q.logdet)
+    gamma = pot.constant_beta
+    if gamma:
+        dv = -float(np.expm1(gamma * (P.logdet - Q.logdet))) / gamma  # (V(P) - V(Q)) / nu(Q)
+        return nu_q * (dv + _tr_qinv_p(P, Q) - P.n)
     return (
         float(pot.value_ld(P.logdet))
         - float(pot.value_ld(Q.logdet))
@@ -67,7 +72,7 @@ def kl_divergence(P, Q) -> float:
 
 def theta_coordinate(P, pot: Potential) -> np.ndarray:
     """theta_V(P) = -nu(det P) * P^{-1}, exactly symmetric."""
-    P = _as_pd(P)
+    require_type("P", P, PDMatrix)
     require_type("pot", pot, Potential).require_admissible(P.n)
     nu_p = pot.nu_ld(P.logdet)
     return as_symmetric(-nu_p * P.inv())

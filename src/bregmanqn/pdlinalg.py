@@ -44,8 +44,6 @@ def _require_square(name, a) -> np.ndarray:
 
 def as_symmetric(a) -> np.ndarray:
     """Coerce to an exactly symmetric ndarray."""
-    if isinstance(a, PDMatrix):
-        return a.matrix
     a = _require_square("matrix", a)
     return 0.5 * (a + a.T)
 

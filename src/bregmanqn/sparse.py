@@ -25,7 +25,7 @@ from .errors import (
     require_type,
 )
 from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize, cholesky_stack
-from .geometry import _as_pd, solve_neg_theta_det, v_bregman_divergence
+from .geometry import solve_neg_theta_det, v_bregman_divergence
 from .potentials import Potential
 # algorithm 2's chain is measured against this limit at n <= 4
 from .testing import sparse_secant_oracle
@@ -354,7 +354,7 @@ def theta_v_project_sparse(Bbar, tree, pot):
     theta_V(Bbar) itself may under- or overflow.
     """
     require_type("pot", pot, Potential)
-    Bbar = _as_pd(Bbar)
+    _require_fits("Bbar", Bbar, require_type("tree", tree, CliqueTree).pattern)
     log_det_x0, K0 = clique_factorize(Bbar.inv(), tree)
     log_nu_bar = pot.log_nu_ld(Bbar.logdet)
     ld_star = solve_neg_theta_det(log_det_x0 + Bbar.n * log_nu_bar, Bbar.n, pot)
@@ -385,11 +385,16 @@ class SparseUpdateResult:
     bstar: PDMatrix | None = None
 
 
-def _require_on_pattern(B, pattern):
-    """Raise InvalidParameter unless B has the pattern's dimension and no entry off it."""
-    if B.n != pattern.n:
+def _require_fits(name, B, pattern):
+    """Raise InvalidParameter unless B is a PDMatrix of the pattern's dimension."""
+    if require_type(name, B, PDMatrix).n != pattern.n:
         raise InvalidParameter(
-            f"B of dimension {B.n} does not fit the n={pattern.n} sparsity pattern")
+            f"{name} of dimension {B.n} does not fit the n={pattern.n} sparsity pattern")
+
+
+def _require_on_pattern(B, pattern):
+    """Raise InvalidParameter unless B fits the pattern and has no entry off it."""
+    _require_fits("B", B, pattern)
     scale = float(np.abs(B.matrix).max())
     if pattern.off_pattern_magnitude(B.matrix) > 1e-8 * (1.0 + scale):
         raise InvalidParameter("B has entries outside the sparsity pattern")
@@ -412,7 +417,6 @@ def sparse_update(B, pair, family):
     point in common.
     """
     require_type("family", family, SparseUpdateFamily)
-    B = _as_pd(B)
     _require_pair_length(B, pair)
     _require_on_pattern(B, family.pattern)
     pot, tree, algorithm = family.potential, family.tree, family.algorithm
@@ -445,17 +449,20 @@ class SparseUpdateFamily:
     """sparse_update on a chordal pattern, with UpdateFamily's
     initial_state and apply.
 
-    Takes a bfgs or vbfgs family and its potential, the log potential for
-    bfgs, and checks it, the pattern, algorithm (1 or 2) and T once,
-    keeping the clique tree; sparse_update(B, pair, family) reads all of
-    them from here.  initial_state raises InvalidParameter for a B0 of
-    the wrong dimension or off the pattern.  minimize scales B0 once at
-    a sparse run's first update.
+    Each algorithm fixes its own secant step (the DFP point or the V-BFGS
+    point), so the family only names the potential: bfgs for the log
+    potential or vbfgs:<potential>.  Checks it, the pattern, algorithm (1
+    or 2) and T once, keeping the clique tree; sparse_update(B, pair,
+    family) reads all of them from here.  initial_state raises
+    InvalidParameter for a B0 of the wrong dimension or off the pattern.
+    minimize scales B0 once at a sparse run's first update.
     """
 
     def __init__(self, family, pattern, algorithm, T):
         if require_type("family", family, UpdateFamily).kind not in ("bfgs", "vbfgs"):
-            raise InvalidParameter("sparse updates maintain B directly; use a bfgs or vbfgs family")
+            raise InvalidParameter(
+                "each sparse algorithm fixes its own secant step, so the family names only "
+                "the potential; use bfgs or vbfgs:<potential>")
         require_type("sparsity pattern", pattern, SparsityPattern)
         algorithm = require_count("algorithm", algorithm)
         if algorithm not in (1, 2):

@@ -21,9 +21,9 @@ decompositions (swap the first and last arguments for the dual one).
 import numpy as np
 
 from .errors import InvalidParameter, NotPositiveDefinite, OracleNoConvergence, require_array
-from .errors import require_real
-from .geometry import _as_pd, theta_coordinate, v_bregman_divergence
-from .pdlinalg import as_symmetric, cholesky_factorize
+from .errors import require_real, require_type
+from .geometry import theta_coordinate, v_bregman_divergence
+from .pdlinalg import PDMatrix, as_symmetric, cholesky_factorize
 
 __all__ = [
     "divergence_oracle",
@@ -118,8 +118,7 @@ def divergence_oracle(B, pot, pattern=None, pair=None):
     Raises InvalidParameter for n > 6 or mismatched dimensions, and
     OracleNoConvergence when the set holds no PD point or Newton stalls.
     """
-    B = _as_pd(B)
-    n = B.n
+    n = require_type("B", B, PDMatrix).n
     if n > MAX_N:
         raise InvalidParameter(f"the divergence oracle is restricted to n <= {MAX_N}, got n={n}")
     if any(c is not None and c.n != n for c in (pattern, pair)):
@@ -184,7 +183,8 @@ def pythagorean_residual(P, Pstar, Q, pot) -> float:
     [D(P,Q) - D(P,P*) - D(P*,Q)] - <theta(Q) - theta(P*), P* - P>.
     Near zero always; exactly zero in the generalized Pythagorean setting.
     """
-    P, Pstar, Q = _as_pd(P), _as_pd(Pstar), _as_pd(Q)
+    for name, M in (("P", P), ("Pstar", Pstar), ("Q", Q)):
+        require_type(name, M, PDMatrix)
     lhs = (
         v_bregman_divergence(P, Q, pot)
         - v_bregman_divergence(P, Pstar, pot)
@@ -202,7 +202,8 @@ def projection_orthogonality_residual(Pstar, Q, directions, pot) -> float:
     directions should span the tangent space of the constraint manifold at
     P*; a vanishing residual certifies P* as the theta-projection of Q.
     """
-    Pstar, Q = _as_pd(Pstar), _as_pd(Q)
+    for name, M in (("Pstar", Pstar), ("Q", Q)):
+        require_type(name, M, PDMatrix)
     t_q = theta_coordinate(Q, pot)
     t_star = theta_coordinate(Pstar, pot)
     gap = t_q - t_star

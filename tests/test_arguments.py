@@ -33,6 +33,7 @@ from bregmanqn import (
     invariance_check,
     invert_theta,
     is_chordal,
+    kl_divergence,
     log_potential,
     minimize,
     pattern_from_text,
@@ -54,7 +55,13 @@ from bregmanqn import (
 from bregmanqn.cli import export_trace
 from bregmanqn.errors import require_array, require_count, require_real
 from bregmanqn.problems import _broyden_tridiagonal, _quadratic
-from bregmanqn.testing import check_gradient
+from bregmanqn.testing import (
+    check_gradient,
+    divergence_oracle,
+    projection_orthogonality_residual,
+    pythagorean_residual,
+    sparse_secant_oracle,
+)
 
 _SPEC = get_problem("quadratic:10:3", seed=1)
 _F, _G = (lambda x: 0.0), (lambda x: x)
@@ -264,6 +271,61 @@ def test_a_handle_of_the_wrong_type_is_named(call, type_name):
     # to read, or named the value's repr instead of its type
     with pytest.raises(InvalidParameter, match=rf"got {type_name}$"):
         call()
+
+
+_I4 = PDMatrix.identity(4)
+_TREE = is_chordal(_PATTERN)
+_LOG = log_potential()
+
+# each argument read as a point of the PD cone: (id, name, call with the value)
+PD_ARGUMENTS = [
+    ("v_bregman_divergence-P", "P", lambda v: v_bregman_divergence(v, _I3, _LOG)),
+    ("v_bregman_divergence-Q", "Q", lambda v: v_bregman_divergence(_I3, v, _LOG)),
+    ("kl_divergence-P", "P", lambda v: kl_divergence(v, _I3)),
+    ("kl_divergence-Q", "Q", lambda v: kl_divergence(_I3, v)),
+    ("theta_coordinate-P", "P", lambda v: theta_coordinate(v, _LOG)),
+    ("theta_v_project_sparse-Bbar", "Bbar", lambda v: theta_v_project_sparse(v, _TREE, _LOG)),
+    ("sparse_update-B", "B",
+     lambda v: sparse_update(v, SecantPair(np.ones(4), np.ones(4)), _sparse_family())),
+    ("divergence_oracle-B", "B", lambda v: divergence_oracle(v, _LOG)),
+    ("sparse_secant_oracle-B", "B", lambda v: sparse_secant_oracle(v, _PAIR, _PATTERN, _LOG)),
+    ("pythagorean_residual-P", "P", lambda v: pythagorean_residual(v, _I3, _I3, _LOG)),
+    ("pythagorean_residual-Pstar", "Pstar", lambda v: pythagorean_residual(_I3, v, _I3, _LOG)),
+    ("pythagorean_residual-Q", "Q", lambda v: pythagorean_residual(_I3, _I3, v, _LOG)),
+    ("projection_orthogonality_residual-Pstar", "Pstar",
+     lambda v: projection_orthogonality_residual(v, _I3, [], _LOG)),
+    ("projection_orthogonality_residual-Q", "Q",
+     lambda v: projection_orthogonality_residual(_I3, v, [], _LOG)),
+]
+
+
+@pytest.mark.parametrize("name, call", [a[1:] for a in PD_ARGUMENTS],
+                         ids=[a[0] for a in PD_ARGUMENTS])
+@pytest.mark.parametrize("value", [np.eye(3), "I"], ids=["ndarray", "str"])
+def test_a_pd_argument_is_a_pdmatrix(name, call, value):
+    # an array was symmetrized and factored without a word, so a
+    # nonsymmetric one gave the divergence of another matrix, and a str was
+    # reported as "matrix must be a real array of shape (1, 1)"
+    with pytest.raises(InvalidParameter,
+                       match=rf"^{name} must be a PDMatrix, got {type(value).__name__}$"):
+        call(value)
+
+
+def test_theta_v_project_sparse_names_bbar_for_a_wrong_dimension():
+    # it reported "entries must be a real array of shape (3, 3), got
+    # ndarray of shape (4, 4)", for an argument the caller never passed
+    with pytest.raises(InvalidParameter,
+                       match=r"^Bbar of dimension 4 does not fit the n=3 sparsity pattern$"):
+        theta_v_project_sparse(_I4, _TREE, _LOG)
+
+
+@pytest.mark.parametrize("spec", ["dfp", "vdfp:log", "selfscale"])
+def test_a_sparse_family_names_only_the_potential(spec):
+    # the reason given was "sparse updates maintain B directly"
+    with pytest.raises(InvalidParameter, match=(
+            r"^each sparse algorithm fixes its own secant step, so the family names only "
+            r"the potential; use bfgs or vbfgs:<potential>$")):
+        SparseUpdateFamily(UpdateFamily.from_string(spec), _PATTERN, 1, 1)
 
 
 

@@ -79,6 +79,29 @@ def test_divergence_asymmetric():
                - v_bregman_divergence(q, p, pot)) > 1e-8
 
 
+@pytest.mark.parametrize("gamma", [-0.25, 0.15])
+def test_power_divergence_scales_exactly_at_any_log_det(gamma):
+    # nu(det cP) = c^(n gamma) nu(det P), so D(cP, cQ) = c^(n gamma) D(P, Q).
+    # V(det P) - V(det Q) was a difference of two values that both round
+    # to 1/gamma once nu falls below machine epsilon: 8.9e-2 off at a log
+    # det shifted by 300, and the sign could turn
+    pot, n = power_potential(gamma), 5
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        p, q = random_pd(rng, n), random_pd(rng, n)
+        ref = v_bregman_divergence(p, q, pot)
+        for shift in (-300.0, 300.0):
+            # det is multiplied by exp(shift), nu by exp(gamma * shift)
+            f = np.exp(shift / (2 * n))
+            d = v_bregman_divergence(PDMatrix(f * p.L), PDMatrix(f * q.L), pot)
+            assert d > 0.0
+            assert d == pytest.approx(np.exp(gamma * shift) * ref, rel=1e-12)
+    # n = 2, log det Q = 200 and P = Q / 1.5: it gave -1.29e-22 for +4.48e-23
+    q = PDMatrix(np.exp(50.0) * np.eye(2))
+    d = v_bregman_divergence(PDMatrix(q.L / np.sqrt(1.5)), q, power_potential(-0.25))
+    assert d == pytest.approx(np.exp(-50.0) * (4.0 * (np.sqrt(1.5) - 1.0) - 2.0 / 3.0), rel=1e-12)
+
+
 def test_generic_bregman_recovers_v_form():
     # phi(P) = V(det P) as a raw convex function must give the same number
     pot = power_potential(0.15)
@@ -97,8 +120,10 @@ def test_generic_bregman_recovers_v_form():
         ref = v_bregman_divergence(p, q, pot)
         raw = generic_bregman(p.matrix, q.matrix, phi, grad_phi)
         assert raw == pytest.approx(ref, rel=1e-9, abs=1e-11)
-        # a PDMatrix argument is read as its matrix
-        assert generic_bregman(p, q, phi, grad_phi) == raw
+        # it reads arrays only; a PDMatrix is not read as its matrix
+        with pytest.raises(InvalidParameter,
+                           match=r"got PDMatrix of shape \(\) and dtype object$"):
+            generic_bregman(p, q, phi, grad_phi)
 
 
 def test_theta_coordinate_form():
@@ -165,6 +190,16 @@ def test_solve_neg_theta_det_residual():
                     assert ld == t
                 if pot.constant_beta is not None:
                     assert ld == t / (1.0 - n * pot.constant_beta)
+
+
+def test_solve_neg_theta_det_does_not_alternate_between_two_points():
+    # Newton alternated between log z = -1.62 and 9.24, both inside the
+    # bracket, so the bisection fallback never ran and MaxIterations was
+    # raised after 202 residual evaluations
+    pot, ld_target = bounded_potential(0.5), -39.82534134111998
+    ld = solve_neg_theta_det(ld_target, 60, pot)
+    assert abs(ld - 60 * pot.log_nu_ld(ld) + ld_target) <= 1e-13 * (1.0 + abs(ld_target))
+    assert ld == pytest.approx(3.0811374258383, abs=1e-12)
 
 
 def test_pythagorean_residual_zero_for_exact_split():

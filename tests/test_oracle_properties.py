@@ -20,6 +20,7 @@ from bregmanqn import (
     SecantPair,
     arrow_pattern,
     banded_pattern,
+    cholesky_factorize,
     diagonal_pattern,
     log_potential,
     potential_from_string,
@@ -60,7 +61,7 @@ def test_divergence_oracle_lands_on_the_set_and_splits_the_divergence(
         s = rng.standard_normal(n)
         pair = SecantPair(s, a @ s)
 
-    x = divergence_oracle(b, pot, pattern, pair)
+    x = divergence_oracle(cholesky_factorize(b), pot, pattern, pair)
 
     assert np.array_equal(x, x.T)
     if pattern is not None:
@@ -68,6 +69,7 @@ def test_divergence_oracle_lands_on_the_set_and_splits_the_divergence(
     if pair is not None:
         residual = np.linalg.norm(x @ pair.s - pair.y)
         assert residual <= 1e-10 * (1.0 + np.linalg.norm(pair.y))
+    a, b, x = (cholesky_factorize(m) for m in (a, b, x))
     d_ab = v_bregman_divergence(a, b, pot)
     gap = d_ab - v_bregman_divergence(a, x, pot) - v_bregman_divergence(x, b, pot)
     assert abs(gap) <= 1e-12 * (1.0 + abs(d_ab))
