@@ -21,7 +21,14 @@ import numpy as np
 from scipy.linalg import qr_update
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import NotPositiveDefinite, require_array, require_count, require_real, require_type
+from .errors import (
+    InvalidParameter,
+    NotPositiveDefinite,
+    require_array,
+    require_count,
+    require_real,
+    require_type,
+)
 
 # scipy >= 1.15 wraps qr_update to batch over leading dimensions; a single
 # factor needs only the kernel beneath, which gives the same bytes
@@ -33,13 +40,17 @@ PIVOT_RTOL = 1e-13
 
 
 def _require_square(name, a) -> np.ndarray:
-    """a as a real n x n array with n >= 1, n its length; InvalidParameter
-    otherwise, naming the n x n shape (1 x 1 for no length) and a's."""
+    """a as a real n x n array with n >= 1; InvalidParameter otherwise,
+    naming the shape wanted: (n, n) for a 2-d a of n >= 1 rows, and a
+    square shape of any n >= 1 for any other a."""
     try:
-        n = max(len(a), 1)
-    except TypeError:  # a scalar has no length
-        n = 1
-    return require_array(name, a, (n, n))
+        shape = np.shape(a)
+    except ValueError:  # a ragged nesting
+        shape = ()
+    if len(shape) == 2 and shape[0] > 0:
+        return require_array(name, a, (shape[0], shape[0]))
+    got = type(a).__name__ + (f" of shape {shape}" if shape else "")
+    raise InvalidParameter(f"{name} must be a real array of shape (n, n) with n >= 1, got {got}")
 
 
 def as_symmetric(a) -> np.ndarray:

@@ -41,10 +41,12 @@ CURVATURE_SKIP_RTOL = 1e-12
 BACKTRACK_MIN_FRAC = 0.2
 BACKTRACK_MAX_FRAC = 0.5
 # While the bracket is open, a curvature failure at t extrapolates to at
-# least this multiple of t.  After a search that never failed Armijo, and
-# whose step may therefore be short, the dual side's next first trial is
-# the same multiple of the step that repeats the last first-order change.
+# least this multiple of t.
 EXTRAPOLATE = 2.0
+# On the dual side the first trial may reach this multiple of alpha_init:
+# capped at alpha_init, the step that repeats the last first-order change
+# undershoots, and DFP does not recover from short steps as BFGS does.
+DUAL_FIRST_CAP = 4.0
 
 
 @dataclass
@@ -194,13 +196,15 @@ class _CountingObjective:
         return require_array("gradient", self._obj.gradient(x), (self.n,))
 
 
-def wolfe_line_search(obj, x, d, params, f0=None, g0=None, df_prev=None):
+def wolfe_line_search(obj, x, d, params, f0=None, g0=None, df_prev=None, dual=False):
     """Step length satisfying the (weak) Wolfe conditions.
 
-    The first trial is params.alpha_init, lowered to df_prev / g0'd, the
-    step whose first-order change is the target df_prev (Nocedal & Wright
-    2006, eq. 3.59), when that is finite and positive; minimize builds the
-    target from the last step.
+    The first trial is df_prev / g0'd, the step whose first-order change
+    is the target df_prev (Nocedal & Wright 2006, eq. 3.59), capped at
+    params.alpha_init, or at DUAL_FIRST_CAP * alpha_init when dual is
+    true; it is alpha_init when df_prev is None or that step is not
+    finite and positive.  minimize builds the target from the last step
+    and sets dual for the DFP-type families.
     The bracket [lo, hi] starts at [0, inf).  An Armijo failure at t sets
     hi = t and backtracks by safeguarded quadratic interpolation from lo
     (Dennis & Schnabel 1983, section 6.3); a curvature failure sets lo = t
@@ -232,7 +236,7 @@ def wolfe_line_search(obj, x, d, params, f0=None, g0=None, df_prev=None):
         # in Python floats, so an overflow gives inf without a RuntimeWarning
         t_first = float(require_array("df_prev", df_prev, ())) / g0d
         if np.isfinite(t_first) and t_first > 0.0:
-            t = min(t, t_first)
+            t = min(DUAL_FIRST_CAP * t if dual else t, t_first)
     lo, hi = 0.0, np.inf
     f_lo, dphi_lo = f0, g0d
     for _ in range(params.max_trials):
@@ -357,15 +361,13 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     # The BFGS-side families target 1.01 * 2 (f_k - f_{k-1}): the
     # minimizer of the quadratic with the current slope whose minimum lies
     # 1.01 times the last decrease below f (Nocedal & Wright 2006, eq.
-    # 3.60).  DFP-type updates lack BFGS's self-correction under the short
-    # steps that rule gives (Powell 1986; Byrd, Nocedal & Yuan 1987), so
-    # the dual side targets the last first-order change, alpha g'd: twice
-    # it after a search that never failed Armijo, whose step may be short,
-    # and it alone after one that backtracked, whose step the bracket's
-    # interpolation already placed.  A Wolfe trial evaluates the gradient
-    # only when Armijo holds, so the search backtracked exactly when it
-    # spent more f than gradient evaluations.
+    # 3.60).  The dual side targets the last first-order change, alpha
+    # g'd (eq. 3.59), and its search may open above alpha_init, up to
+    # DUAL_FIRST_CAP * alpha_init: DFP-type updates lack BFGS's
+    # self-correction under short steps (Powell 1986; Byrd, Nocedal &
+    # Yuan 1987), and with the cap at alpha_init that target undershoots.
     params = config.line_search
+    dual = config.family.inverse
     records = []
     df_prev = alpha = sty = None
     skipped = False
@@ -400,16 +402,12 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
             if params.method == "exact":
                 alpha, f_new, g_new = _exact_line_search(counted, x, d, params, g)
             else:
-                alpha, f_new, g_new = wolfe_line_search(counted, x, d, params, f, g, df_prev)
+                alpha, f_new, g_new = wolfe_line_search(
+                    counted, x, d, params, f, g, df_prev, dual=dual)
         except LineSearchFail as exc:
             status, reason = "LineSearchFail", str(exc)
             break
-        if config.family.inverse:
-            backtracked = (counted.nfev - records[-1].nfev
-                           > counted.ngev - records[-1].ngev)
-            df_prev = (1.0 if backtracked else EXTRAPOLATE) * alpha * float(g @ d)
-        else:
-            df_prev = 1.01 * 2.0 * (f_new - f)
+        df_prev = alpha * float(g @ d) if dual else 1.01 * 2.0 * (f_new - f)
         x_new = x + alpha * d
         s = x_new - x
         y = g_new - g

@@ -222,7 +222,7 @@ class UpdateFamily:
     def inverse(self) -> bool:
         """True on the dual side (dfp and vdfp).  minimize reads it on
         config.family, sparse runs included, for one thing alone: to pick
-        the side's target for the first Wolfe trial."""
+        the side's target and cap for the first Wolfe trial."""
         return self.kind in ("dfp", "vdfp")
 
     def initial_state(self, B0: PDMatrix) -> PDMatrix:

@@ -311,6 +311,27 @@ def test_a_pd_argument_is_a_pdmatrix(name, call, value):
         call(value)
 
 
+_SQUARE = "must be a real array of shape (n, n) with n >= 1, got"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cholesky_factorize(_I3), f"matrix {_SQUARE} PDMatrix"),
+    (lambda: cholesky_factorize(None), f"matrix {_SQUARE} NoneType"),
+    (lambda: PDMatrix("x"), f"L {_SQUARE} str"),
+    (lambda: PDMatrix(np.ones(3)), f"L {_SQUARE} ndarray of shape (3,)"),
+    (lambda: cholesky_factorize(np.zeros((0, 0))), f"matrix {_SQUARE} ndarray of shape (0, 0)"),
+    (lambda: cholesky_factorize([[1.0], [1.0, 2.0]]), f"matrix {_SQUARE} list"),
+    # a 2-d value of n >= 1 rows is named against the shape (n, n)
+    (lambda: cholesky_factorize(np.ones((3, 2))),
+     "matrix must be a real array of shape (3, 3), got ndarray of shape (3, 2) and dtype float64"),
+], ids=["PDMatrix", "None", "str", "vector", "empty", "ragged", "3x2"])
+def test_a_matrix_argument_that_is_not_square_is_named_as_such(call, message):
+    # a value without a length, a str among them, was named against the
+    # shape (1, 1), which no caller needs
+    with pytest.raises(InvalidParameter, match=rf"^{re.escape(message)}$"):
+        call()
+
+
 def test_theta_v_project_sparse_names_bbar_for_a_wrong_dimension():
     # it reported "entries must be a real array of shape (3, 3), got
     # ndarray of shape (4, 4)", for an argument the caller never passed

@@ -122,7 +122,8 @@ def test_generic_bregman_recovers_v_form():
         assert raw == pytest.approx(ref, rel=1e-9, abs=1e-11)
         # it reads arrays only; a PDMatrix is not read as its matrix
         with pytest.raises(InvalidParameter,
-                           match=r"got PDMatrix of shape \(\) and dtype object$"):
+                           match=r"^matrix must be a real array of shape \(n, n\) with n >= 1, "
+                                 r"got PDMatrix$"):
             generic_bregman(p, q, phi, grad_phi)
 
 

@@ -211,11 +211,16 @@ def test_pdmatrix_rejects_a_factor_that_is_not_square():
     # a 1-D factor warned "divide by zero" and got log det -inf, a 2 x 3
     # one built with n = 2 and failed later in solve, and a 0 x 0 one
     # built an empty matrix; the message names the square shape wanted and
-    # the shape given
-    for L in (np.ones(3), np.ones((2, 3)), np.zeros((0, 0)), np.ones((1, 1, 1)), 2.0):
-        got = re.escape(f"of shape {np.shape(L)} and dtype float64")
+    # what was given
+    for L, shapes in [
+        (np.ones(3), "(n, n) with n >= 1, got ndarray of shape (3,)"),
+        (np.ones((2, 3)), "(2, 2), got ndarray of shape (2, 3) and dtype float64"),
+        (np.zeros((0, 0)), "(n, n) with n >= 1, got ndarray of shape (0, 0)"),
+        (np.ones((1, 1, 1)), "(n, n) with n >= 1, got ndarray of shape (1, 1, 1)"),
+        (2.0, "(n, n) with n >= 1, got float"),
+    ]:
         with pytest.raises(InvalidParameter,
-                           match=rf"^L must be a real array of shape \((\*|\d+), \1\), got \w+ {got}$"):
+                           match=rf"^L must be a real array of shape {re.escape(shapes)}$"):
             PDMatrix(L)
     assert PDMatrix(np.array([[2.0]])).logdet == pytest.approx(2.0 * np.log(2.0))
 

@@ -117,6 +117,35 @@ def test_wolfe_stops_when_the_bracket_collapses():
     assert len(set(calls)) == len(calls)
 
 
+@pytest.mark.parametrize("df_prev, dual, first", [
+    # a huge finite target: the dual side opens at its cap, 4 alpha_init
+    (-1e300, True, 2.0),
+    (-1e300, False, 0.5),
+    # a target of step 3 alpha_init lies under the dual cap only
+    (-30.0, True, 1.5),
+    (-30.0, False, 0.5),
+    # a target whose step is not finite, or not positive, gives alpha_init
+    (-np.inf, True, 0.5),
+    (np.nan, True, 0.5),
+    (0.0, True, 0.5),
+    (5.0, True, 0.5),
+    (None, True, 0.5),
+])
+def test_first_wolfe_trial_is_capped_by_the_side(df_prev, dual, first):
+    # f = (x - 10)^2 from x = 0 along d = 1: g0'd = -20, and every trial
+    # point is the step itself
+    trials = []
+
+    def value(x):
+        trials.append(float(x[0]))
+        return float((x[0] - 10.0) ** 2)
+
+    obj = Objective(1, value, lambda x: np.array([2.0 * (x[0] - 10.0)]))
+    wolfe_line_search(obj, np.zeros(1), np.ones(1), LineSearchParams(alpha_init=0.5),
+                      100.0, np.array([-20.0]), df_prev, dual=dual)
+    assert trials[0] == first
+
+
 def test_line_search_params_validation():
     for kwargs in (
         dict(c1=0.5, c2=0.1),
@@ -696,14 +725,17 @@ class _TrialLog:
 
 def _run_watching_searches(spec, config):
     # minimize with every Wolfe search spied on: one entry per search, of
-    # (f0, df_prev, alpha g0'd, [Armijo held at each trial])
+    # (f0, df_prev, alpha g0'd, dual, first trial step, [Armijo held at
+    # each trial]); the first trial step is read back off its point x + t d,
+    # so it holds t only to rounding
     real = bregmanqn.solver.wolfe_line_search
     calls = []
 
-    def spy(obj, x, d, params, f0=None, g0=None, df_prev=None):
+    def spy(obj, x, d, params, f0=None, g0=None, df_prev=None, dual=False):
         log = _TrialLog(obj)
-        result = real(log, x, d, params, f0, g0, df_prev)
-        calls.append((f0, df_prev, result.alpha * float(g0 @ d),
+        result = real(log, x, d, params, f0, g0, df_prev, dual=dual)
+        first = float((log.trials[0][0] - x) @ d / (d @ d))
+        calls.append((f0, df_prev, result.alpha * float(g0 @ d), dual, first,
                       [armijo for _, armijo in log.trials]))
         return result
 
@@ -718,9 +750,9 @@ def test_first_wolfe_trial_comes_from_the_last_step(family):
     # every search after the first gets a target first-order change built
     # from the last step: 1.01 * 2 (f_k - f_{k-1}) on the BFGS side, so
     # that the search opens at the eq. 3.60 step; on the dual side
-    # 2 alpha g'd of the previous step after a search with no Armijo
-    # failure, alpha g'd itself after one that had a failure.  The first
-    # search of a run gets none
+    # alpha g'd of the previous step (eq. 3.59), with the first trial
+    # capped at 4 alpha_init instead of alpha_init.  The first search of
+    # a run gets none
     trace, calls = _run_watching_searches(
         get_problem("rosenbrock"), SolverConfig(family, grad_tol=1e-6))
     assert trace.status == "Converged"
@@ -728,29 +760,31 @@ def test_first_wolfe_trial_comes_from_the_last_step(family):
     assert [call[0] for call in calls] == fs[:-1]
     df_prevs = [call[1] for call in calls]
     assert df_prevs[0] is None
-    if family == "bfgs":
+    dual = family != "bfgs"
+    assert {call[3] for call in calls} == {dual}
+    firsts = [call[4] for call in calls]
+    alpha_init = LineSearchParams().alpha_init
+    if not dual:
         # bit for bit, so that the search opens at the eq. 3.60 step
         # 1.01 * 2 (f_{k-1} - f_k) / -g_k'd_k exactly
         assert df_prevs[1:] == [1.01 * 2.0 * (f - f_prev) for f_prev, f in zip(fs, fs[1:-1])]
+        assert max(firsts) <= alpha_init * (1.0 + 1e-9)
     else:
-        # bit for bit alpha_{k-1} g_{k-1}'d_{k-1}, doubled unless the
-        # spy's previous call had an Armijo failure
-        failed = [not all(armijo) for *_, armijo in calls[:-1]]
-        assert df_prevs[1:] == [call[2] if fail else 2.0 * call[2]
-                                for call, fail in zip(calls, failed)]
-        # both branches occur on this run
-        assert set(failed) == {False, True}
+        # bit for bit alpha_{k-1} g_{k-1}'d_{k-1}, after every search
+        assert df_prevs[1:] == [call[2] for call in calls[:-1]]
+        # the cap above alpha_init is used on this run, and holds
+        assert max(firsts) > alpha_init
+        assert max(firsts) <= 4.0 * alpha_init * (1.0 + 1e-9)
 
 
 def test_dfp_first_trials_on_a_quadratic_stop_failing_every_time():
     # doubling the step that repeats the last first-order change after
     # every search put each first trial of this run near the far root of
     # the parabola, where f is back at f0: 86 of 86 failed Armijo.  Taking
-    # the change as it is after a search that backtracked fails 56 of 108.
-    # The trade: the near-exact steps cost iterations here (86 -> 108),
-    # and over dense-large seeds 0-9 f evaluations fall 41,650 -> 40,354
-    # while gradient evaluations rise 32,663 -> 32,995 and iterations
-    # 31,960 -> 32,244
+    # the change as it is after a search that backtracked failed 56 of
+    # 108; taking it after every search, with the first trial capped at
+    # 4 alpha_init, fails 48 of 127.  The near-exact steps cost iterations
+    # here (86 -> 108 -> 127)
     trace, calls = _run_watching_searches(
         get_problem("quadratic:100:300", seed=1), SolverConfig("dfp", grad_tol=1e-6))
     assert trace.status == "Converged"
@@ -762,14 +796,16 @@ def test_dfp_converges_on_rosenbrock_from_most_nearby_starts():
     # with every search opening at alpha_init, dfp converged from 18 of
     # these 80 starts (the catalog start and 79 perturbed by 2%); doubling
     # the step that repeats the last first-order decrease took it to 44,
-    # and doubling it only after a search with no Armijo failure to 46
+    # and doubling it only after a search with no Armijo failure to 46.
+    # That step itself after every search, capped at 4 alpha_init instead
+    # of alpha_init, converges from 73
     spec = get_problem("rosenbrock")
     starts = [spec.start] + [
         spec.start * (1.0 + 0.02 * np.random.default_rng(k).standard_normal(2))
         for k in range(1, 80)]
     cfg = SolverConfig("dfp", grad_tol=1e-6, max_iter=200)
     traces = [minimize(spec.objective, x0, config=cfg) for x0 in starts]
-    assert sum(t.status == "Converged" for t in traces) >= 40
+    assert sum(t.status == "Converged" for t in traces) >= 65
     # vdfp:log is dfp: the same steps, evaluations and end point
     cfg_log = SolverConfig("vdfp:log", grad_tol=1e-6, max_iter=200)
     for x0, trace in list(zip(starts, traces))[:5]:
