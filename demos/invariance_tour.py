@@ -21,7 +21,7 @@ def seeded_transform(n, seed, det_target):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
     d = np.linalg.det(M)
-    M *= np.sign(d)
+    M[:, 0] *= np.sign(d)  # one column: det changes sign at any n
     return M * (abs(d) ** (-1.0 / n)) * det_target ** (1.0 / n)
 
 

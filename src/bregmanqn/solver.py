@@ -19,7 +19,7 @@ from .errors import (
 )
 from .pdlinalg import PDMatrix, cholesky_factorize
 from .updates import SecantPair, UpdateFamily
-from .sparse import SparseUpdateFamily
+from .sparse import SparseUpdateFamily, _require_on_pattern
 
 __all__ = [
     "Objective",
@@ -309,15 +309,22 @@ def _exact_line_search(obj, x, d, params, g0):
 
 def _check_start(obj, B0, config):
     """(B0, config) as minimize's docstring states them, None giving I and
-    the default config; InvalidParameter for anything else."""
+    the default config; InvalidParameter for anything else, B0 = I too
+    when it does not fit a sparse config's pattern, and
+    PotentialNotAdmissible when the potential rules out obj.n."""
     if config is None:
         config = SolverConfig(UpdateFamily("bfgs"))
     require_type("config", config, SolverConfig)
     if B0 is None:
-        return PDMatrix.identity(obj.n), config
-    L = require_array("B0.L", require_type("B0", B0, PDMatrix).L, (obj.n, obj.n), finite=True)
-    if not ((np.diag(L) > 0).all() and not np.triu(L, 1).any()):
-        raise InvalidParameter("B0 needs a lower-triangular factor with a positive diagonal")
+        B0 = PDMatrix.identity(obj.n)
+    else:
+        L = require_array("B0.L", require_type("B0", B0, PDMatrix).L, (obj.n, obj.n), finite=True)
+        if not ((np.diag(L) > 0).all() and not np.triu(L, 1).any()):
+            raise InvalidParameter("B0 needs a lower-triangular factor with a positive diagonal")
+    if config.sparsity is not None:
+        _require_on_pattern(B0, config.update_family.pattern)
+    if config.family.potential is not None:
+        config.family.potential.require_admissible(obj.n)
     return B0, config
 
 
@@ -333,17 +340,18 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     dimension n with a finite lower-triangular factor of positive
     diagonal; anything else, or a B0 the update cannot start from, such
     as one off a sparsity pattern, raises InvalidParameter before the
-    first evaluation.  f must be a real scalar and the gradient a real
-    array of shape (n,) at every point, else InvalidParameter is raised
-    by the evaluation that returned it.  Each record holds its own
-    iterate x_k, which the run never writes into.  record_b stores a copy
-    of B_k (n^2 per iterate) for invariance comparisons.
+    first evaluation, as PotentialNotAdmissible does for a potential
+    that rules out the dimension n.  f must be a real scalar and the
+    gradient a real array of shape (n,) at every point, else
+    InvalidParameter is raised by the evaluation that returned it.  Each
+    record holds its own iterate x_k, which the run never writes into.
+    record_b stores a copy of B_k (n^2 per iterate) for invariance
+    comparisons.
     """
-    B0, config = _check_start(obj, B0, config)
+    B, config = _check_start(obj, B0, config)
+    del B0  # B alone holds B0, which can go with the first update
     x = require_array("x0", x0, (obj.n,), finite=True).copy()
     family = config.update_family
-    B = family.initial_state(B0)
-    del B0  # B alone holds B0, which can go with the first update
     # A sparse run scales B0 once, by theta = s'y / s'B0s, at its first
     # applied update (Oren & Luenberger 1974): the theta-projection keeps
     # P_F(B^-1) of the secant point, so B0^-1's scale would stay in every
@@ -477,9 +485,9 @@ def invariance_check(obj, x0, B0, T, config, k_max=20, tol=1e-6):
     congruence (T')^{-1} B0 T^{-1}; deviations beyond tol mean the update
     family is not invariant under this T.  Only iterates 0..k_max are
     compared, so both runs stop after at most k_max iterations.  tol must
-    be finite and >= 0.  B0 and config take minimize's rule, and the
-    mapped B0 must suit config's update too, as one off a sparsity
-    pattern does not; all are checked before any evaluation.
+    be finite and >= 0.  B0, the mapped B0 and config take minimize's
+    rule, so a mapped B0 off a sparsity pattern is rejected too; all are
+    checked before any evaluation.
 
     The verdict covers the two runs in floating point, not the update
     alone: a run that amplifies rounding can turn it into a different
@@ -493,7 +501,7 @@ def invariance_check(obj, x0, B0, T, config, k_max=20, tol=1e-6):
     T = require_array("T", T, (obj.n, obj.n), finite=True)
     obj_t = transform_problem(obj, T)
     b0t = np.linalg.solve(T.T, np.linalg.solve(T.T, B0.matrix.T).T)
-    B0_t = config.update_family.initial_state(cholesky_factorize(0.5 * (b0t + b0t.T)))
+    B0_t, _ = _check_start(obj_t, cholesky_factorize(0.5 * (b0t + b0t.T)), config)
 
     config = replace(config, max_iter=min(config.max_iter, k_max))
     trace = minimize(obj, x0, B0, config, record_b=True)

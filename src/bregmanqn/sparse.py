@@ -446,16 +446,15 @@ def sparse_update(B, pair, family):
 
 
 class SparseUpdateFamily:
-    """sparse_update on a chordal pattern, with UpdateFamily's
-    initial_state and apply.
+    """sparse_update on a chordal pattern, with UpdateFamily's apply.
 
     Each algorithm fixes its own secant step (the DFP point or the V-BFGS
     point), so the family only names the potential: bfgs for the log
     potential or vbfgs:<potential>.  Checks it, the pattern, algorithm (1
     or 2) and T once, keeping the clique tree; sparse_update(B, pair,
-    family) reads all of them from here.  initial_state raises
-    InvalidParameter for a B0 of the wrong dimension or off the pattern.
-    minimize scales B0 once at a sparse run's first update.
+    family) reads all of them from here.  minimize checks that B0 fits
+    the pattern before its first evaluation, and scales B0 once at a
+    sparse run's first update.
     """
 
     def __init__(self, family, pattern, algorithm, T):
@@ -470,11 +469,6 @@ class SparseUpdateFamily:
         self.pattern, self.algorithm, self.T = pattern, algorithm, require_count("T", T)
         self.tree = is_chordal(pattern)
         self.potential = family.potential
-
-    def initial_state(self, B0: PDMatrix) -> PDMatrix:
-        _require_on_pattern(B0, self.pattern)
-        self.potential.require_admissible(B0.n)
-        return B0
 
     def apply(self, B: PDMatrix, pair: SecantPair) -> PDMatrix:
         return sparse_update(B, pair, self).b_out

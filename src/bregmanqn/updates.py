@@ -225,11 +225,6 @@ class UpdateFamily:
         the side's target and cap for the first Wolfe trial."""
         return self.kind in ("dfp", "vdfp")
 
-    def initial_state(self, B0: PDMatrix) -> PDMatrix:
-        if self.potential is not None:
-            self.potential.require_admissible(B0.n)
-        return B0
-
     def apply(self, B: PDMatrix, pair: SecantPair) -> PDMatrix:
         pot = self.potential
         if pot is None:

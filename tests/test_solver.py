@@ -23,6 +23,7 @@ from bregmanqn import (
     NotChordal,
     Objective,
     PDMatrix,
+    PotentialNotAdmissible,
     RootNotBracketed,
     SecantPair,
     SingularTransform,
@@ -1128,6 +1129,26 @@ def test_invariance_check_rejects_a_mapped_b0_off_the_pattern_before_either_run(
     assert rep.k_used == 5 and counts["f"] > 0
 
 
+def test_a_potential_the_dimension_rules_out_is_rejected_before_evaluating():
+    # gamma = 0.2 breaks the power potential's beta bound at n = 10; a
+    # run that started anyway would end in UpdateFail at its first update
+    spec = get_problem("quadratic:10:10")
+    obj, counts = counting_objective(spec.objective)
+    pattern = banded_pattern(10, 1)
+    dense = SolverConfig("vbfgs:power:gamma=0.2")
+    sparse = SolverConfig("vbfgs:power:gamma=0.2", sparsity=(pattern, 2, 1))
+    for cfg in (dense, SolverConfig("vdfp:power:gamma=0.2"), sparse):
+        with pytest.raises(PotentialNotAdmissible, match=r"not admissible for n=10"):
+            minimize(obj, spec.start, None, cfg)
+    with pytest.raises(PotentialNotAdmissible, match=r"not admissible for n=10"):
+        invariance_check(obj, spec.start, None, np.eye(10), dense)
+    # the pattern is checked before the potential
+    off_pattern = cholesky_factorize(np.full((10, 10), 0.5) + np.eye(10))
+    with pytest.raises(InvalidParameter, match=r"^B has entries outside the sparsity pattern$"):
+        minimize(obj, spec.start, off_pattern, sparse)
+    assert counts == {"f": 0, "g": 0}
+
+
 # -------------------------------------------------------------- invariance
 
 
@@ -1235,11 +1256,10 @@ def test_invariance_under_unimodular_transforms():
             T = seeded_transform(3, seed, 1.0)
             rep = invariance_check(spec.objective, spec.start, None, T, cfg)
             assert rep.invariant, (fam, seed, rep.x_dev, rep.b_dev)
-    # the dual side's first trial 2 alpha g'd / g'd, or alpha g'd / g'd
-    # after a search with an Armijo failure, is unchanged under x -> Tx,
-    # and so is which of the two is taken; on Rosenbrock it sets every
-    # search from k = 1 on, and k = 1 already takes the factor-1 branch,
-    # since the first search always backtracks from the unit step
+    # the dual side's first trial alpha g'd / g'd, the last step's
+    # first-order change over the new slope, capped at 4 alpha_init, is
+    # unchanged under x -> Tx, and so is whether the cap binds; on
+    # Rosenbrock it sets every search from k = 1 on
     spec = get_problem("rosenbrock")
     for seed in (0, 1, 2):
         T = seeded_transform(2, seed, 1.0)

@@ -706,7 +706,6 @@ def test_family_apply_is_sparse_update_of_b_itself():
         family = sparse_family(pattern, pot, algorithm, 3)
         b = cholesky_factorize(tridiag_entries(rng, n))
         pair = feasible_instance(rng, n, pattern)
-        assert family.initial_state(b) is b
         got = family.apply(b, pair)
         assert isinstance(got, PDMatrix)
         assert got.L.tobytes() == sparse_update(b, pair, family).b_out.L.tobytes()
