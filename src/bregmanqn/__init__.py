@@ -71,7 +71,6 @@ from .sparse import (
     is_chordal,
     load_pattern,
     pattern_from_text,
-    pattern_to_text,
     sparse_update,
     theta_v_project_sparse,
 )

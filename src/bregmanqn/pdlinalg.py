@@ -92,7 +92,7 @@ def cholesky_factorize(a) -> PDMatrix:
         raise NotPositiveDefinite(
             f"matrix has a pivot at or below {PIVOT_RTOL} times its largest diagonal entry"
         )
-    return PDMatrix(L[0])
+    return PDMatrix._from_factor(L[0])
 
 
 def rank_one_update(B: PDMatrix, u, v, scale=1.0) -> PDMatrix:
@@ -120,13 +120,13 @@ def rank_one_update(B: PDMatrix, u, v, scale=1.0) -> PDMatrix:
             f"factor diagonal {np.min(a):.3e} at or below sqrt({PIVOT_RTOL}) times {np.max(a):.3e}"
         )
     R *= np.sign(d)[:, None]
-    return PDMatrix(R.T)
+    return PDMatrix._from_factor(R.T)
 
 
 def _solve_lower(L, b, transposed=False, overwrite=False) -> np.ndarray:
     # L x = b, or L' x = b, for a vector or an n-row block: trtrs on the upper
-    # L', as solve_triangular does for a C-ordered L.  A factor is finite by
-    # construction, and a non-finite b gives a non-finite x.  overwrite lets
+    # L', as solve_triangular does for a C-ordered L.  A PDMatrix's factor is
+    # finite, and a non-finite b gives a non-finite x.  overwrite lets
     # trtrs solve in place in an F-ordered b, for private arrays only.
     if not isinstance(b, np.ndarray):
         b = require_array("b", b, None)
@@ -138,15 +138,28 @@ def _solve_lower(L, b, transposed=False, overwrite=False) -> np.ndarray:
 
 
 class PDMatrix:
-    """Positive definite matrix A = L L', built from its lower-triangular
-    Cholesky factor L (strictly positive diagonal), with log det A cached
-    and A itself formed on first use.  L must be a real n x n array
-    with n >= 1; its entries are taken as given."""
+    """Positive definite matrix A = L L', built from its Cholesky factor L,
+    with log det A cached and A itself formed on first use.  L must be a
+    finite real n x n array with n >= 1, zero above the diagonal and
+    positive on it; InvalidParameter otherwise."""
 
     __slots__ = ("n", "L", "logdet", "_matrix")
 
     def __init__(self, L):
-        L = _require_square("L", L)
+        L = require_array("L", _require_square("L", L), None, finite=True)
+        if not ((np.diag(L) > 0).all() and not np.triu(L, 1).any()):
+            raise InvalidParameter("L must be lower triangular with a positive diagonal")
+        self._hold(L)
+
+    @classmethod
+    def _from_factor(cls, L) -> "PDMatrix":
+        """The PDMatrix of a factor this module built, which keeps
+        __init__'s rule by construction, so the check is skipped."""
+        B = cls.__new__(cls)
+        B._hold(L)
+        return B
+
+    def _hold(self, L):
         self.n = L.shape[0]
         self.L = L
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
@@ -163,7 +176,9 @@ class PDMatrix:
         return self._matrix
 
     def det(self) -> float:
-        return float(np.exp(self.logdet))
+        """det A, inf where it overflows a float."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.logdet))
 
     def solve(self, b) -> np.ndarray:
         """Solve A x = b for one right-hand side or a block of them."""
@@ -177,9 +192,6 @@ class PDMatrix:
         """A^{-1} as a new array, both solves in place in one F-ordered block."""
         x = _solve_lower(self.L, np.eye(self.n, order="F"), overwrite=True)
         return _solve_lower(self.L, x, transposed=True, overwrite=True)
-
-    def matvec(self, x) -> np.ndarray:
-        return self.L @ (self.L.T @ require_array("x", x, (self.n,)))
 
     def __repr__(self):
         return f"PDMatrix(n={self.n}, logdet={self.logdet:.6g})"

@@ -40,7 +40,6 @@ class PotentialReport:
     the grid; limit_ok that z / nu(z)^(n-1) vanishes as z -> 0+.
     """
 
-    dimension: int
     beta_bound_ok: bool
     limit_ok: bool
     beta_max: float
@@ -253,7 +252,6 @@ def validate(pot: Potential, n: int) -> PotentialReport:
     limit_ok = monotone and small_enough
 
     report = PotentialReport(
-        dimension=n,
         beta_bound_ok=beta_bound_ok,
         limit_ok=limit_ok,
         beta_max=beta_max,

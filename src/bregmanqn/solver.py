@@ -146,12 +146,6 @@ class SolverTrace:
     def iterations(self):
         return len(self.records) - 1
 
-    def grad_norms(self):
-        return np.array([r.grad_norm for r in self.records])
-
-    def fs(self):
-        return np.array([r.f for r in self.records])
-
 
 class LineSearchResult(NamedTuple):
     """Accepted step length with f and its gradient at x + alpha*d."""
@@ -318,9 +312,8 @@ def _check_start(obj, B0, config):
     if B0 is None:
         B0 = PDMatrix.identity(obj.n)
     else:
-        L = require_array("B0.L", require_type("B0", B0, PDMatrix).L, (obj.n, obj.n), finite=True)
-        if not ((np.diag(L) > 0).all() and not np.triu(L, 1).any()):
-            raise InvalidParameter("B0 needs a lower-triangular factor with a positive diagonal")
+        # PDMatrix itself holds its factor to the rule
+        require_array("B0.L", require_type("B0", B0, PDMatrix).L, (obj.n, obj.n))
     if config.sparsity is not None:
         _require_on_pattern(B0, config.update_family.pattern)
     if config.family.potential is not None:
@@ -337,10 +330,10 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     whose B was formed, and the error's message as trace.reason.  The
     update is config.update_family's, dense or sparse.  config (None for
     the default) must be a SolverConfig and B0 (None for I) a PDMatrix of
-    dimension n with a finite lower-triangular factor of positive
-    diagonal; anything else, or a B0 the update cannot start from, such
-    as one off a sparsity pattern, raises InvalidParameter before the
-    first evaluation, as PotentialNotAdmissible does for a potential
+    dimension n, whose constructor has checked its factor; anything
+    else, or a B0 the update cannot start from, such as one off a
+    sparsity pattern, raises InvalidParameter before the first
+    evaluation, as PotentialNotAdmissible does for a potential
     that rules out the dimension n.  f must be a real scalar and the
     gradient a real array of shape (n,) at every point, else
     InvalidParameter is raised by the evaluation that returned it.  Each
@@ -383,8 +376,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     for k in range(config.max_iter + 1):
         # x is rebound each step, never written in place, so the record
         # holds it; B is copied, as a skipped step keeps it
-        with np.errstate(over="ignore"):
-            det_b = float(B.det())
+        det_b = B.det()
         records.append(
             IterationRecord(
                 k=k,
@@ -501,7 +493,7 @@ def invariance_check(obj, x0, B0, T, config, k_max=20, tol=1e-6):
     T = require_array("T", T, (obj.n, obj.n), finite=True)
     obj_t = transform_problem(obj, T)
     b0t = np.linalg.solve(T.T, np.linalg.solve(T.T, B0.matrix.T).T)
-    B0_t, _ = _check_start(obj_t, cholesky_factorize(0.5 * (b0t + b0t.T)), config)
+    B0_t, _ = _check_start(obj_t, cholesky_factorize(b0t), config)
 
     config = replace(config, max_iter=min(config.max_iter, k_max))
     trace = minimize(obj, x0, B0, config, record_b=True)

@@ -40,7 +40,6 @@ __all__ = [
     "banded_pattern",
     "arrow_pattern",
     "pattern_from_text",
-    "pattern_to_text",
     "load_pattern",
     "is_chordal",
     "clique_factorize",
@@ -89,10 +88,6 @@ class SparsityPattern:
 
     def contains(self, i, j):
         return i == j or j in self._adj[i]
-
-    @property
-    def is_full(self):
-        return len(self.edges) == self.n * (self.n - 1) // 2
 
     def mask(self):
         m = np.eye(self.n, dtype=bool)
@@ -171,12 +166,6 @@ def pattern_from_text(text):
             raise InvalidParameter(f"pattern entry ({i}, {j}) out of range for n={n}")
         edges.append((i - 1, j - 1))
     return SparsityPattern(n, edges)
-
-
-def pattern_to_text(pattern):
-    lines = [str(require_type("pattern", pattern, SparsityPattern).n)]
-    lines += [f"{i + 1} {j + 1}" for i, j in pattern.edges]
-    return "\n".join(lines) + "\n"
 
 
 def load_pattern(path):

@@ -37,7 +37,6 @@ from bregmanqn import (
     log_potential,
     minimize,
     pattern_from_text,
-    pattern_to_text,
     potential_from_string,
     power_potential,
     rank_one_update,
@@ -241,7 +240,6 @@ HANDLES = [
     ("invert_theta-pot", lambda: invert_theta(-np.eye(3), "log"), "str"),
     ("validate-pot", lambda: validate("log", 3), "str"),
     ("is_chordal", lambda: is_chordal(np.eye(3)), "ndarray"),
-    ("pattern_to_text", lambda: pattern_to_text([(0, 1)]), "list"),
     ("SparseUpdateFamily-family",
      lambda: SparseUpdateFamily("bfgs", _PATTERN, 2, 1), "str"),
     ("SparseUpdateFamily-pattern",
@@ -373,18 +371,17 @@ _TRANSFORMED = transform_problem(_SPEC.objective, np.eye(3))
 
 # each array argument: (name, call with the value, a value it accepts, finite only)
 ARRAYS = [
-    ("PDMatrix L", PDMatrix, np.eye(3), False),
+    ("PDMatrix L", PDMatrix, np.eye(3), True),
     ("cholesky_factorize", cholesky_factorize, np.eye(3), False),
     ("PDMatrix.solve b", _I3.solve, np.ones(3), False),
     ("PDMatrix.solve_factor b", _I3.solve_factor, np.ones(3), False),
-    ("PDMatrix.matvec x", _I3.matvec, np.ones(3), False),
     ("rank_one_update u", lambda v: rank_one_update(_I3, v, np.ones(3)), np.ones(3), False),
     ("rank_one_update v", lambda v: rank_one_update(_I3, np.ones(3), v), np.ones(3), False),
     ("SecantPair s", lambda v: SecantPair(v, np.ones(3)), np.ones(3), False),
     ("SecantPair y", lambda v: SecantPair(np.ones(3), v), np.ones(3), False),
     ("minimize x0", lambda v: minimize(_SPEC.objective, v), _START, True),
     ("minimize B0.L", lambda v: minimize(_SPEC.objective, _START, _with_factor(v)), np.eye(3),
-     True),
+     False),
     ("transform_problem T", lambda v: transform_problem(_SPEC.objective, v), np.eye(3), True),
     ("transform_problem value x", _TRANSFORMED.value, _START, False),
     ("transform_problem gradient x", _TRANSFORMED.gradient, _START, False),

@@ -79,6 +79,10 @@ def test_log_det_no_overflow_large_n():
     f = cholesky_factorize(a)
     assert np.isfinite(f.logdet)
     assert abs(f.logdet - n * np.log(1e7)) < 1e-8 * n
+    # det() warned "overflow encountered in exp", an error under the
+    # suite's filter, unless each caller silenced it
+    assert f.det() == cholesky_factorize(np.diag([1e200] * 4)).det() == np.inf
+    assert cholesky_factorize(np.diag([1e-200] * 4)).det() == 0.0
 
 
 def test_solve_matches_numpy():
@@ -172,10 +176,8 @@ def test_the_pivot_test_holds_at_any_factor_scale(n):
 def test_a_zero_scale_leaves_the_rank_one_term_alone():
     # u v' is PD only at n = 1, where it is the update of the zero factor
     B = PDMatrix(np.array([[3.0]]))
-    with np.errstate(divide="ignore"):
-        want = rank_one_update(PDMatrix(np.zeros((1, 1))), np.array([2.0]), np.array([-1.5]))
     got = rank_one_update(B, np.array([2.0]), np.array([-1.5]), scale=0.0)
-    assert got.L.tobytes() == want.L.tobytes() == np.array([[3.0]]).tobytes()
+    assert got.L.tobytes() == np.array([[3.0]]).tobytes()
     with pytest.raises(NotPositiveDefinite):
         rank_one_update(PDMatrix.identity(2), np.ones(2), np.ones(2), scale=0.0)
 
@@ -197,7 +199,7 @@ def test_pdmatrix_identity_and_inverse():
     pinv = p.inv()
     assert np.abs(pinv @ a - np.eye(5)).max() < 1e-9
     x = rng.standard_normal(5)
-    assert np.abs(p.solve(p.matvec(x)) - x).max() < 1e-9
+    assert np.abs(p.solve(p.matrix @ x) - x).max() < 1e-9
 
 
 def test_pdmatrix_rejects_nonsquare_and_indefinite():
@@ -273,9 +275,44 @@ def test_solves_leave_the_callers_b_untouched():
             assert not np.shares_memory(x, b)
 
 
+_RULE = "^L must be lower triangular with a positive diagonal$"
+_FINITE = r"^L must be a finite real array, got "
+
+
+@pytest.mark.parametrize("L, message", [
+    ([[1.0, 5.0], [0.0, 1.0]], _RULE),
+    (np.diag([1.0, 0.0]), _RULE),
+    (-np.eye(2), _RULE),
+    ([[-1.0]], _RULE),
+    (np.diag([1.0, np.nan]), _FINITE),
+    (np.diag([np.inf, 1.0]), _FINITE),
+    ([[1.0, 0.0], [np.nan, 1.0]], _FINITE),
+], ids=["upper", "zero-pivot", "negative", "negative-1x1", "nan-pivot", "inf-pivot", "nan-lower"])
+def test_pdmatrix_refuses_a_factor_that_breaks_its_rule(L, message):
+    # the factor was taken as given: for [[1, 5], [0, 1]] solve read the
+    # lower triangle alone and gave [1, 1] for b = [1, 1], though its own
+    # matrix [[26, 5], [5, 1]] gives [-4, 21]
+    with pytest.raises(InvalidParameter, match=message):
+        PDMatrix(L)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50])
+def test_every_factor_the_library_builds_keeps_the_public_rule(n):
+    # cholesky_factorize and rank_one_update build their PDMatrix without
+    # the constructor's check, on the premise that their factors pass it
+    rng = np.random.default_rng(n)
+    for k in range(20):
+        B = cholesky_factorize(10.0 ** rng.uniform(-100, 100) * random_pd(rng, n, 10.0 ** (k % 5)))
+        for got in (B, rank_one_update(B, rng.standard_normal(n) * np.abs(B.L).max(),
+                                       rng.standard_normal(n), scale=rng.uniform(0.01, 10.0))):
+            assert PDMatrix(got.L).logdet == got.logdet
+
+
 def test_triangular_solve_rejects_a_zero_pivot_and_a_mismatched_rhs():
+    # PDMatrix refuses a zero pivot, so the factor enters as the library's
+    # own would; the solves still check LAPACK's error return
     with np.errstate(divide="ignore"):
-        B = PDMatrix(np.diag([1.0, 0.0, 2.0]))
+        B = PDMatrix._from_factor(np.diag([1.0, 0.0, 2.0]))
     for solve in (B.solve, B.solve_factor):
         with pytest.raises(NotPositiveDefinite):
             solve(np.ones(3))

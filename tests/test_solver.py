@@ -331,6 +331,30 @@ def test_dense_dfp_takes_one_rank_one_step_per_update():
         assert chol.call_count == factorizations * steps
 
 
+@pytest.mark.parametrize("family, sparse, checked", [
+    ("bfgs", False, 0), ("dfp", False, 0), ("selfscale", False, 0),
+    ("vbfgs:bounded:c=0.5", False, 0), ("vdfp:log", False, 0), ("vbfgs:log", True, 1),
+])
+def test_the_solver_loop_builds_no_pdmatrix_through_its_check(family, sparse, checked):
+    # every B a step makes comes from rank_one_update or cholesky_factorize,
+    # valid by construction; PDMatrix's check runs only on the sparse run's
+    # first-update scaling of B0
+    spec = get_problem("broyden-tridiagonal:10")
+    config = SolverConfig(family, sparsity=(spec.pattern, 2, 1) if sparse else None)
+    B0 = PDMatrix.identity(spec.n)
+    init = PDMatrix.__init__
+    calls = []
+
+    def spy(self, L):
+        calls.append(L)
+        init(self, L)
+
+    with mock.patch.object(PDMatrix, "__init__", spy):
+        trace = minimize(spec.objective, spec.start, B0, config)
+    assert trace.status == "Converged" and trace.iterations > 1
+    assert len(calls) == checked
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="before 3.11 a caller keeps its call's arguments until the call returns")
 @pytest.mark.parametrize("sparse", [False, True])
@@ -494,8 +518,8 @@ def test_objective_values_never_increase():
     spec = get_problem("quadratic:100:6", seed=5)
     trace = minimize(spec.objective, spec.start,
                      config=SolverConfig(UpdateFamily("bfgs")))
-    assert np.all(np.diff(trace.fs()) <= 0.0)
-    assert trace.grad_norms()[-1] <= 1e-8
+    assert np.all(np.diff([r.f for r in trace.records]) <= 0.0)
+    assert [r.grad_norm for r in trace.records][-1] <= 1e-8
 
 
 def test_minimize_validates_start_shape():
@@ -1056,9 +1080,10 @@ def test_minimize_rejects_a_b0_of_the_wrong_kind_before_evaluating():
 
 
 def test_minimize_rejects_a_b0_that_is_not_a_cholesky_factor_before_evaluating():
-    # PDMatrix takes its factor as given: an upper entry was ignored by
+    # PDMatrix took its factor as given: an upper entry was ignored by
     # B0.solve but not by B0.matrix, and a negative diagonal ran to
-    # Converged with det_b NaN in every record
+    # Converged with det_b NaN in every record.  Such a B0 is now refused
+    # where it is built, before minimize sees it
     spec = get_problem("rosenbrock")
     calls = []
     obj = Objective(
@@ -1066,19 +1091,18 @@ def test_minimize_rejects_a_b0_that_is_not_a_cholesky_factor_before_evaluating()
         lambda x: calls.append("f") or spec.objective.value(x),
         lambda x: calls.append("g") or spec.objective.gradient(x),
     )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        bad = [
-            PDMatrix(np.array([[1.0, 2.0], [0.0, 1.0]])),
-            PDMatrix(-np.eye(2)),
-            PDMatrix(np.diag([1.0, 0.0])),
-            PDMatrix(np.diag([1.0, np.nan])),
-            PDMatrix(np.diag([np.inf, 1.0])),
-            PDMatrix(np.array([[1.0, 0.0], [np.nan, 1.0]])),
-        ]
+    bad = [
+        np.array([[1.0, 2.0], [0.0, 1.0]]),
+        -np.eye(2),
+        np.diag([1.0, 0.0]),
+        np.diag([1.0, np.nan]),
+        np.diag([np.inf, 1.0]),
+        np.array([[1.0, 0.0], [np.nan, 1.0]]),
+    ]
     for family in ("bfgs", "dfp", "selfscale"):
-        for B0 in bad:
+        for L in bad:
             with pytest.raises(InvalidParameter):
-                minimize(obj, spec.start, B0, config=SolverConfig(family))
+                minimize(obj, spec.start, PDMatrix(L), config=SolverConfig(family))
     assert calls == []
     L = np.array([[1.0, 0.0], [2.0, 1.0]])
     trace = minimize(obj, spec.start, PDMatrix(L), SolverConfig("bfgs", grad_tol=1e-6))

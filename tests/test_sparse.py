@@ -27,7 +27,6 @@ from bregmanqn import (
     load_pattern,
     log_potential,
     pattern_from_text,
-    pattern_to_text,
     power_potential,
     bounded_potential,
     sparse_update,
@@ -62,8 +61,6 @@ def test_pattern_basics():
     assert p.contains(1, 0) and p.contains(2, 2)
     assert not p.contains(0, 3)
     assert p.neighbors(1) == [0, 2]
-    assert not p.is_full
-    assert full_pattern(3).is_full
     assert diagonal_pattern(5).edges == ()
     assert banded_pattern(4, 1).edges == ((0, 1), (1, 2), (2, 3))
     assert arrow_pattern(4).edges == ((0, 1), (0, 2), (0, 3))
@@ -136,13 +133,12 @@ def test_pattern_restrict_and_off_pattern_check_the_shape():
                 method(a)
 
 
-def test_pattern_text_round_trip(tmp_path):
-    p = SparsityPattern(5, [(0, 1), (1, 3), (2, 4)])
-    text = pattern_to_text(p)
-    assert pattern_from_text(text) == p
+def test_the_readme_pattern_text_reads_as_the_tridiagonal_band(tmp_path):
+    text = "# tridiagonal, n = 4\n4\n1 2\n2 3\n3 4\n"
+    assert pattern_from_text(text) == banded_pattern(4, 1)
     f = tmp_path / "pat.txt"
     f.write_text(text)
-    assert load_pattern(str(f)) == p
+    assert load_pattern(str(f)) == banded_pattern(4, 1)
 
 
 def test_pattern_text_format():

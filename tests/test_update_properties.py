@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from bregmanqn import (
-    PDMatrix,
     SecantPair,
     UpdateFamily,
     bfgs_update,
@@ -91,7 +90,7 @@ def check_update(fam_str, B, pair):
     err = np.linalg.norm(out.matrix - dense, "fro") / np.linalg.norm(dense, "fro")
     assert err <= 1e-10, (fam_str, n, err)
 
-    assert np.linalg.norm(out.matvec(s) - y) <= 1e-10 * np.linalg.norm(y), fam_str
+    assert np.linalg.norm(out.matrix @ s - y) <= 1e-10 * np.linalg.norm(y), fam_str
     cholesky_factorize(out.matrix)  # raises if not PD
 
     ld_analytic = (n - 1) * np.log(r) + B.logdet + np.log(sty) - np.log(sbs)
@@ -150,10 +149,9 @@ def test_adaptive_self_scaling_takes_theta_from_the_factor_step(n, log_scale):
     ref = theta * (b - np.outer(bs, bs) / sbs + yy) + (1.0 - theta) * yy
     with mock.patch.object(
         updates, "rank_one_update", wraps=updates.rank_one_update
-    ) as spy, mock.patch.object(PDMatrix, "matvec") as matvec:
+    ) as spy:
         out = UpdateFamily("selfscale").apply(B, pair)
     assert spy.call_count == 1
-    assert matvec.call_count == 0
     err = np.linalg.norm(out.matrix - ref, "fro") / np.linalg.norm(ref, "fro")
     assert err <= 1e-12, (n, err)
 
@@ -182,7 +180,7 @@ def test_each_side_meets_its_variational_certificate(pot_str, n):
     for S, side_pair, X in ((B, pair, v_bfgs_update(B, pair, pot)),
                             (H, SecantPair(pair.y, pair.s), dual)):
         u, w = side_pair.s, side_pair.y
-        assert np.linalg.norm(X.matvec(u) - w) <= 1e-10 * np.linalg.norm(w)
+        assert np.linalg.norm(X.matrix @ u - w) <= 1e-10 * np.linalg.norm(w)
         residual = variational_certificate(X, S, u, pot)
         assert residual <= 1e-10, (S is H, residual)
         # mutation check: the selfscale point lies on the same secant

@@ -262,7 +262,7 @@ def test_self_scaling_theta_one_is_bfgs():
     # scale y so that theta = s'y / s'Bs is one
     rng = np.random.default_rng(8)
     b, pair = random_case(rng, 5)
-    pair = SecantPair(pair.s, pair.y * (float(pair.s @ b.matvec(pair.s)) / pair.curvature))
+    pair = SecantPair(pair.s, pair.y * (float(pair.s @ b.matrix @ pair.s) / pair.curvature))
     out = self_scaling_update(b, pair)
     ref = bfgs_update(b, pair)
     assert np.abs(out.matrix - ref.matrix).max() < 1e-12 * np.abs(ref.matrix).max()
@@ -430,7 +430,7 @@ def test_every_kind_carries_b_itself(spec):
         assert trace.records[0].det_b == b0.det()
         g = obj.gradient(np.zeros(5))
         d = points[1]
-        assert np.abs(b0.matvec(d) + g).max() <= 1e-12 * np.abs(g).max()
+        assert np.abs(b0.matrix @ d + g).max() <= 1e-12 * np.abs(g).max()
 
 
 SPARSE_RUN = "bfgs sparse"
@@ -497,7 +497,7 @@ def test_the_dual_step_is_the_inverse_of_the_step_on_h(spec, n):
         # the secant equation B+ s = y at test_update_properties' tolerance,
         # as (B+ / c^2)(c s) = y / c, and PD
         y_hat = pair.y / c
-        assert np.linalg.norm(got.matvec(c * pair.s) - y_hat) <= 1e-10 * np.linalg.norm(y_hat)
+        assert np.linalg.norm(got.matrix @ (c * pair.s) - y_hat) <= 1e-10 * np.linalg.norm(y_hat)
         assert np.isfinite(bp.L).all() and (np.diag(bp.L) > 0).all()
         cholesky_factorize(got.matrix)
 
