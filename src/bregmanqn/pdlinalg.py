@@ -2,9 +2,10 @@
 
 Everything downstream (divergences, updates, projections) manipulates PD
 matrices as a PDMatrix(L), built from the lower-triangular Cholesky factor
-L of A = L L'.  The factor is the source of truth; full matrices are
-reconstructed on demand.  Storage is dense and real -- the intended scale
-is desk-sized (n up to a few hundred) -- and only this module solves with it.
+L of A = L L'.  The factor, read-only, is the one state; a full matrix is
+formed on demand as a new array.  Storage is dense and real -- the
+intended scale is desk-sized (n up to a few hundred) -- and only this
+module solves with it.
 
 A factor is modified in one way only: rank_one_update(B, u, v, scale=c)
 returns the PDMatrix (c L + u v')(c L + u v')' for L = B.L.  Transposed,
@@ -138,18 +139,19 @@ def _solve_lower(L, b, transposed=False, overwrite=False) -> np.ndarray:
 
 
 class PDMatrix:
-    """Positive definite matrix A = L L', built from its Cholesky factor L,
-    with log det A cached and A itself formed on first use.  L must be a
-    finite real n x n array with n >= 1, zero above the diagonal and
-    positive on it; InvalidParameter otherwise."""
+    """Positive definite matrix A = L L', held as its Cholesky factor L.
+    L must be a finite real n x n array with n >= 1, zero above the
+    diagonal and positive on it; InvalidParameter otherwise.  The factor
+    is a read-only copy and L, n and logdet cannot be rebound, so A stays
+    the matrix that was checked; matrix is a new array on every read."""
 
-    __slots__ = ("n", "L", "logdet", "_matrix")
+    __slots__ = ("_L", "_logdet")
 
     def __init__(self, L):
         L = require_array("L", _require_square("L", L), None, finite=True)
         if not ((np.diag(L) > 0).all() and not np.triu(L, 1).any()):
             raise InvalidParameter("L must be lower triangular with a positive diagonal")
-        self._hold(L)
+        self._hold(L.copy())
 
     @classmethod
     def _from_factor(cls, L) -> "PDMatrix":
@@ -160,10 +162,17 @@ class PDMatrix:
         return B
 
     def _hold(self, L):
-        self.n = L.shape[0]
-        self.L = L
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        self._matrix = None
+        L.flags.writeable = False
+        self._L = L
+        self._logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+
+    def __reduce__(self):
+        # pickle and both copies rebuild through _hold: a read-only factor
+        return self._from_factor, (self._L,)
+
+    L = property(lambda self: self._L, doc="The lower Cholesky factor, read-only.")
+    n = property(lambda self: len(self._L), doc="The dimension.")
+    logdet = property(lambda self: self._logdet, doc="log det A.")
 
     @classmethod
     def identity(cls, n: int) -> "PDMatrix":
@@ -171,9 +180,8 @@ class PDMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = self.L @ self.L.T
-        return self._matrix
+        """A = L L' as a new array."""
+        return self._L @ self._L.T
 
     def det(self) -> float:
         """det A, inf where it overflows a float."""

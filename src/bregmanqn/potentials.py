@@ -42,7 +42,6 @@ class PotentialReport:
 
     beta_bound_ok: bool
     limit_ok: bool
-    beta_max: float
 
     @property
     def admissible(self) -> bool:
@@ -240,7 +239,6 @@ def validate(pot: Potential, n: int) -> PotentialReport:
     beta_vals = require_array("beta_ld", [pot.beta_ld(ld) for ld in lds], lds.shape)
     log_nu = require_array("log_nu_ld", [pot.log_nu_ld(ld) for ld in lds], lds.shape)
 
-    beta_max = float(np.max(beta_vals))
     # beta is the log-derivative of nu, so its bound presumes nu > 0.
     beta_bound_ok = bool(np.all(np.isfinite(log_nu)) and np.all(beta_vals < 1.0 / n))
 
@@ -251,10 +249,6 @@ def validate(pot: Potential, n: int) -> PotentialReport:
     small_enough = bool(lw[0] <= lw[-1] + lds[0] / n + 1e-9)
     limit_ok = monotone and small_enough
 
-    report = PotentialReport(
-        beta_bound_ok=beta_bound_ok,
-        limit_ok=limit_ok,
-        beta_max=beta_max,
-    )
+    report = PotentialReport(beta_bound_ok=beta_bound_ok, limit_ok=limit_ok)
     pot._reports[n] = report
     return report

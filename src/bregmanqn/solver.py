@@ -312,7 +312,7 @@ def _check_start(obj, B0, config):
     if B0 is None:
         B0 = PDMatrix.identity(obj.n)
     else:
-        # PDMatrix itself holds its factor to the rule
+        # PDMatrix holds its factor to the rule, and the factor is read-only
         require_array("B0.L", require_type("B0", B0, PDMatrix).L, (obj.n, obj.n))
     if config.sparsity is not None:
         _require_on_pattern(B0, config.update_family.pattern)
@@ -330,7 +330,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     whose B was formed, and the error's message as trace.reason.  The
     update is config.update_family's, dense or sparse.  config (None for
     the default) must be a SolverConfig and B0 (None for I) a PDMatrix of
-    dimension n, whose constructor has checked its factor; anything
+    dimension n, whose constructor has checked its read-only factor; anything
     else, or a B0 the update cannot start from, such as one off a
     sparsity pattern, raises InvalidParameter before the first
     evaluation, as PotentialNotAdmissible does for a potential
@@ -338,8 +338,8 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     gradient a real array of shape (n,) at every point, else
     InvalidParameter is raised by the evaluation that returned it.  Each
     record holds its own iterate x_k, which the run never writes into.
-    record_b stores a copy of B_k (n^2 per iterate) for invariance
-    comparisons.
+    record_b stores B_k, read once through B.matrix as a new n x n array
+    per record, for invariance comparisons.
     """
     B, config = _check_start(obj, B0, config)
     del B0  # B alone holds B0, which can go with the first update
@@ -375,7 +375,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
     reason = ""
     for k in range(config.max_iter + 1):
         # x is rebound each step, never written in place, so the record
-        # holds it; B is copied, as a skipped step keeps it
+        # holds it; B.matrix is a new array on every read
         det_b = B.det()
         records.append(
             IterationRecord(
@@ -387,7 +387,7 @@ def minimize(obj, x0, B0=None, config=None, record_b=False):
                 det_b=det_b,
                 sty=sty,
                 skipped=skipped,
-                b=B.matrix.copy() if record_b else None,
+                b=B.matrix if record_b else None,
                 nfev=counted.nfev,
                 ngev=counted.ngev,
             )

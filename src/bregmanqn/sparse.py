@@ -74,15 +74,6 @@ class SparsityPattern:
             self._adj[i].add(j)
             self._adj[j].add(i)
 
-    @property
-    def pairs(self):
-        """Full symmetric pair set including the diagonal."""
-        out = {(i, i) for i in range(self.n)}
-        for i, j in self.edges:
-            out.add((i, j))
-            out.add((j, i))
-        return frozenset(out)
-
     def neighbors(self, i):
         return sorted(self._adj[i])
 
@@ -363,15 +354,14 @@ class SparseUpdateResult:
     each iterate to its secant point; "to-limit" (algorithm 2 with a
     limit), D_V(B*, B_t) for t = 0..T, T + 1 entries; "successive"
     (algorithm 2 without one), D_V(B_{t+1}, B_t) for t = 0..T-1.  B* is
-    bstar, the minimizer of D_V(X, B_0) over pattern-supported X with
-    Xs = y that sparse_secant_oracle gets from
+    the minimizer of D_V(X, B_0) over pattern-supported X with Xs = y
+    that sparse_secant_oracle(B_0, pair, pattern, pot) gets from
     bregmanqn.testing.divergence_oracle, the independent reference.
     """
 
     b_out: PDMatrix
     trace: np.ndarray
     trace_kind: str
-    bstar: PDMatrix | None = None
 
 
 def _require_fits(name, B, pattern):
@@ -384,8 +374,8 @@ def _require_fits(name, B, pattern):
 def _require_on_pattern(B, pattern):
     """Raise InvalidParameter unless B fits the pattern and has no entry off it."""
     _require_fits("B", B, pattern)
-    scale = float(np.abs(B.matrix).max())
-    if pattern.off_pattern_magnitude(B.matrix) > 1e-8 * (1.0 + scale):
+    M = B.matrix
+    if pattern.off_pattern_magnitude(M) > 1e-8 * (1.0 + float(np.abs(M).max())):
         raise InvalidParameter("B has entries outside the sparsity pattern")
 
 
@@ -431,7 +421,7 @@ def sparse_update(B, pair, family):
         cur = nxt
     if kind == "to-limit":
         trace.append(v_bregman_divergence(bstar, cur, pot))
-    return SparseUpdateResult(b_out=cur, trace=np.array(trace), trace_kind=kind, bstar=bstar)
+    return SparseUpdateResult(b_out=cur, trace=np.array(trace), trace_kind=kind)
 
 
 class SparseUpdateFamily:

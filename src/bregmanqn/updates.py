@@ -50,9 +50,11 @@ from ._roots import newton_bisect_log  # noqa: F401
 
 class SecantPair:
     """Step/gradient-difference pair with finite positive curvature s'y, so
-    that the secant slice {B symmetric : B s = y} meets the PD cone."""
+    that the secant slice {B symmetric : B s = y} meets the PD cone.  s
+    and y are read-only copies and s, y and curvature cannot be rebound,
+    so curvature stays s'y."""
 
-    __slots__ = ("s", "y", "curvature")
+    __slots__ = ("_s", "_y", "_curvature")
 
     def __init__(self, s, y):
         # a vector's exact shape keeps the check on its fast path
@@ -65,13 +67,17 @@ class SecantPair:
             raise InvalidParameter(f"s, y and s'y must be finite, got s'y = {sty!r}")
         if not sty > 0.0:
             raise CurvatureViolation(f"curvature s'y = {sty:.3e} must be positive")
-        self.s = s.copy()
-        self.y = y.copy()
-        self.curvature = sty
+        self._s, self._y, self._curvature = s.copy(), y.copy(), sty
+        self._s.flags.writeable = self._y.flags.writeable = False
 
-    @property
-    def n(self) -> int:
-        return self.s.shape[0]
+    def __reduce__(self):
+        # pickle and both copies run the check again, on read-only copies
+        return type(self), (self._s, self._y)
+
+    s = property(lambda self: self._s, doc="The step, read-only.")
+    y = property(lambda self: self._y, doc="The gradient difference, read-only.")
+    curvature = property(lambda self: self._curvature, doc="s'y, finite and positive.")
+    n = property(lambda self: len(self._s), doc="The length of s and y.")
 
     def __repr__(self):
         return f"SecantPair(n={self.n}, curvature={self.curvature:.6g})"

@@ -357,12 +357,29 @@ def test_constant_beta_is_a_real_or_none():
             Potential("x", _F, _F, _F, value)
 
 
-def _with_factor(L):
-    # a PDMatrix built with a valid factor and then given L, which only a
-    # caller writing the slot can do
-    B = PDMatrix.identity(3)
-    B.L = L
-    return B
+def test_a_checked_pdmatrix_or_secant_pair_cannot_be_rebound():
+    # B.L = ... skipped the factor check and left logdet stale, and
+    # pair.y = ... left curvature at the old s'y
+    B, pair = PDMatrix.identity(3), SecantPair(np.ones(3), np.full(3, 2.0))
+    for obj, names in ((B, ("L", "n", "logdet", "matrix")), (pair, ("s", "y", "curvature", "n"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert np.array_equal(B.L, np.eye(3)) and (B.n, B.logdet) == (3, 0.0)
+    assert pair.curvature == 6.0 and np.array_equal(pair.y, np.full(3, 2.0))
+
+
+def test_minimize_names_a_b0_of_the_wrong_dimension_before_evaluating():
+    calls = []
+    obj = Objective(3, lambda x: calls.append("f") or _SPEC.objective.value(x),
+                    lambda x: calls.append("g") or _SPEC.objective.gradient(x))
+    for n in (2, 4):
+        with pytest.raises(InvalidParameter, match=re.escape(
+                f"B0.L must be a real array of shape (3, 3), got ndarray of shape ({n}, {n})")):
+            minimize(obj, _SPEC.start, PDMatrix.identity(n))
+    assert calls == []
 
 
 _START = _SPEC.start
@@ -380,8 +397,6 @@ ARRAYS = [
     ("SecantPair s", lambda v: SecantPair(v, np.ones(3)), np.ones(3), False),
     ("SecantPair y", lambda v: SecantPair(np.ones(3), v), np.ones(3), False),
     ("minimize x0", lambda v: minimize(_SPEC.objective, v), _START, True),
-    ("minimize B0.L", lambda v: minimize(_SPEC.objective, _START, _with_factor(v)), np.eye(3),
-     False),
     ("transform_problem T", lambda v: transform_problem(_SPEC.objective, v), np.eye(3), True),
     ("transform_problem value x", _TRANSFORMED.value, _START, False),
     ("transform_problem gradient x", _TRANSFORMED.gradient, _START, False),

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -273,6 +275,38 @@ def test_solves_leave_the_callers_b_untouched():
             x = solve(b)
             assert np.array_equal(b, before)
             assert not np.shares_memory(x, b)
+
+
+def test_no_write_reaches_a_checked_pdmatrix():
+    # the constructor kept the caller's L, and matrix handed out its cache:
+    # after L[0, 0] = nan logdet still read 0 while solve gave nan, and
+    # after M = B.matrix; M += 1 matrix and solve described two matrices
+    rng = np.random.default_rng(21)
+    L = np.linalg.cholesky(random_pd(rng, 4))
+    B = PDMatrix(L)
+    b = rng.standard_normal(4)
+    want = (B.solve(b), B.logdet, B.matrix)
+    L[0, 0] = np.nan
+    M = B.matrix
+    M += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        B.L[0, 0] = np.nan
+    for built in (cholesky_factorize(want[2]), rank_one_update(B, b, b)):
+        with pytest.raises(ValueError, match="read-only"):
+            built.L[0, 0] = np.nan
+    got = (B.solve(b), B.logdet, B.matrix)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(got[2], want[2]) and got[2] is not M
+
+
+@pytest.mark.parametrize("dup", [lambda B: pickle.loads(pickle.dumps(B)), copy.copy,
+                                 copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_a_pdmatrix_copy_is_equal_and_its_factor_read_only(dup):
+    B = cholesky_factorize(random_pd(np.random.default_rng(22), 5))
+    C = dup(B)
+    assert type(C) is PDMatrix and C.n == B.n and C.logdet == B.logdet
+    assert np.array_equal(C.L, B.L) and not C.L.flags.writeable
+    assert np.array_equal(C.solve(np.ones(5)), B.solve(np.ones(5)))
 
 
 _RULE = "^L must be lower triangular with a positive diagonal$"

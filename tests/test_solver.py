@@ -355,6 +355,40 @@ def test_the_solver_loop_builds_no_pdmatrix_through_its_check(family, sparse, ch
     assert len(calls) == checked
 
 
+@pytest.mark.parametrize("family, sparse", [
+    ("bfgs", False), ("dfp", False), ("selfscale", False), ("vbfgs:bounded:c=0.5", False),
+    ("vdfp:log", False), ("vbfgs:log", True), ("bfgs", True),
+])
+def test_the_solver_loop_forms_b_only_to_check_a_pattern_or_record_it(family, sparse):
+    # a spy on PDMatrix.matrix: a dense run never forms B, a sparse run at
+    # n > 4 forms it once per pattern check (at the start and in every
+    # applied update), and record_b once more per record
+    spec = get_problem("broyden-tridiagonal:10")
+    config = SolverConfig(family, sparsity=(spec.pattern, 2, 1) if sparse else None)
+    matrix, check = PDMatrix.matrix, bregmanqn.sparse._require_on_pattern
+    reads, checks = [], []
+
+    def read(self):
+        reads.append(self)
+        return matrix.fget(self)
+
+    def counted_check(B, pattern):
+        checks.append(B)
+        return check(B, pattern)
+
+    with mock.patch.object(PDMatrix, "matrix", property(read)), \
+            mock.patch.object(bregmanqn.sparse, "_require_on_pattern", counted_check), \
+            mock.patch.object(bregmanqn.solver, "_require_on_pattern", counted_check):
+        for record_b in (False, True):
+            reads.clear()
+            checks.clear()
+            trace = minimize(spec.objective, spec.start, config=config, record_b=record_b)
+            assert trace.status == "Converged" and trace.iterations > 1
+            steps = sum(not r.skipped for r in trace.records[1:])
+            assert len(checks) == (1 + steps if sparse else 0)
+            assert len(reads) == len(checks) + record_b * len(trace.records)
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="before 3.11 a caller keeps its call's arguments until the call returns")
 @pytest.mark.parametrize("sparse", [False, True])
@@ -678,6 +712,9 @@ def test_record_b_toggle():
     assert plain.records[0].b is None
     assert heavy.records[0].b is not None
     assert heavy.records[0].b.shape == (2, 2)
+    # each record owns its array
+    bs = [r.b for r in heavy.records]
+    assert not any(np.shares_memory(a, b) for a, b in zip(bs, bs[1:]))
 
 
 def fail_on_call(real, k):

@@ -10,6 +10,7 @@ from bregmanqn import (
     CliqueBlockNotPD,
     InvalidParameter,
     NotChordal,
+    OracleNoConvergence,
     PDMatrix,
     SecantPair,
     SparseUpdateFamily,
@@ -419,7 +420,7 @@ def test_completion_respects_given_entries():
     entries = pattern.restrict(a @ a.T + 6 * np.eye(6))
     _, k = clique_factorize(entries, tree)
     x = cholesky_factorize(k).inv()
-    for (i, j) in pattern.pairs:
+    for (i, j) in zip(*np.nonzero(pattern.mask())):
         assert x[i, j] == pytest.approx(entries[i, j], rel=1e-10, abs=1e-10)
     assert pattern.off_pattern_magnitude(k) < 1e-12
 
@@ -467,7 +468,7 @@ def test_projection_theta_match_and_membership():
             ).max()
             tb = theta_coordinate(b, pot)
             to = theta_coordinate(out, pot)
-            for (i, j) in pattern.pairs:
+            for (i, j) in zip(*np.nonzero(pattern.mask())):
                 assert to[i, j] == pytest.approx(tb[i, j], rel=1e-9, abs=1e-12)
 
 
@@ -589,7 +590,9 @@ def test_sparse_update_algorithm2_chain():
             b0 = PDMatrix.identity(3)
             res = sparse_update(b0, pair, family)
             assert res.trace_kind == "to-limit"
-            assert res.bstar is not None
+            # the last entry is D_V(B*, B_T), B* rebuilt by the oracle
+            bstar = sparse_secant_oracle(b0, pair, pattern, pot)
+            assert res.trace[-1] == v_bregman_divergence(bstar, res.b_out, pot)
             diffs = np.diff(res.trace)
             assert np.all(diffs <= 1e-9)
             assert res.trace[-1] <= 1e-8
@@ -647,9 +650,11 @@ def test_sparse_update_infeasible_falls_back_to_successive():
     family = sparse_family(diagonal_pattern(3), log_potential(), algorithm=2, T=30)
     s = np.array([0.0, 1.0, 1.0])
     y = np.array([1.0, 1.0, 2.0])
-    res = sparse_update(PDMatrix.identity(3), SecantPair(s, y), family)
+    pair = SecantPair(s, y)
+    res = sparse_update(PDMatrix.identity(3), pair, family)
     assert res.trace_kind == "successive"
-    assert res.bstar is None
+    with pytest.raises(OracleNoConvergence):
+        sparse_secant_oracle(PDMatrix.identity(3), pair, family.pattern, log_potential())
 
 
 def test_sparse_update_larger_n_successive():

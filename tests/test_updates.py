@@ -1,5 +1,7 @@
 """Update formulas: secant feasibility, duality, scaling equation, optimality."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +71,23 @@ def test_secant_pair_validation():
             SecantPair(np.array(s), np.array(y))
     p = SecantPair(np.array([1.0, 2.0]), np.array([3.0, 1.0]))
     assert p.curvature == pytest.approx(5.0)
+
+
+def test_a_secant_pair_stays_the_pair_it_checked():
+    # after p.y[:] = -p.y curvature still read 2.5 with s'y = -2.5, and
+    # bfgs_update returned a PD matrix off the secant slice without raising
+    s, y = np.array([1.0, 0.5]), np.array([2.0, 1.0])
+    p = SecantPair(s, y)
+    s[0] = y[0] = -1.0  # the caller's arrays stay the caller's
+    for a in (p.s, p.y):
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] = -a
+    assert p.curvature == p.s @ p.y == 2.5
+    X = bfgs_update(PDMatrix.identity(2), p)
+    assert np.allclose(X.matrix @ p.s, p.y, rtol=1e-14, atol=1e-14)
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert q.curvature == 2.5 and np.array_equal(q.s, p.s) and np.array_equal(q.y, p.y)
+        assert not (q.s.flags.writeable or q.y.flags.writeable)
 
 
 def test_updates_reject_a_pair_of_the_wrong_length():
