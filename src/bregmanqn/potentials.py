@@ -32,7 +32,7 @@ BETA_GRID = np.logspace(-8.0, 8.0, 256)
 LIMIT_GRID = np.logspace(-12.0, 0.0, 256)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PotentialReport:
     """Outcome of the admissibility grid checks for one dimension.
 
@@ -54,17 +54,19 @@ class Potential:
     value_ld, log_nu_ld and beta_ld take ld = log z and return V(z),
     log nu(z) and beta(z).  constant_beta is beta's value when beta is
     constant -- exactly the power family nu = z^gamma, with gamma = 0 the
-    log potential -- and None otherwise.
+    log potential -- and None otherwise.  Immutable once built.
     """
 
     def __init__(self, label: str, value_ld, log_nu_ld, beta_ld, constant_beta=None):
-        self._label = require_type("Potential label", label, str)
-        self.value_ld = require_type("Potential value_ld", value_ld, Callable)
-        self.log_nu_ld = require_type("Potential log_nu_ld", log_nu_ld, Callable)
-        self.beta_ld = require_type("Potential beta_ld", beta_ld, Callable)
-        self.constant_beta = (None if constant_beta is None
-                              else require_real("constant_beta", constant_beta))
-        self._reports: dict[int, PotentialReport] = {}
+        vars(self).update(_label=require_type("Potential label", label, str), _reports={})
+        for name, f in (("value_ld", value_ld), ("log_nu_ld", log_nu_ld), ("beta_ld", beta_ld)):
+            vars(self).update({name: require_type(f"Potential {name}", f, Callable)})
+        vars(self).update(constant_beta=None if constant_beta is None
+                          else require_real("constant_beta", constant_beta))
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign or delete {name!r}: a Potential is immutable")
+    __delattr__ = __setattr__
 
     def nu_ld(self, ld: float) -> float:
         return float(np.exp(self.log_nu_ld(ld)))

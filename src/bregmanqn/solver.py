@@ -49,7 +49,7 @@ EXTRAPOLATE = 2.0
 DUAL_FIRST_CAP = 4.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Objective:
     """Smooth function of x in R^n, value(x) -> float, with its gradient,
     gradient(x) -> array of shape (n,); name labels it in reports."""
@@ -60,12 +60,12 @@ class Objective:
     name: str = ""
 
     def __post_init__(self):
-        self.n = require_count("objective dimension n", self.n)
+        vars(self).update(n=require_count("objective dimension n", self.n))
         for name in ("value", "gradient"):
             require_type(f"Objective.{name}", getattr(self, name), Callable)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineSearchParams:
     """Wolfe constants; method "exact" minimizes along the ray instead."""
 
@@ -76,17 +76,16 @@ class LineSearchParams:
     method: str = "wolfe"
 
     def __post_init__(self):
-        self.c1 = require_real("c1", self.c1)
-        self.c2 = require_real("c2", self.c2)
+        vars(self).update(c1=require_real("c1", self.c1), c2=require_real("c2", self.c2))
         if not (0.0 < self.c1 < self.c2 < 1.0):
             raise InvalidParameter("need 0 < c1 < c2 < 1")
-        self.alpha_init = require_real("alpha_init", self.alpha_init, 0.0)
-        self.max_trials = require_count("max_trials", self.max_trials)
+        vars(self).update(alpha_init=require_real("alpha_init", self.alpha_init, 0.0),
+                          max_trials=require_count("max_trials", self.max_trials))
         if self.method not in ("wolfe", "exact"):
             raise InvalidParameter(f"unknown line search method {self.method!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     family: UpdateFamily | str
     line_search: LineSearchParams = field(default_factory=LineSearchParams)
@@ -99,18 +98,18 @@ class SolverConfig:
     def __post_init__(self):
         # a bare string uses the same grammar as the CLI --family flag
         if isinstance(self.family, str):
-            self.family = UpdateFamily.from_string(self.family)
+            vars(self).update(family=UpdateFamily.from_string(self.family))
         require_type("family", self.family, UpdateFamily)
         require_type("line_search", self.line_search, LineSearchParams)
-        self.grad_tol = require_real("grad_tol", self.grad_tol, 0.0)
-        self.max_iter = require_count("max_iter", self.max_iter)
-        self.update_family = self.family
+        vars(self).update(grad_tol=require_real("grad_tol", self.grad_tol, 0.0),
+                          max_iter=require_count("max_iter", self.max_iter),
+                          update_family=self.family)
         if self.sparsity is not None:
             if not (isinstance(self.sparsity, (tuple, list)) and len(self.sparsity) == 3):
                 raise InvalidParameter(
-                    f"sparsity must be (pattern, algorithm, T), got {self.sparsity!r}"
-                )
-            self.update_family = SparseUpdateFamily(self.family, *self.sparsity)
+                    f"sparsity must be (pattern, algorithm, T), got {self.sparsity!r}")
+            vars(self).update(sparsity=tuple(self.sparsity),
+                              update_family=SparseUpdateFamily(self.family, *self.sparsity))
 
 
 @dataclass

@@ -11,7 +11,7 @@ and through which the solver runs them.
 
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,15 +49,19 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class SparsityPattern:
     """Symmetric index set F on an n x n matrix; the diagonal is always in."""
 
-    def __init__(self, n, edges=()):
-        self.n = require_count("pattern dimension", n)
-        if not isinstance(edges, Iterable):
-            raise InvalidParameter(f"pattern edges must be pairs (i, j), got {edges!r}")
+    n: int
+    edges: tuple = ()  # stored as the sorted pairs i < j
+
+    def __post_init__(self):
+        vars(self).update(n=require_count("pattern dimension", self.n))
+        if not isinstance(self.edges, Iterable):
+            raise InvalidParameter(f"pattern edges must be pairs (i, j), got {self.edges!r}")
         cleaned = set()
-        for edge in edges:
+        for edge in self.edges:
             try:
                 i, j = edge
             except (TypeError, ValueError):
@@ -68,8 +72,7 @@ class SparsityPattern:
             if i == j:
                 continue  # diagonal is implied
             cleaned.add((min(i, j), max(i, j)))
-        self.edges = tuple(sorted(cleaned))
-        self._adj = [set() for _ in range(self.n)]
+        vars(self).update(edges=tuple(sorted(cleaned)), _adj=[set() for _ in range(self.n)])
         for i, j in self.edges:
             self._adj[i].add(j)
             self._adj[j].add(i)
@@ -93,16 +96,6 @@ class SparsityPattern:
     def off_pattern_magnitude(self, matrix):
         off = np.where(self.mask(), 0.0, require_array("matrix", matrix, (self.n, self.n)))
         return float(np.abs(off).max()) if self.n > 1 else 0.0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparsityPattern)
-            and other.n == self.n
-            and other.edges == self.edges
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
 
     def __repr__(self):
         return f"SparsityPattern(n={self.n}, edges={len(self.edges)})"
@@ -196,7 +189,7 @@ def _witness_cycle(pattern, v, u, w):
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CliqueTree:
     """Clique forest of a chordal pattern in running-intersection order.
 
@@ -424,30 +417,36 @@ def sparse_update(B, pair, family):
     return SparseUpdateResult(b_out=cur, trace=np.array(trace), trace_kind=kind)
 
 
+@dataclass(frozen=True)
 class SparseUpdateFamily:
     """sparse_update on a chordal pattern, with UpdateFamily's apply.
 
     Each algorithm fixes its own secant step (the DFP point or the V-BFGS
     point), so the family only names the potential: bfgs for the log
     potential or vbfgs:<potential>.  Checks it, the pattern, algorithm (1
-    or 2) and T once, keeping the clique tree; sparse_update(B, pair,
-    family) reads all of them from here.  minimize checks that B0 fits
-    the pattern before its first evaluation, and scales B0 once at a
-    sparse run's first update.
+    or 2) and T once, keeping the clique tree and the family's potential;
+    sparse_update(B, pair, family) reads all of them from here.  minimize
+    checks that B0 fits the pattern before its first evaluation, and
+    scales B0 once at a sparse run's first update.
     """
 
-    def __init__(self, family, pattern, algorithm, T):
-        if require_type("family", family, UpdateFamily).kind not in ("bfgs", "vbfgs"):
+    family: UpdateFamily
+    pattern: SparsityPattern
+    algorithm: int
+    T: int
+    tree: CliqueTree = field(init=False, repr=False, compare=False)
+    potential: Potential = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if require_type("family", self.family, UpdateFamily).kind not in ("bfgs", "vbfgs"):
             raise InvalidParameter(
                 "each sparse algorithm fixes its own secant step, so the family names only "
                 "the potential; use bfgs or vbfgs:<potential>")
-        require_type("sparsity pattern", pattern, SparsityPattern)
-        algorithm = require_count("algorithm", algorithm)
+        algorithm = require_count("algorithm", self.algorithm)
         if algorithm not in (1, 2):
             raise InvalidParameter(f"algorithm must be 1 or 2, got {algorithm!r}")
-        self.pattern, self.algorithm, self.T = pattern, algorithm, require_count("T", T)
-        self.tree = is_chordal(pattern)
-        self.potential = family.potential
+        vars(self).update(algorithm=algorithm, T=require_count("T", self.T),
+                          tree=is_chordal(self.pattern), potential=self.family.potential)
 
     def apply(self, B: PDMatrix, pair: SecantPair) -> PDMatrix:
         return sparse_update(B, pair, self).b_out

@@ -177,7 +177,7 @@ def self_scaling_update(B: PDMatrix, pair: SecantPair) -> PDMatrix:
     return _secant_mix(B, pair, lambda ld_bfgs: float(np.exp(ld_bfgs - B.logdet)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateFamily:
     """A side and a ratio rule, named by kind.
 
@@ -205,7 +205,7 @@ class UpdateFamily:
         rule = None if self.kind == "selfscale" else _LOG
         if self.potential not in (None, rule):
             raise InvalidParameter(f"{self.kind} takes no potential")
-        self.potential = rule
+        vars(self).update(potential=rule)
 
     @classmethod
     def from_string(cls, spec: str) -> "UpdateFamily":

@@ -4,16 +4,19 @@ errors.require_real, errors.require_type or errors.require_array."""
 
 import math
 import re
+from dataclasses import FrozenInstanceError, is_dataclass, replace
 
 import numpy as np
 import pytest
 
+import bregmanqn
 from bregmanqn import (
     InvalidParameter,
     LineSearchParams,
     Objective,
     PDMatrix,
     Potential,
+    PotentialNotAdmissible,
     SecantPair,
     SolverConfig,
     SparseUpdateFamily,
@@ -369,6 +372,122 @@ def test_a_checked_pdmatrix_or_secant_pair_cannot_be_rebound():
                 delattr(obj, name)
     assert np.array_equal(B.L, np.eye(3)) and (B.n, B.logdet) == (3, 0.0)
     assert pair.curvature == 6.0 and np.array_equal(pair.y, np.full(3, 2.0))
+
+
+def _checked_values():
+    """One value of each checked configuration type above PDMatrix."""
+    pot, family = log_potential(), _sparse_family()
+    return {
+        "Objective": _SPEC.objective,
+        "LineSearchParams": LineSearchParams(),
+        "SolverConfig": SolverConfig("bfgs", sparsity=[family.pattern, 2, 1]),
+        "UpdateFamily": UpdateFamily("vbfgs", pot),
+        "PotentialReport": validate(pot, 3),
+        "CliqueTree": family.tree,
+        "SparsityPattern": family.pattern,
+        "SparseUpdateFamily": family,
+        "Potential": pot,
+    }
+
+
+@pytest.mark.parametrize("kind", list(_checked_values()))
+def test_a_checked_configuration_cannot_be_rebound(kind):
+    # each was checked once, when built, and then took any rebinding, which
+    # left its derived state (update_family, tree, the cached verdicts) stale
+    value = _checked_values()[kind]
+    before = dict(vars(value))
+    for name in [*before, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name, None))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert vars(value).keys() == before.keys()
+    assert all(vars(value)[name] is held for name, held in before.items())
+
+
+def test_a_checked_configuration_reads_as_checked():
+    values = _checked_values()
+    config, family = values["SolverConfig"], values["SparseUpdateFamily"]
+    assert config.sparsity == (family.pattern, 2, 1) and type(config.sparsity) is tuple
+    assert config.update_family == SparseUpdateFamily(config.family, family.pattern, 2, 1)
+    assert family.tree == is_chordal(family.pattern) and family.potential is family.family.potential
+    assert values["PotentialReport"].admissible and values["Potential"].label() == "log"
+
+
+def test_every_exported_dataclass_with_a_check_is_frozen():
+    # a value checked in __post_init__ stays checked only if it cannot be rebound
+    checked = {name: getattr(bregmanqn, name) for name in bregmanqn.__all__}
+    checked = {name: cls for name, cls in checked.items()
+               if isinstance(cls, type) and is_dataclass(cls) and hasattr(cls, "__post_init__")}
+    assert {"Objective", "LineSearchParams", "SolverConfig", "UpdateFamily",
+            "SparsityPattern", "SparseUpdateFamily"} <= checked.keys()
+    assert [name for name, cls in checked.items() if not cls.__dataclass_params__.frozen] == []
+
+
+# each rebinding that a run reached: (id, the checked value, the name, the new value).
+# A dense config took a sparsity and then minimize raised AttributeError, max_iter
+# = -3 an UnboundLocalError, grad_tol = "x" a TypeError; c1 > c2 failed the first
+# search; a new pattern kept the old clique tree, and a new beta_ld the old verdict.
+# The family and report rebindings have their own tests below
+REBINDINGS = [
+    ("SolverConfig.sparsity", lambda: SolverConfig("bfgs"), "sparsity",
+     (banded_pattern(3, 1), 2, 1)),
+    ("SolverConfig.max_iter", lambda: SolverConfig("bfgs"), "max_iter", -3),
+    ("SolverConfig.grad_tol", lambda: SolverConfig("bfgs"), "grad_tol", "x"),
+    ("LineSearchParams.c1", lambda: SolverConfig("bfgs").line_search, "c1", 0.95),
+    ("SparseUpdateFamily.pattern", lambda: SparseUpdateFamily(
+        UpdateFamily("bfgs"), banded_pattern(6, 1), 2, 1), "pattern", arrow_pattern(6)),
+    ("CliqueTree.cliques", lambda: _sparse_family().tree, "cliques", [(0, 1, 2, 3)]),
+    ("Potential.beta_ld", log_potential, "beta_ld", lambda ld: 0.9),
+]
+
+
+@pytest.mark.parametrize("build, name, new", [r[1:] for r in REBINDINGS],
+                         ids=[r[0] for r in REBINDINGS])
+def test_a_rebinding_that_reached_a_run_is_refused(build, name, new):
+    value = build()
+    before = dict(vars(value))
+    with pytest.raises(AttributeError):
+        setattr(value, name, new)
+    assert vars(value) == before
+
+
+def test_a_refused_family_rebinding_leaves_the_configs_run():
+    # the rebound bfgs config took bfgs updates with the dual side's first trial
+    spec = get_problem("broyden-tridiagonal:12")
+    config = SolverConfig("bfgs")
+    with pytest.raises(FrozenInstanceError):
+        config.family = UpdateFamily("dfp")
+    runs = [minimize(spec.objective, spec.start, config=c) for c in (config, SolverConfig("bfgs"))]
+    assert len({(t.status, t.iterations, t.nfev, t.ngev, t.final.x.tobytes()) for t in runs}) == 1
+
+
+def test_an_inadmissible_potential_stays_refused_before_the_first_evaluation():
+    # with both flags set, minimize divided by zero and ended UpdateFail
+    pot = power_potential(0.5)
+    report = validate(pot, 3)
+    for flag in ("beta_bound_ok", "limit_ok"):
+        with pytest.raises(AttributeError):
+            setattr(report, flag, True)
+    calls = []
+    obj = Objective(3, lambda x: calls.append("f") or _SPEC.objective.value(x),
+                    lambda x: calls.append("g") or _SPEC.objective.gradient(x))
+    with pytest.raises(PotentialNotAdmissible):
+        minimize(obj, _SPEC.start, config=SolverConfig(UpdateFamily("vbfgs", pot)))
+    assert calls == [] and validate(pot, 3) is report and not report.admissible
+
+
+def test_replace_derives_a_checked_copy():
+    config = SolverConfig("bfgs", sparsity=(banded_pattern(4, 1), 2, 1))
+    with pytest.raises(InvalidParameter):
+        replace(config, max_iter=0)
+    with pytest.raises(InvalidParameter):
+        replace(_sparse_family(), T=0)
+    longer = replace(config, max_iter=5)
+    assert (longer.max_iter, longer.update_family) == (5, config.update_family)
+    assert longer.update_family is not config.update_family
+    three = replace(_sparse_family(), T=3)
+    assert three.T == 3 and three.tree == _sparse_family().tree
 
 
 def test_minimize_names_a_b0_of_the_wrong_dimension_before_evaluating():

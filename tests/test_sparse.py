@@ -67,6 +67,20 @@ def test_pattern_basics():
     assert arrow_pattern(4).edges == ((0, 1), (0, 2), (0, 3))
 
 
+def test_patterns_are_equal_and_hash_alike_by_their_index_set():
+    band = banded_pattern(4, 1)
+    listed = SparsityPattern(4, [(2, 1), (0, 1), (1, 2), (3, 2)])
+    assert band == listed and hash(band) == hash(listed)
+    assert repr(band) == repr(listed) == "SparsityPattern(n=4, edges=3)"
+    assert band != SparsityPattern(5, band.edges) and band != arrow_pattern(4)
+    assert band != (4, band.edges)
+    # a sparse family is its family, pattern, algorithm and T
+    family = SparseUpdateFamily(UpdateFamily("bfgs"), band, 2, 1)
+    assert family == SparseUpdateFamily(UpdateFamily("bfgs"), listed, 2, 1)
+    assert hash(family) == hash(SparseUpdateFamily(UpdateFamily("bfgs"), listed, 2, 1))
+    assert family != SparseUpdateFamily(UpdateFamily("bfgs"), band, 2, 3)
+
+
 def test_pattern_rejects_bad_edges():
     with pytest.raises(InvalidParameter):
         SparsityPattern(3, [(0, 3)])

@@ -31,7 +31,9 @@ from bregmanqn import (
     sparse_update,
     v_bfgs_update,
     v_bregman_divergence,
+    validate,
 )
+from bregmanqn import updates
 from bregmanqn._roots import newton_bisect_log
 from bregmanqn.geometry import solve_det_equation
 from bregmanqn.testing import divergence_oracle
@@ -342,6 +344,26 @@ def test_scaling_equation_residual_and_power_closed_form():
                     assert ld == t
                 if pot.constant_beta is not None:
                     assert ld == t / (1.0 - k * pot.constant_beta)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 50, 300])
+def test_the_power_potential_on_the_kappa_path_has_ratio_theta_to_the_kappa(n):
+    # gamma = kappa / (1 + (n-1) kappa) pins log det B+ - log det B at
+    # log theta / (1 - (n-1) gamma), so r = theta^kappa; that gamma is
+    # admissible (gamma < 1/n) exactly for -1/(n-1) < kappa < 1.  r is the
+    # exp of a difference of two log nu of size |gamma ld|, each rounded to
+    # eps |gamma ld|: 3.5e-12 at n = 2, gamma = -9, |ld| = 2000
+    for kappa in (-0.9 / (n - 1), -0.3 / (n - 1), 0.05, 0.5, 0.9, 0.99):
+        gamma = kappa / (1.0 + (n - 1) * kappa)
+        pot = power_potential(gamma)
+        for ld in np.linspace(-2000.0, 2000.0, 9):
+            tol = 1e-12 + 4.0 * np.finfo(float).eps * abs(gamma * ld)
+            for log_theta in (-6.0, -0.4, 0.1, 3.0):
+                r = updates._nu_ratio(pot, n, float(ld), float(ld + log_theta))
+                assert r == pytest.approx(np.exp(kappa * log_theta), rel=tol, abs=0.0)
+    for kappa in (-1.5 / (n - 1), 1.0, 1.5):
+        gamma = kappa / (1.0 + (n - 1) * kappa)
+        assert gamma >= 1.0 / n and (gamma >= 1.0 or not validate(power_potential(gamma), n).admissible)
 
 
 def test_variational_oracle_agrees_with_update():
